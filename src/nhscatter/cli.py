@@ -21,28 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cmt import CmtCoupling, cmt_smatrix, two_port_coupling
-from .conservation import flux_deviations, verify_conservation_law
+from .cmt import two_port_coupling
+from .conservation import conservation_defect, flux_deviations, verify_conservation_law
 from .dynamics import (
     DEFAULT_FRAMES,
     DEFAULT_LEAD_LEN,
     block_intensities,
     packet_experiment,
 )
-from .errors import (
-    BandEdgeError,
-    BoundaryContaminationError,
-    ConfigError,
-    ConventionMismatchError,
-    DimensionTooLargeError,
-    GeometryTooSmallError,
-    KMismatchError,
-    NotTwoPortError,
-    PacketOutOfBoundsError,
-    PortConditionError,
-    PremiseViolatedError,
-    SingularMatrixError,
-)
+from .errors import ConfigError, PortConditionError, ScatterError
 from .model import (
     LEFT,
     PROTOTYPE_KINDS,
@@ -51,30 +38,15 @@ from .model import (
     ScatteringSystem,
     dagger,
     make_prototype,
-    mode_params,
 )
 from .numerics import frob, invert, matrix_from_json, matrix_to_json
-from .smatrix import Convention, scattering_matrix
+from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
 from .symmetry import metric_space, is_anti_pt, phase_of, port_signature
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-_NUMERICAL_ERRORS = (
-    SingularMatrixError,
-    BandEdgeError,
-    DimensionTooLargeError,
-    GeometryTooSmallError,
-    PacketOutOfBoundsError,
-    BoundaryContaminationError,
-    PremiseViolatedError,
-    NotTwoPortError,
-    KMismatchError,
-    ConventionMismatchError,
-    PortConditionError,
-)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -92,6 +64,15 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -> None:
+    """One CSV row per grid point: every number to 17 significant digits,
+    then the constant text column ``tail`` if given."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
+    lines = [",".join(header)] + [row % tuple(values) for values in table.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -260,16 +241,13 @@ def _build_system(cfg: dict) -> ScatteringSystem:
 # subcommand handlers
 
 
-def _smatrix_blocks(entries: np.ndarray, prefix: str) -> tuple[list[str], list[float]]:
-    p = entries.shape[0]
-    pairs = [(i, j) for i in range(p) for j in range(p)]
-    names = [f"re_{prefix}{i}{j}" for i, j in pairs]
-    names += [f"im_{prefix}{i}{j}" for i, j in pairs]
-    names += [f"abs2_{prefix}{i}{j}" for i, j in pairs]
-    values = [float(entries[i, j].real) for i, j in pairs]
-    values += [float(entries[i, j].imag) for i, j in pairs]
-    values += [float(abs(entries[i, j]) ** 2) for i, j in pairs]
-    return names, values
+def _smatrix_columns(s: np.ndarray, prefix: str) -> tuple[list[str], list[np.ndarray]]:
+    """Names and column blocks of re, im and |.|^2 of every entry of a (K, P, P) stack."""
+    p = s.shape[-1]
+    flat = s.reshape(len(s), p * p)
+    pairs = [f"{prefix}{i}{j}" for i in range(p) for j in range(p)]
+    names = [f"{part}_{pair}" for part in ("re", "im", "abs2") for pair in pairs]
+    return names, [flat.real, flat.imag, np.abs(flat) ** 2]
 
 
 def _cmd_sweep(cfg: dict) -> int:
@@ -280,38 +258,26 @@ def _cmd_sweep(cfg: dict) -> int:
     if int(cfg["k_count"]) < 1:
         raise ConfigError("k_count must be at least 1")
     ks = np.linspace(cfg["k_min"], cfg["k_max"], int(cfg["k_count"]))
-    daggered = system.daggered()
+    s = lead_smatrices(system, ks, convention)
+    s_bar = lead_smatrices(system.daggered(), ks, convention)
+    defect = conservation_defect(s, s_bar)
     p = system.n_ports
 
-    header: list[str] | None = None
-    rows = []
-    for k in ks:
-        k = float(k)
-        s = scattering_matrix(system, k, convention)
-        s_bar = scattering_matrix(daggered, k, convention)
-        report = verify_conservation_law(s, s_bar)
-        names_s, vals_s = _smatrix_blocks(s.entries, "s")
-        names_b, vals_b = _smatrix_blocks(s_bar.entries, "sbar")
-        names = ["k", "E"] + names_s + names_b + ["law_residual"]
-        vals: list = [k, mode_params(k, system.coupling).energy] + vals_s + vals_b
-        vals.append(report.law_residual)
-        for i, dev in enumerate(report.diag_residuals):
-            names += [f"cons_diag_re_{i}", f"cons_diag_im_{i}"]
-            vals += [dev.real, dev.imag]
-        off_pairs = [(i, j) for i in range(p) for j in range(p) if i != j]
-        for (i, j), dev in zip(off_pairs, report.offdiag_residuals):
-            names.append(f"cons_off_abs_{i}{j}")
-            vals.append(abs(dev))
-        if p == 2:
-            sum_dev, diff_dev = flux_deviations(s)
-            names += ["flux_sum_dev", "flux_diff_dev"]
-            vals += [sum_dev, diff_dev]
-        names.append("convention")
-        vals.append(convention.value)
-        header = names
-        rows.append(vals)
-
-    _write_csv(Path(cfg["out"]), header, rows)
+    names_s, cols_s = _smatrix_columns(s, "s")
+    names_b, cols_b = _smatrix_columns(s_bar, "sbar")
+    header = ["k", "E", *names_s, *names_b, "law_residual"]
+    columns = [ks, -2.0 * system.coupling * np.cos(ks), *cols_s, *cols_b, frob(defect)]
+    for i in range(p):
+        header += [f"cons_diag_re_{i}", f"cons_diag_im_{i}"]
+        columns += [defect[:, i, i].real, defect[:, i, i].imag]
+    off_diagonal = ~np.eye(p, dtype=bool)
+    header += [f"cons_off_abs_{i}{j}" for i in range(p) for j in range(p) if i != j]
+    columns.append(np.abs(defect[:, off_diagonal]))
+    if p == 2:
+        header += ["flux_sum_dev", "flux_diff_dev"]
+        columns += flux_deviations(s)
+    header.append("convention")
+    _write_table(Path(cfg["out"]), header, columns, tail=convention.value)
     return EXIT_OK
 
 
@@ -429,7 +395,8 @@ def _cmd_verify(cfg: dict) -> int:
     return EXIT_OK if report.law_residual <= float(cfg["tol"]) else EXIT_VERIFICATION
 
 
-def _load_coupling(cfg: dict, n_modes: int, omega: float) -> CmtCoupling:
+def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
+    """The N x P mode-to-channel coupling D from ``--coupling-file`` or ``--kappa``."""
     has_file = cfg.get("coupling_file") is not None
     has_kappa = cfg.get("kappa") is not None
     if has_file == has_kappa:
@@ -440,55 +407,46 @@ def _load_coupling(cfg: dict, n_modes: int, omega: float) -> CmtCoupling:
             raise ConfigError(
                 f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center"
             )
-        return CmtCoupling(d, omega)
+        return d
     kappa = cfg["kappa"]
     if len(kappa) != 2:
         raise ConfigError("--kappa needs exactly two rates")
     ports = cfg.get("ports") or (0, 1)
     if len(ports) != 2:
         raise ConfigError("aligned coupling needs exactly two port sites")
-    return two_port_coupling(n_modes, int(ports[0]), int(ports[1]), kappa[0], kappa[1], omega)
+    return two_port_coupling(n_modes, int(ports[0]), int(ports[1]), kappa[0], kappa[1]).matrix
 
 
 def _cmd_cmt(cfg: dict) -> int:
     center = _build_center(cfg)
-    center_dag = dagger(center)
     if cfg.get("omega") is not None:
-        omegas = [float(cfg["omega"])]
+        omegas = np.array([float(cfg["omega"])])
     else:
         scale = float(np.abs(center).max()) or 1.0
         lo = cfg["omega_min"] if cfg.get("omega_min") is not None else -3.0 * scale
         hi = cfg["omega_max"] if cfg.get("omega_max") is not None else 3.0 * scale
         if not lo < hi:
             raise ConfigError("need omega_min < omega_max")
-        omegas = [float(w) for w in np.linspace(lo, hi, int(cfg["omega_count"]))]
+        if int(cfg["omega_count"]) < 1:
+            raise ConfigError("omega_count must be at least 1")
+        omegas = np.linspace(lo, hi, int(cfg["omega_count"]))
 
     signs = cfg.get("port_signs")
+    if signs is not None and (len(signs) != 2 or any(s not in (-1, 1) for s in signs)):
+        raise ConfigError(f"--port-signs must be two values of +/-1, got {signs}")
+    d = _load_coupling(cfg, center.shape[0])
+    if signs is not None and d.shape[1] != 2:
+        raise ConfigError("--port-signs applies to two-channel couplings")
+
+    s = dressed_smatrix(center, d, omegas)
+    s_bar = dressed_smatrix(dagger(center), d, omegas)
+    names_s, cols_s = _smatrix_columns(s, "s")
+    header = ["omega", *names_s, "conservation_residual"]
+    columns = [omegas, *cols_s, frob(conservation_defect(s, s_bar))]
     if signs is not None:
-        if len(signs) != 2 or any(s not in (-1, 1) for s in signs):
-            raise ConfigError(f"--port-signs must be two values of +/-1, got {signs}")
-        sign_diag = np.diag([float(signs[0]), float(signs[1])]).astype(np.complex128)
-
-    header: list[str] | None = None
-    rows = []
-    for omega in omegas:
-        coupling = _load_coupling(cfg, center.shape[0], omega)
-        s = cmt_smatrix(center, coupling)
-        s_bar = cmt_smatrix(center_dag, coupling)
-        p = s.shape[0]
-        conservation = frob(s_bar.conj().T @ s - np.eye(p))
-        names_s, vals_s = _smatrix_blocks(s, "s")
-        names = ["omega"] + names_s + ["conservation_residual"]
-        vals: list = [omega] + vals_s + [conservation]
-        if signs is not None:
-            if p != 2:
-                raise ConfigError("--port-signs applies to two-channel couplings")
-            names.append("conjugation_residual")
-            vals.append(frob(s_bar - sign_diag @ s @ sign_diag))
-        header = names
-        rows.append(vals)
-
-    _write_csv(Path(cfg["out"]), header, rows)
+        header.append("conjugation_residual")
+        columns.append(frob(s_bar - np.outer(signs, signs) * s))
+    _write_table(Path(cfg["out"]), header, columns)
     return EXIT_OK
 
 
@@ -649,7 +607,7 @@ def run(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except ScatterError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -20,8 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conservation import conservation_defect
 from .errors import PremiseViolatedError
 from .numerics import as_complex_matrix, frob, invert
+from .smatrix import dressed_smatrix
 from .symmetry import MetricOperator, port_signature
 
 
@@ -53,7 +55,7 @@ def two_port_coupling(
     n: int,
     kappa_m: float,
     kappa_n: float,
-    omega: float,
+    omega: float = 0.0,
 ) -> CmtCoupling:
     """Aligned two-channel coupling: channel 0 feeds site m, channel 1 site n.
 
@@ -73,17 +75,17 @@ def two_port_coupling(
 
 
 def cmt_smatrix(h_c: np.ndarray, coupling: CmtCoupling) -> np.ndarray:
-    """P x P coupled-mode scattering matrix at the coupling's frequency."""
+    """P x P coupled-mode scattering matrix at the coupling's frequency.
+
+    The K = 1 case of :func:`nhscatter.smatrix.dressed_smatrix`.
+    """
     h = as_complex_matrix(h_c, square=True, name="H_c")
     d = coupling.matrix
     if d.shape[0] != h.shape[0]:
         raise ValueError(
             f"coupling has {d.shape[0]} mode rows, center has {h.shape[0]} modes"
         )
-    n = h.shape[0]
-    p = d.shape[1]
-    dressed = coupling.omega * np.eye(n, dtype=np.complex128) - h + 1j * (d @ d.conj().T)
-    return np.eye(p, dtype=np.complex128) - 2j * (d.conj().T @ invert(dressed) @ d)
+    return dressed_smatrix(h, d, [coupling.omega])[0]
 
 
 class CmtResiduals(NamedTuple):
@@ -133,5 +135,5 @@ def verify_cmt_relations(
     s = cmt_smatrix(h, coupling)
     s_bar = cmt_smatrix(h.conj().T, coupling)
     conjugation = frob(s_bar - sign_diag @ s @ sign_diag)
-    conservation = frob(s_bar.conj().T @ s - np.eye(2, dtype=np.complex128))
+    conservation = frob(conservation_defect(s, s_bar))
     return CmtResiduals(conjugation=conjugation, conservation=conservation)

@@ -46,17 +46,24 @@ class ConservationReport:
     flux_residual: float | None
 
 
-def flux_deviations(s: ScatteringMatrix) -> tuple[float, float]:
-    """Worst-port deviations (sum_dev, diff_dev) of the two intensity laws."""
-    if s.n_ports != 2:
-        raise NotTwoPortError(f"flux classification needs 2 ports, got {s.n_ports}")
-    sum_dev = 0.0
-    diff_dev = 0.0
-    for q in (0, 1):
-        r2 = abs(s.entries[q, q]) ** 2
-        t2 = abs(s.entries[1 - q, q]) ** 2
-        sum_dev = max(sum_dev, abs(r2 + t2 - 1.0))
-        diff_dev = max(diff_dev, abs(r2 - t2 - 1.0))
+def conservation_defect(s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
+    """``S̄† S - I`` for one pair of P x P entry matrices or for (K, P, P) stacks."""
+    return np.swapaxes(s_bar, -1, -2).conj() @ s - np.eye(s.shape[-1])
+
+
+def flux_deviations(s: ScatteringMatrix | np.ndarray):
+    """Worst-port deviations (sum_dev, diff_dev) of the two intensity laws.
+
+    ``s`` is a scattering matrix or its 2 x 2 entries; a (K, 2, 2) stack of
+    entries gives two length-K arrays.
+    """
+    entries = s.entries if isinstance(s, ScatteringMatrix) else np.asarray(s)
+    if entries.shape[-2:] != (2, 2):
+        raise NotTwoPortError(f"flux classification needs 2 ports, got {entries.shape[-1]}")
+    r2 = np.abs(entries[..., [0, 1], [0, 1]]) ** 2  # input port q reflects into q
+    t2 = np.abs(entries[..., [1, 0], [0, 1]]) ** 2  # and transmits into 1 - q
+    sum_dev = np.abs(r2 + t2 - 1.0).max(axis=-1)
+    diff_dev = np.abs(r2 - t2 - 1.0).max(axis=-1)
     return sum_dev, diff_dev
 
 
@@ -94,7 +101,7 @@ def verify_conservation_law(
             f"port counts differ: {s.entries.shape} vs {s_bar.entries.shape}"
         )
     p = s.n_ports
-    product = s_bar.entries.conj().T @ s.entries - np.eye(p, dtype=np.complex128)
+    product = conservation_defect(s.entries, s_bar.entries)
     diag = tuple(complex(product[i, i]) for i in range(p))
     offdiag = tuple(
         complex(product[i, j]) for i in range(p) for j in range(p) if i != j

@@ -8,7 +8,14 @@ class ScatterError(Exception):
 
 
 class SingularMatrixError(ScatterError):
-    """A pivot fell below the singularity threshold during factorization."""
+    """A matrix is singular or too ill-conditioned to invert.
+
+    ``index`` is the first offending matrix (grid point) of a stack, or None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ScatteringSingularityError(SingularMatrixError):

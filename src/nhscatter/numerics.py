@@ -2,11 +2,12 @@
 
 Matrices throughout the package are plain ``numpy.ndarray`` objects with
 dtype ``complex128`` in row-major layout.  All problem sizes are tiny
-(centers are a handful of sites, exponentials are capped at 64), so the
-routines here favour explicit algorithms with strict error reporting over
-raw speed: a partial-pivot LU with a hard singularity threshold, a
-scaling-and-squaring matrix exponential used as a propagation oracle, and
-analytic eigenvalues for 2x2 matrices.
+(centers are a handful of sites, exponentials are capped at 64).  Inverses,
+solves and determinants go to LAPACK through ``numpy.linalg`` and accept a
+single matrix or a ``(K, N, N)`` stack, so a whole grid of points costs one
+call; a matrix whose reciprocal condition is at most ``RCOND_MIN`` counts as
+singular.  Also here: a scaling-and-squaring matrix exponential used as a
+propagation oracle, and analytic eigenvalues for 2x2 matrices.
 
 The shared on-disk matrix format is JSON::
 
@@ -26,10 +27,10 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, SingularMatrixError
 
-# Pivot threshold, relative to the largest magnitude in the working column.
-# Below it the factorization reports SingularMatrixError instead of
-# continuing with a near-zero pivot.
-PIVOT_RTOL = 1e-12
+# Singularity threshold on the 1-norm reciprocal condition 1/(|A|_1 |A^-1|_1).
+# At or below it a solve raises SingularMatrixError instead of returning an
+# inverse dominated by rounding error.
+RCOND_MIN = 1e-12
 
 # Hard cap for expm(); it is an oracle for small propagators, not a workhorse.
 EXPM_MAX_DIM = 64
@@ -50,83 +51,74 @@ def as_complex_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> 
     return arr
 
 
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a, "fro"))
+def _as_square(a: Any) -> np.ndarray:
+    """Coerce ``a`` to a finite complex128 square matrix or ``(K, N, N)`` stack."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        raise ValueError(f"A must be a square matrix or a stack of them, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("A contains NaN or Inf entries")
+    return arr
 
 
-def _lu_decompose(a: np.ndarray, *, raise_on_singular: bool = True):
-    """Row-pivoted in-place LU.
-
-    Returns ``(lu, perm, swaps, singular)`` with L below the unit diagonal
-    and U on/above it.  A pivot counts as singular when its magnitude is at
-    most ``PIVOT_RTOL`` times the largest magnitude in the working column.
-    """
-    lu = np.array(a, dtype=np.complex128, copy=True)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    swaps = 0
-    for col in range(n):
-        column = np.abs(lu[:, col])
-        local = col + int(np.argmax(column[col:]))
-        pivot = column[local]
-        if pivot <= PIVOT_RTOL * float(column.max()):
-            if raise_on_singular:
-                raise SingularMatrixError(
-                    f"pivot {pivot:.3e} in column {col} below threshold"
-                )
-            return lu, perm, swaps, True
-        if local != col:
-            lu[[col, local]] = lu[[local, col]]
-            perm[[col, local]] = perm[[local, col]]
-            swaps += 1
-        lu[col + 1:, col] /= lu[col, col]
-        lu[col + 1:, col + 1:] -= np.outer(lu[col + 1:, col], lu[col, col + 1:])
-    return lu, perm, swaps, False
+def frob(a: np.ndarray):
+    """Frobenius norm: a plain float for one matrix, an array for a stack."""
+    norms = np.linalg.norm(a, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` by LU with partial pivoting.
-
-    ``b`` may be a vector or a matrix of right-hand sides; the result has
-    the same shape.  Raises :class:`SingularMatrixError` when a pivot falls
-    below the threshold.
-    """
-    a = as_complex_matrix(a, square=True, name="A")
-    rhs = np.asarray(b, dtype=np.complex128)
-    vector_input = rhs.ndim == 1
-    if vector_input:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"B has shape {rhs.shape}, expected {a.shape[0]} rows")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("B contains NaN or Inf entries")
-
-    lu, perm, _, _ = _lu_decompose(a)
-    n = a.shape[0]
-    x = rhs[perm].copy()
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
-    return x[:, 0] if vector_input else x
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest absolute column sum), per matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse via :func:`solve_linear` against the identity."""
-    a = as_complex_matrix(a, square=True, name="A")
-    return solve_linear(a, np.eye(a.shape[0], dtype=np.complex128))
+    """Inverse of a square matrix, or of each matrix in a ``(K, N, N)`` stack.
+
+    One batched LAPACK call.  Raises :class:`SingularMatrixError` when a
+    matrix is exactly singular or its reciprocal condition
+    ``1/(|A|_1 |A^-1|_1)`` is at most ``RCOND_MIN``; for a stack the error's
+    ``index`` is the first offending matrix.
+    """
+    a = _as_square(a)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        # An exact zero pivot makes LAPACK's determinant exactly zero.
+        index = int(np.flatnonzero(np.linalg.det(a) == 0)[0]) if a.ndim == 3 else None
+        raise SingularMatrixError("matrix is exactly singular", index=index) from exc
+    rcond = 1.0 / (_norm1(a) * _norm1(inv))
+    singular = ~(rcond > RCOND_MIN)
+    if np.any(singular):
+        index = int(np.argmax(singular)) if a.ndim == 3 else None
+        first = float(rcond if index is None else rcond[index])
+        raise SingularMatrixError(
+            f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index
+        )
+    return inv
 
 
-def determinant(a: np.ndarray) -> complex:
-    """Determinant from the LU pivots; returns 0 when the pivoting aborts."""
-    a = as_complex_matrix(a, square=True, name="A")
-    lu, _, swaps, singular = _lu_decompose(a, raise_on_singular=False)
-    if singular:
-        return 0.0 + 0.0j
-    det = complex(np.prod(np.diag(lu)))
-    return -det if swaps % 2 else det
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A X = B`` for a matrix or a ``(K, N, N)`` stack ``A``.
+
+    ``b`` may be a vector or a matrix of right-hand sides; the result has
+    the same shape.  Singular ``A`` raises :class:`SingularMatrixError` by
+    the rule of :func:`invert`.
+    """
+    a_inv = invert(a)
+    rhs = np.asarray(b, dtype=np.complex128)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("B contains NaN or Inf entries")
+    return a_inv @ rhs
+
+
+def determinant(a: np.ndarray):
+    """Determinant from LAPACK's LU: a complex for one matrix, an array for a stack.
+
+    An exactly singular matrix gives exactly 0.
+    """
+    det = np.linalg.det(_as_square(a))
+    return complex(det) if det.ndim == 0 else det
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -190,7 +182,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         rows, cols = obj["rows"], obj["cols"]
     else:
         raise ValueError("matrix JSON needs either 'n' or 'rows'/'cols'")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (rows, cols)):
         raise ValueError(f"invalid matrix dimensions {rows}x{cols}")
     parts = []
     for key in ("re", "im"):

@@ -10,6 +10,11 @@ N x P indicator of attachment sites, the dressed Green function
 whose entry (p, q) is the outgoing amplitude at port p for a unit input at
 port q.  For two ports the layout is ``[[r_L, t_R], [t_L, r_R]]``.
 
+The same resolvent with the self-energy split into real and imaginary parts
+is the temporal coupled-mode S-matrix (Fan, Suh and Joannopoulos, JOSA A 20,
+569, 2003), so one batched kernel, :func:`dressed_smatrix`, serves both the
+lead and the coupled-mode forms over whole k or omega grids.
+
 Phase conventions.  ``S_raw`` references the in/out amplitudes through the
 continuity value at the attachment site; the ``shifted`` convention applies
 the global reference-plane phase ``e^{-2ik}`` and reproduces the closed-form
@@ -27,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ScatteringSingularityError, SingularMatrixError
-from .model import ScatteringSystem, mode_params, require_in_band
+from .model import ScatteringSystem, require_in_band
 from .numerics import as_complex_matrix, invert
 
 
@@ -97,36 +102,79 @@ def port_indicator(system: ScatteringSystem) -> np.ndarray:
     return w
 
 
+def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float]) -> np.ndarray:
+    """Coupled-mode scattering matrices over a grid of K frequencies.
+
+        S(omega_k) = I - 2i D† (omega_k I - H + i D D†)^{-1} D
+
+    ``h`` (N x N) and ``d`` (N x P) are shared by every grid point or given
+    per point as ``(K, N, N)`` and ``(K, N, P)`` stacks.  All K resolvents are
+    inverted in one batched LAPACK call; the result is ``(K, P, P)``.  A
+    singular resolvent raises :class:`SingularMatrixError` naming the first
+    offending frequency, with its grid position as ``index``.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    n, p = d.shape[-2:]
+    d_dag = np.swapaxes(d, -1, -2).conj()
+    dressed = omega[:, None, None] * np.eye(n) - h + 1j * (d @ d_dag)
+    try:
+        g = invert(dressed)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"dressed resolvent is singular at omega={omega[exc.index]:.6g}", index=exc.index
+        ) from exc
+    return np.eye(p) - 2j * (d_dag @ g @ d)
+
+
+def lead_smatrices(
+    system: ScatteringSystem,
+    ks: np.ndarray | list[float],
+    convention: Convention | str = Convention.SHIFTED,
+) -> np.ndarray:
+    """``(K, P, P)`` scattering amplitudes of ``system`` over a grid of wave vectors.
+
+    The self-energy ``-J e^{ik}`` splits into a real shift and a decay rate,
+    which makes the lead matrix the coupled-mode one with a k-dependent
+    center and coupling:
+
+        S_raw(k) = -S_cmt(H_c - J cos k W W^T, D = sqrt(J sin k) W, omega = E).
+
+    Raises :class:`BandEdgeError` for a k outside ``(0, pi)`` and
+    :class:`ScatteringSingularityError` naming the first k where the
+    lead-dressed center is singular (a lasing / perfect-absorption momentum).
+    """
+    convention = Convention(convention)
+    ks = np.asarray(ks, dtype=np.float64)
+    outside = ks[~((ks > 0.0) & (ks < math.pi))]
+    if outside.size:
+        require_in_band(outside[0])
+    j = system.coupling
+    w = port_indicator(system)
+    cos_k = np.cos(ks)
+    h = system.center - (j * cos_k)[:, None, None] * (w @ w.T)
+    d = np.sqrt(j * np.sin(ks))[:, None, None] * w
+    try:
+        s = -dressed_smatrix(h, d, -2.0 * j * cos_k)
+    except SingularMatrixError as exc:
+        raise ScatteringSingularityError(
+            f"lead-dressed center is singular at k={ks[exc.index]:.6g}", index=exc.index
+        ) from exc
+    if convention is Convention.SHIFTED:
+        s *= np.exp(-2j * ks)[:, None, None]
+    return s
+
+
 def scattering_matrix(
     system: ScatteringSystem,
     k: float,
     convention: Convention | str = Convention.SHIFTED,
 ) -> ScatteringMatrix:
-    """Scattering matrix of ``system`` at wave vector ``k``.
-
-    Raises :class:`ScatteringSingularityError` when the lead-dressed center
-    is singular (a lasing / perfect-absorption momentum).
+    """Scattering matrix of ``system`` at wave vector ``k``: the K = 1 case of
+    :func:`lead_smatrices`.
     """
     convention = Convention(convention)
-    mode = mode_params(k, system.coupling)
-    w = port_indicator(system)
-    sigma = self_energy(mode.k, system.coupling)
-    dressed = (
-        mode.energy * np.eye(system.dim, dtype=np.complex128)
-        - system.center
-        - sigma * (w @ w.T)
-    )
-    try:
-        g = invert(dressed)
-    except SingularMatrixError as exc:
-        raise ScatteringSingularityError(
-            f"lead-dressed center is singular at k={mode.k:.6g}"
-        ) from exc
-    s = -np.eye(system.n_ports, dtype=np.complex128)
-    s += (2j * system.coupling * math.sin(mode.k)) * (w.T @ g @ w)
-    if convention is Convention.SHIFTED:
-        s = cmath.exp(-2j * mode.k) * s
-    return ScatteringMatrix(mode.k, s, convention)
+    k = float(k)
+    return ScatteringMatrix(k, lead_smatrices(system, [k], convention)[0], convention)
 
 
 def closed_form_damped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:

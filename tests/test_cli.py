@@ -362,6 +362,18 @@ def test_exit_code_numerical_on_scattering_singularity(tmp_path):
     ]) == 3
 
 
+def test_sweep_exit_code_names_the_singular_k(tmp_path, capsys):
+    # undamped dimer at gamma = J: the middle of three grid points is k = pi/2,
+    # a lasing point of the center
+    out = tmp_path / "o.csv"
+    assert run([
+        "sweep", "--prototype", "undamped", "--gamma", "1.0",
+        "--k-count", "3", "--out", str(out),
+    ]) == 3
+    assert "k=1.5708" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_numerical_on_band_edge(tmp_path):
     assert run([
         "verify", "--prototype", "undamped", "--gamma", "0.3",
@@ -379,6 +391,25 @@ def test_cli_entrypoint_via_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["flux_class"] == "energy-difference"
+
+
+def test_solve_commands_do_not_import_scipy_linalg(tmp_path):
+    script = f"""
+import sys
+from nhscatter.cli import run
+codes = [
+    run(["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "5",
+         "--out", {str(tmp_path / "s.csv")!r}]),
+    run(["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "0.7", "0.4",
+         "--omega-count", "5", "--out", {str(tmp_path / "c.csv")!r}]),
+    run(["verify", "--prototype", "undamped", "--gamma", "0.3",
+         "--out", {str(tmp_path / "v.json")!r}]),
+]
+print(codes, "scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
 
 
 def test_cli_help_exits_zero():

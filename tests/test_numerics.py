@@ -87,6 +87,25 @@ def test_near_singular_below_pivot_threshold_raises():
         invert(a)
 
 
+def test_singular_matrix_in_stack_reports_its_index():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-14]]])
+    with pytest.raises(SingularMatrixError) as info:
+        invert(stack)
+    assert info.value.index == 1
+    with pytest.raises(SingularMatrixError) as info:
+        invert(stack[[0, 2]])
+    assert info.value.index == 1
+
+
+def test_stack_inverse_matches_each_matrix():
+    rng = _rng(9)
+    stack = np.array([random_center(rng, 4) + 2.0 * np.eye(4) for _ in range(5)])
+    inverses = invert(stack)
+    for a, a_inv in zip(stack, inverses):
+        np.testing.assert_allclose(a_inv, invert(a), atol=1e-14)
+        np.testing.assert_allclose(a @ a_inv, np.eye(4), atol=1e-12)
+
+
 def test_rejects_nonfinite_input():
     with pytest.raises(ValueError):
         invert(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -250,6 +269,11 @@ def test_matrix_json_rejects_bad_dimensions():
         matrix_from_json({"re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"n": 0, "re": [], "im": []})
+    # bool is an int subclass; true would otherwise pass as a dimension of 1
+    with pytest.raises(ValueError, match="invalid matrix dimensions"):
+        matrix_from_json({"n": True, "re": [[1.0]], "im": [[0.0]]})
+    with pytest.raises(ValueError, match="invalid matrix dimensions"):
+        matrix_from_json({"rows": 1, "cols": True, "re": [[1.0]], "im": [[0.0]]})
 
 
 def test_matrix_json_rejects_nonfinite():

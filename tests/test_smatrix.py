@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from nhscatter import (
     BandEdgeError,
+    CmtCoupling,
     Convention,
     ScatteringSingularityError,
     ScatteringSystem,
     closed_form_damped,
     closed_form_undamped,
+    cmt_smatrix,
     invert,
+    lead_smatrices,
+    port_indicator,
     prototype_system,
     scattering_matrix,
     self_energy,
@@ -228,3 +232,62 @@ def test_conjugate_identity(seed):
         ScatteringSystem(system.center.conj(), system.ports, system.coupling), k
     ).entries
     assert np.linalg.norm(s_c - invert(s.conj()), "fro") < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched grid kernel
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 8),
+    p=st.integers(2, 3),
+    count=st.integers(1, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_grid_equals_pointwise(seed, n, p, count):
+    rng = np.random.default_rng(seed)
+    p = min(p, n)
+    system = random_system(rng, n=n, p=p)
+    ks = rng.uniform(0.05, math.pi - 0.05, count)
+    for convention in Convention:
+        batched = lead_smatrices(system, ks, convention)
+        assert batched.shape == (count, p, p)
+        for k, s_k in zip(ks, batched):
+            pointwise = scattering_matrix(system, float(k), convention).entries
+            assert np.abs(s_k - pointwise).max() <= 1e-13 * max(1.0, np.abs(pointwise).max())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lead_smatrix_is_coupled_mode_smatrix(seed):
+    # S_raw(k) = -S_cmt(H_c - J cos k W W^T, D = sqrt(J sin k) W, omega = E);
+    # the shifted convention multiplies both sides by e^{-2ik}.
+    rng = np.random.default_rng(seed)
+    drawn = random_system(rng, n=int(rng.integers(2, 7)))
+    system = ScatteringSystem(drawn.center, drawn.ports, 1.0 + rng.random())
+    k, j = random_k(rng), system.coupling
+    w = port_indicator(system)
+    energy = -2.0 * j * math.cos(k)
+    coupling = CmtCoupling(math.sqrt(j * math.sin(k)) * w, energy)
+    s_cmt = cmt_smatrix(system.center - j * math.cos(k) * (w @ w.T), coupling)
+
+    # textbook lead elimination with the self-energy, solved directly
+    dressed = energy * np.eye(system.dim) - system.center - self_energy(k, j) * (w @ w.T)
+    s_lead = -np.eye(system.n_ports) + 2j * j * math.sin(k) * (w.T @ np.linalg.solve(dressed, w))
+
+    for convention, phase in ((Convention.RAW, 1.0), (Convention.SHIFTED, cmath.exp(-2j * k))):
+        s = scattering_matrix(system, k, convention).entries
+        scale = max(1.0, np.abs(s).max())
+        assert np.abs(s + phase * s_cmt).max() <= 1e-12 * scale
+        assert np.abs(s - phase * s_lead).max() <= 1e-12 * scale
+
+
+def test_batched_singularity_names_first_singular_k():
+    # undamped dimer at gamma = J: k = pi/2 is a lasing point
+    system = prototype_system("undamped", 0.0, 1.0)
+    ks = [0.4, math.pi / 2.0, 2.0]
+    with pytest.raises(ScatteringSingularityError, match=r"k=1\.5708") as info:
+        lead_smatrices(system, ks)
+    assert info.value.index == 1
+    with pytest.raises(BandEdgeError):
+        lead_smatrices(system, [0.4, math.pi])
