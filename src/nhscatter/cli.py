@@ -16,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,25 +53,9 @@ EXIT_VERIFICATION = 4
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -> None:
-    """One CSV row per grid point: every number to 17 significant digits,
-    then the constant text column ``tail`` if given."""
+    """One CSV row per row of the stacked columns: every number to 17
+    significant digits, then the constant text column ``tail`` if given."""
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
     lines = [",".join(header)] + [row % tuple(values) for values in table.tolist()]
@@ -80,128 +66,107 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _jsonable(cfg: dict) -> dict:
-    out = {}
-    for key, value in cfg.items():
-        if isinstance(value, Path):
-            out[key] = str(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = value.item()
-        else:
-            out[key] = value
-    return out
-
-
 # ---------------------------------------------------------------------------
 # configuration resolution
 
-_CENTER_DEFAULTS = {
-    "prototype": None,
-    "v": 0.0,
-    "gamma": None,
-    "center_file": None,
-    "dagger": False,
-    "coupling": 1.0,
-    "ports": None,
-}
+def _path(text: str) -> str:
+    """A file flag's value as ``pathlib`` spells it (``./x.csv`` is ``x.csv``)."""
+    return str(Path(text))
 
-_DEFAULTS: dict[str, dict] = {
-    "sweep": {
-        **_CENTER_DEFAULTS,
-        "k_min": 0.05,
-        "k_max": math.pi - 0.05,
-        "k_count": 200,
-        "convention": "shifted",
-        "out": "sweep.csv",
-    },
-    "evolve": {
-        **_CENTER_DEFAULTS,
-        "k": math.pi / 2.0,
-        "n0": -50.0,
-        "sigma": 10.0,
-        "left_len": DEFAULT_LEAD_LEN,
-        "right_len": DEFAULT_LEAD_LEN,
-        "dt": None,
-        "t_final": None,
-        "frames": DEFAULT_FRAMES,
-        "out_frames": "frames.csv",
-        "out_summary": "summary.json",
-    },
-    "classify": {
-        **_CENTER_DEFAULTS,
-        "parity_file": None,
-        "tol": 1e-9,
-        "out": "classify.json",
-    },
-    "verify": {
-        **_CENTER_DEFAULTS,
-        "k": math.pi / 2.0,
-        "convention": "shifted",
-        "tol": 1e-9,
-        "out": "verify.json",
-    },
-    "cmt": {
-        **_CENTER_DEFAULTS,
-        "coupling_file": None,
-        "kappa": None,
-        "omega": None,
-        "omega_min": None,
-        "omega_max": None,
-        "omega_count": 61,
-        "port_signs": None,
-        "out": "cmt.csv",
-    },
-    "campaign": {
-        "trials": 100,
-        "seed": 0,
-        "radius": 1.0,
-        "tol": 1e-8,
-        "out": "campaign.json",
-    },
-}
+
+@dataclass(frozen=True)
+class _Option:
+    """One flag and its config-file field ``dest``; ``type=bool`` makes ``--x``/``--no-x``."""
+
+    flag: str
+    default: object = None
+    type: Callable[[str], object] | None = None
+    nargs: int | str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    handler: Callable[[dict], int]
+    options: tuple[_Option, ...]
+    center: bool = True  # takes the shared scattering-center options
+
+    @property
+    def fields(self) -> tuple[_Option, ...]:
+        return (_CENTER_OPTIONS if self.center else ()) + self.options
+
+
+_CENTER_OPTIONS = (
+    _Option("--prototype", choices=PROTOTYPE_KINDS, help="built-in dimer center"),
+    _Option("--v", 0.0, float, help="prototype detuning (units of J)"),
+    _Option("--gamma", None, float, help="prototype imaginary coupling (units of J)"),
+    _Option("--center-file", None, _path, help="matrix JSON file with the center"),
+    _Option("--dagger", False, bool, help="use the Hermitian conjugate of the center"),
+    _Option("--coupling", 1.0, float, help="lead hopping J > 0 (default 1)"),
+    _Option("--ports", None, int, nargs="+", help="attachment sites (default 0 1)"),
+)
+_CONVENTIONS = tuple(c.value for c in Convention)
+
+
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The fields of the JSON file ``args.config`` as flags of ``args.command``.
+
+    Parsed ahead of the real flags, they get the same types, nargs and choices
+    and lose to a flag given on the command line; ``null`` leaves a field unset.
+    """
+    try:
+        loaded = json.loads(args.config.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("expected a JSON object")
+    fields = {opt.dest: opt for opt in _SUBCOMMANDS[args.command].fields}
+    argv = []
+    for key, value in loaded.items():
+        # the config block embedded in a JSON output names its subcommand
+        if key == "subcommand" and value == args.command:
+            continue
+        opt = fields.get(key)
+        if opt is None:
+            raise ConfigError(f"unknown field '{key}'")
+        if value is None:
+            continue
+        if opt.type is bool and isinstance(value, bool):
+            argv.append(opt.flag if value else f"--no-{opt.flag[2:]}")
+        elif opt.nargs is not None:
+            argv += [opt.flag, *map(str, value if isinstance(value, list) else [value])]
+        elif opt.type is not bool and not isinstance(value, (list, dict)):
+            argv.append(f"{opt.flag}={value}")
+        else:
+            raise ConfigError(f"field '{key}' has the wrong JSON type")
+    return argv
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    cfg = dict(_DEFAULTS[cmd])
-    cfg["subcommand"] = cmd
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"--config {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"--config {config_path}: expected a JSON object")
-        for key, value in loaded.items():
-            if key not in cfg:
-                raise ConfigError(f"--config {config_path}: unknown field '{key}'")
-            cfg[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config", "handler") or value is None:
-            continue
-        cfg[key] = value
-    if cmd != "campaign":
-        _validate_center_config(cfg)
-    return cfg
-
-
-def _validate_center_config(cfg: dict) -> None:
-    has_proto = cfg.get("prototype") is not None
-    has_file = cfg.get("center_file") is not None
+    """The run's full configuration, each field as given or else its default."""
+    spec = _SUBCOMMANDS[args.command]
+    cfg = {"subcommand": args.command}
+    for opt in spec.fields:
+        value = getattr(args, opt.dest)
+        cfg[opt.dest] = opt.default if value is None else value
+    if not spec.center:
+        return cfg
+    has_proto = cfg["prototype"] is not None
+    has_file = cfg["center_file"] is not None
     if has_proto == has_file:
         raise ConfigError("choose exactly one center source: --prototype or --center-file")
-    if has_proto:
-        if cfg["prototype"] not in PROTOTYPE_KINDS:
-            raise ConfigError(f"--prototype must be one of {PROTOTYPE_KINDS}")
-        if cfg.get("gamma") is None:
-            raise ConfigError("--gamma is required with --prototype")
-    ports = cfg.get("ports")
-    if ports is not None:
-        if len(ports) < 2 or len(set(ports)) != len(ports):
-            raise ConfigError(f"--ports needs at least two distinct sites, got {ports}")
+    if has_proto and cfg["gamma"] is None:
+        raise ConfigError("--gamma is required with --prototype")
+    ports = cfg["ports"]
+    if ports is not None and (len(ports) < 2 or len(set(ports)) != len(ports)):
+        raise ConfigError(f"--ports needs at least two distinct sites, got {ports}")
+    return cfg
 
 
 def _load_center_file(path) -> np.ndarray:
@@ -222,19 +187,15 @@ def _build_center(cfg: dict) -> np.ndarray:
     return center
 
 
+def _ports(sites) -> tuple[Port, ...]:
+    """Two sites take the left and right leads; more take numbered ports."""
+    if len(sites) == 2:
+        return (Port(sites[0], LEFT), Port(sites[1], RIGHT))
+    return tuple(Port(site, f"port{i}") for i, site in enumerate(sites))
+
+
 def _build_system(cfg: dict) -> ScatteringSystem:
-    center = _build_center(cfg)
-    ports = cfg.get("ports")
-    if ports is None:
-        ports = (0, 1)
-    if len(ports) == 2:
-        port_objs = (Port(ports[0], LEFT), Port(ports[1], RIGHT))
-    else:
-        port_objs = tuple(Port(site, f"port{i}") for i, site in enumerate(ports))
-    try:
-        return ScatteringSystem(center, port_objs, cfg["coupling"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScatteringSystem(_build_center(cfg), _ports(cfg["ports"] or (0, 1)), cfg["coupling"])
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +216,9 @@ def _cmd_sweep(cfg: dict) -> int:
     convention = Convention(cfg["convention"])
     if not 0.0 < cfg["k_min"] < cfg["k_max"] < math.pi:
         raise ConfigError("need 0 < k_min < k_max < pi")
-    if int(cfg["k_count"]) < 1:
+    if cfg["k_count"] < 1:
         raise ConfigError("k_count must be at least 1")
-    ks = np.linspace(cfg["k_min"], cfg["k_max"], int(cfg["k_count"]))
+    ks = np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"])
     s = lead_smatrices(system, ks, convention)
     s_bar = lead_smatrices(system.daggered(), ks, convention)
     defect = conservation_defect(s, s_bar)
@@ -285,25 +246,14 @@ def _cmd_evolve(cfg: dict) -> int:
     system = _build_system(cfg)
     if system.n_ports != 2:
         raise ConfigError("evolve needs a two-port system")
-    traj = packet_experiment(
-        system,
-        k=cfg["k"],
-        n0=cfg["n0"],
-        sigma=cfg["sigma"],
-        left_len=int(cfg["left_len"]),
-        right_len=int(cfg["right_len"]),
-        dt=cfg["dt"],
-        t_final=cfg["t_final"],
-        frames=int(cfg["frames"]),
-    )
+    params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
+    traj = packet_experiment(system, **{name: cfg[name] for name in params})
 
-    rows = []
-    for frame, t_now in enumerate(traj.times):
-        state = traj.states[frame]
-        for site in range(state.size):
-            amp = state[site]
-            rows.append([float(t_now), site, amp.real, amp.imag, abs(amp) ** 2])
-    _write_csv(Path(cfg["out_frames"]), ["t", "site", "re_psi", "im_psi", "abs2"], rows)
+    n_frames, n_sites = traj.states.shape
+    psi = traj.states.ravel()
+    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
+               psi.real, psi.imag, np.abs(psi) ** 2]
+    _write_table(Path(cfg["out_frames"]), ["t", "site", "re_psi", "im_psi", "abs2"], columns)
 
     r, t, leak, edge = block_intensities(traj, frame=-1)
     summary = {
@@ -315,7 +265,7 @@ def _cmd_evolve(cfg: dict) -> int:
         "norm_cap_exceeded": traj.norm_cap_exceeded,
         "initial_norm": traj.initial_norm,
         "t_final": float(traj.times[-1]),
-        "config": _jsonable(cfg),
+        "config": cfg,
     }
     _write_json(Path(cfg["out_summary"]), summary)
     return EXIT_OK
@@ -323,19 +273,17 @@ def _cmd_evolve(cfg: dict) -> int:
 
 def _cmd_classify(cfg: dict) -> int:
     center = _build_center(cfg)
-    n = center.shape[0]
     ports = cfg.get("ports") or (0, 1)
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
-    m, site_n = int(ports[0]), int(ports[1])
-    tol = float(cfg["tol"])
+    tol = cfg["tol"]
 
     basis = metric_space(center, tol)
     basis_payload = []
     flux_prediction = "neither"
     for op in basis:
         try:
-            signature = list(port_signature(op, m, site_n, tol))
+            signature = list(port_signature(op, *ports, tol))
         except PortConditionError:
             signature = None
         if signature is not None and op.invertible and flux_prediction == "neither":
@@ -352,7 +300,7 @@ def _cmd_classify(cfg: dict) -> int:
     if cfg.get("parity_file") is not None:
         parity = _load_center_file(cfg["parity_file"])
         anti_pt = is_anti_pt(center, parity, tol)
-    elif n == 2:
+    elif center.shape[0] == 2:
         anti_pt = is_anti_pt(center, _SIGMA_X, tol)
     else:
         anti_pt = None
@@ -369,7 +317,7 @@ def _cmd_classify(cfg: dict) -> int:
         "anti_hermitian": anti_hermitian,
         "predicted_flux_class": flux_prediction,
         "phase": phase,
-        "config": _jsonable(cfg),
+        "config": cfg,
     }
     _write_json(Path(cfg["out"]), payload)
     return EXIT_OK
@@ -378,10 +326,10 @@ def _cmd_classify(cfg: dict) -> int:
 def _cmd_verify(cfg: dict) -> int:
     system = _build_system(cfg)
     convention = Convention(cfg["convention"])
-    k = float(cfg["k"])
+    k = cfg["k"]
     s = scattering_matrix(system, k, convention)
     s_bar = scattering_matrix(system.daggered(), k, convention)
-    report = verify_conservation_law(s, s_bar, float(cfg["tol"]))
+    report = verify_conservation_law(s, s_bar, cfg["tol"])
     payload = {
         "k": k,
         "law_residual": report.law_residual,
@@ -389,10 +337,10 @@ def _cmd_verify(cfg: dict) -> int:
         "flux_residual": report.flux_residual,
         "diag": [[dev.real, dev.imag] for dev in report.diag_residuals],
         "offdiag": [[dev.real, dev.imag] for dev in report.offdiag_residuals],
-        "config": _jsonable(cfg),
+        "config": cfg,
     }
     _write_json(Path(cfg["out"]), payload)
-    return EXIT_OK if report.law_residual <= float(cfg["tol"]) else EXIT_VERIFICATION
+    return EXIT_OK if report.law_residual <= cfg["tol"] else EXIT_VERIFICATION
 
 
 def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
@@ -404,35 +352,30 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
     if has_file:
         d = _load_center_file(cfg["coupling_file"])
         if d.shape[0] != n_modes:
-            raise ConfigError(
-                f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center"
-            )
+            raise ConfigError(f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center")
         return d
-    kappa = cfg["kappa"]
-    if len(kappa) != 2:
-        raise ConfigError("--kappa needs exactly two rates")
     ports = cfg.get("ports") or (0, 1)
     if len(ports) != 2:
         raise ConfigError("aligned coupling needs exactly two port sites")
-    return two_port_coupling(n_modes, int(ports[0]), int(ports[1]), kappa[0], kappa[1]).matrix
+    return two_port_coupling(n_modes, *ports, *cfg["kappa"]).matrix
 
 
 def _cmd_cmt(cfg: dict) -> int:
     center = _build_center(cfg)
     if cfg.get("omega") is not None:
-        omegas = np.array([float(cfg["omega"])])
+        omegas = np.array([cfg["omega"]])
     else:
         scale = float(np.abs(center).max()) or 1.0
         lo = cfg["omega_min"] if cfg.get("omega_min") is not None else -3.0 * scale
         hi = cfg["omega_max"] if cfg.get("omega_max") is not None else 3.0 * scale
         if not lo < hi:
             raise ConfigError("need omega_min < omega_max")
-        if int(cfg["omega_count"]) < 1:
+        if cfg["omega_count"] < 1:
             raise ConfigError("omega_count must be at least 1")
-        omegas = np.linspace(lo, hi, int(cfg["omega_count"]))
+        omegas = np.linspace(lo, hi, cfg["omega_count"])
 
     signs = cfg.get("port_signs")
-    if signs is not None and (len(signs) != 2 or any(s not in (-1, 1) for s in signs)):
+    if signs is not None and any(s not in (-1, 1) for s in signs):
         raise ConfigError(f"--port-signs must be two values of +/-1, got {signs}")
     d = _load_coupling(cfg, center.shape[0])
     if signs is not None and d.shape[1] != 2:
@@ -457,11 +400,11 @@ def _random_center(rng: np.random.Generator, n: int, radius: float) -> np.ndarra
 
 
 def _cmd_campaign(cfg: dict) -> int:
-    trials = int(cfg["trials"])
+    trials = cfg["trials"]
     if trials < 0:
         raise ConfigError("trials must be non-negative")
-    rng = np.random.default_rng(int(cfg["seed"]))
-    radius = float(cfg["radius"])
+    rng = np.random.default_rng(cfg["seed"])
+    radius = cfg["radius"]
     maxima = {"law": 0.0, "transpose": 0.0, "conjugate": 0.0, "dagger": 0.0}
 
     for _ in range(trials):
@@ -470,10 +413,7 @@ def _cmd_campaign(cfg: dict) -> int:
         sites = [int(s) for s in sorted(rng.permutation(n)[:p])]
         k = float(rng.uniform(0.05, math.pi - 0.05))
         center = _random_center(rng, n, radius)
-        if p == 2:
-            ports = (Port(sites[0], LEFT), Port(sites[1], RIGHT))
-        else:
-            ports = tuple(Port(site, f"port{i}") for i, site in enumerate(sites))
+        ports = _ports(sites)
 
         def smat(mat: np.ndarray) -> np.ndarray:
             return scattering_matrix(ScatteringSystem(mat, ports, 1.0), k).entries
@@ -488,7 +428,7 @@ def _cmd_campaign(cfg: dict) -> int:
         maxima["conjugate"] = max(maxima["conjugate"], frob(s_c - invert(s.conj())))
         maxima["dagger"] = max(maxima["dagger"], frob(s_bar - invert(s.conj().T)))
 
-    tol = float(cfg["tol"])
+    tol = cfg["tol"]
     worst = max(maxima.values()) if trials else 0.0
     payload = {
         "trials": trials,
@@ -498,7 +438,7 @@ def _cmd_campaign(cfg: dict) -> int:
         "max_dagger_residual": maxima["dagger"],
         "tolerance": tol,
         "passed": bool(worst <= tol),
-        "config": _jsonable(cfg),
+        "config": cfg,
     }
     _write_json(Path(cfg["out"]), payload)
     return EXIT_OK if payload["passed"] else EXIT_VERIFICATION
@@ -508,103 +448,107 @@ def _cmd_campaign(cfg: dict) -> int:
 # argument parsing
 
 
-def _add_center_arguments(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("scattering center")
-    group.add_argument("--prototype", choices=PROTOTYPE_KINDS, help="built-in dimer center")
-    group.add_argument("--v", type=float, help="prototype detuning (units of J)")
-    group.add_argument("--gamma", type=float, help="prototype imaginary coupling (units of J)")
-    group.add_argument("--center-file", type=Path, help="matrix JSON file with the center")
-    group.add_argument(
-        "--dagger",
-        action=argparse.BooleanOptionalAction,
-        help="use the Hermitian conjugate of the center",
-    )
-    group.add_argument("--coupling", type=float, help="lead hopping J > 0 (default 1)")
-    group.add_argument("--ports", type=int, nargs="+", help="attachment sites (default 0 1)")
+_SUBCOMMANDS = {
+    "sweep": _Subcommand("scattering coefficients over a momentum grid", _cmd_sweep, (
+        _Option("--k-min", 0.05, float),
+        _Option("--k-max", math.pi - 0.05, float),
+        _Option("--k-count", 200, int),
+        _Option("--convention", "shifted", choices=_CONVENTIONS),
+        _Option("--out", "sweep.csv", _path),
+    )),
+    "evolve": _Subcommand("Gaussian packet time evolution", _cmd_evolve, (
+        _Option("--k", math.pi / 2.0, float),
+        _Option("--n0", -50.0, float, help="packet center, sites left of the center block"),
+        _Option("--sigma", 10.0, float),
+        _Option("--left-len", DEFAULT_LEAD_LEN, int),
+        _Option("--right-len", DEFAULT_LEAD_LEN, int),
+        _Option("--dt", None, float),
+        _Option("--t-final", None, float),
+        _Option("--frames", DEFAULT_FRAMES, int),
+        _Option("--out-frames", "frames.csv", _path),
+        _Option("--out-summary", "summary.json", _path),
+    )),
+    "classify": _Subcommand("metric space and symmetry verdicts", _cmd_classify, (
+        _Option("--parity-file", None, _path),
+        _Option("--tol", 1e-9, float),
+        _Option("--out", "classify.json", _path),
+    )),
+    "verify": _Subcommand("conservation law at one momentum", _cmd_verify, (
+        _Option("--k", math.pi / 2.0, float),
+        _Option("--convention", "shifted", choices=_CONVENTIONS),
+        _Option("--tol", 1e-9, float),
+        _Option("--out", "verify.json", _path),
+    )),
+    "cmt": _Subcommand("coupled-mode scattering over frequency", _cmd_cmt, (
+        _Option("--coupling-file", None, _path),
+        _Option("--kappa", None, float, nargs=2, help="aligned decay rates for both channels"),
+        _Option("--omega", None, float),
+        _Option("--omega-min", None, float),
+        _Option("--omega-max", None, float),
+        _Option("--omega-count", 61, int),
+        _Option("--port-signs", None, int, nargs=2),
+        _Option("--out", "cmt.csv", _path),
+    )),
+    "campaign": _Subcommand("randomized conservation verification", _cmd_campaign, (
+        _Option("--trials", 100, int),
+        _Option("--seed", 0, int),
+        _Option("--radius", 1.0, float),
+        _Option("--tol", 1e-8, float),
+        _Option("--out", "campaign.json", _path),
+    ), center=False),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag on one line as a :class:`ConfigError` instead of exiting."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _add_options(container, options: tuple[_Option, ...]) -> None:
+    for opt in options:
+        if opt.type is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices}
+        container.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nhscatter",
         description="Scattering through non-Hermitian tight-binding centers.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sweep = subparsers.add_parser("sweep", help="scattering coefficients over a momentum grid")
-    _add_center_arguments(sweep)
-    sweep.add_argument("--k-min", dest="k_min", type=float)
-    sweep.add_argument("--k-max", dest="k_max", type=float)
-    sweep.add_argument("--k-count", dest="k_count", type=int)
-    sweep.add_argument("--convention", choices=[c.value for c in Convention])
-    sweep.add_argument("--out", type=Path)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    evolve = subparsers.add_parser("evolve", help="Gaussian packet time evolution")
-    _add_center_arguments(evolve)
-    evolve.add_argument("--k", type=float)
-    evolve.add_argument("--n0", type=float, help="packet center, sites left of the center block")
-    evolve.add_argument("--sigma", type=float)
-    evolve.add_argument("--left-len", dest="left_len", type=int)
-    evolve.add_argument("--right-len", dest="right_len", type=int)
-    evolve.add_argument("--dt", type=float)
-    evolve.add_argument("--t-final", dest="t_final", type=float)
-    evolve.add_argument("--frames", type=int)
-    evolve.add_argument("--out-frames", dest="out_frames", type=Path)
-    evolve.add_argument("--out-summary", dest="out_summary", type=Path)
-    evolve.set_defaults(handler=_cmd_evolve)
-
-    classify = subparsers.add_parser("classify", help="metric space and symmetry verdicts")
-    _add_center_arguments(classify)
-    classify.add_argument("--parity-file", dest="parity_file", type=Path)
-    classify.add_argument("--tol", type=float)
-    classify.add_argument("--out", type=Path)
-    classify.set_defaults(handler=_cmd_classify)
-
-    verify = subparsers.add_parser("verify", help="conservation law at one momentum")
-    _add_center_arguments(verify)
-    verify.add_argument("--k", type=float)
-    verify.add_argument("--convention", choices=[c.value for c in Convention])
-    verify.add_argument("--tol", type=float)
-    verify.add_argument("--out", type=Path)
-    verify.set_defaults(handler=_cmd_verify)
-
-    cmt = subparsers.add_parser("cmt", help="coupled-mode scattering over frequency")
-    _add_center_arguments(cmt)
-    cmt.add_argument("--coupling-file", dest="coupling_file", type=Path)
-    cmt.add_argument("--kappa", type=float, nargs=2, help="aligned decay rates for both channels")
-    cmt.add_argument("--omega", type=float)
-    cmt.add_argument("--omega-min", dest="omega_min", type=float)
-    cmt.add_argument("--omega-max", dest="omega_max", type=float)
-    cmt.add_argument("--omega-count", dest="omega_count", type=int)
-    cmt.add_argument("--port-signs", dest="port_signs", type=int, nargs=2)
-    cmt.add_argument("--out", type=Path)
-    cmt.set_defaults(handler=_cmd_cmt)
-
-    campaign = subparsers.add_parser("campaign", help="randomized conservation verification")
-    campaign.add_argument("--trials", type=int)
-    campaign.add_argument("--seed", type=int)
-    campaign.add_argument("--radius", type=float)
-    campaign.add_argument("--tol", type=float)
-    campaign.add_argument("--out", type=Path)
-    campaign.set_defaults(handler=_cmd_campaign)
-
-    for sub in (sweep, evolve, classify, verify, cmt, campaign):
-        sub.add_argument("--config", type=Path, help="JSON config; flags override its fields")
-
+    for name, spec in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=spec.help)
+        if spec.center:
+            _add_options(sub.add_argument_group("scattering center"), _CENTER_OPTIONS)
+        options = sub._optionals  # as sub.add_argument, minus a per-flag help-format check
+        _add_options(options, spec.options)
+        options.add_argument("--config", type=Path, help="JSON config; flags override its fields")
+        sub.set_defaults(handler=spec.handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            try:
+                args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+            except ConfigError as exc:
+                raise ConfigError(f"--config {args.config}: {exc}") from exc
+        return args.handler(_resolve(args))
+    except SystemExit as exc:  # --help, --version
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        cfg = _resolve(args)
-        return args.handler(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a ValueError here comes from a library check on a user-supplied value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScatterError as exc:

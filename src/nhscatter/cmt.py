@@ -65,9 +65,9 @@ def two_port_coupling(
     if m == n:
         raise ValueError("coupled sites must be distinct")
     if not (0 <= m < n_modes and 0 <= n < n_modes):
-        raise ValueError(f"sites ({m}, {n}) outside mode count {n_modes}")
+        raise ValueError(f"port sites ({m}, {n}) outside mode count {n_modes}")
     if kappa_m < 0.0 or kappa_n < 0.0:
-        raise ValueError("coupling rates must be non-negative")
+        raise ValueError(f"coupling rates kappa must be non-negative, got ({kappa_m}, {kappa_n})")
     d = np.zeros((n_modes, 2), dtype=np.complex128)
     d[m, 0] = math.sqrt(kappa_m)
     d[n, 1] = math.sqrt(kappa_n)

@@ -177,7 +177,7 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
     sigma = float(sigma)
     n0 = float(n0)
     if sigma <= 0.0:
-        raise ValueError(f"packet width must be positive, got {sigma}")
+        raise ValueError(f"packet width sigma must be positive, got {sigma}")
     half_width = PACKET_SUPPORT_SIGMAS * sigma
     if n0 + half_width > 0.0 or n0 - half_width < -(geom.left_len + 1):
         raise PacketOutOfBoundsError(
@@ -324,19 +324,15 @@ def biorthogonal_overlap_series(
     The overlap of the two evolutions is a constant of motion for any H;
     the returned series makes the numerical drift visible.
     """
-    psi = np.array(psi0, dtype=np.complex128, copy=True)
-    phi = np.array(phi0, dtype=np.complex128, copy=True)
-    if psi.shape != phi.shape:
+    if np.shape(psi0) != np.shape(phi0):
         raise ValueError("both states must have the chain length")
     h_dag = h.conj().T.tocsr() if sp.issparse(h) else np.conj(h).T
-    steps_per_frame, times = _frame_schedule(dt, t_final, frames)
-    series = [(float(times[0]), complex(np.vdot(phi, psi)))]
-    for frame in range(1, frames + 1):
-        for _ in range(steps_per_frame):
-            psi = _rk4_step(h, psi, dt)
-            phi = _rk4_step(h_dag, phi, dt)
-        series.append((float(times[frame]), complex(np.vdot(phi, psi))))
-    return series
+    forward = propagate_rk4(h, psi0, dt, t_final, frames)
+    backward = propagate_rk4(h_dag, phi0, dt, t_final, frames)
+    return [
+        (float(t_now), complex(np.vdot(phi, psi)))
+        for t_now, psi, phi in zip(forward.times, forward.states, backward.states)
+    ]
 
 
 def packet_experiment(

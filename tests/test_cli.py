@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from nhscatter import matrix_to_json
-from nhscatter.cli import run
+from nhscatter import matrix_to_json, packet_experiment, prototype_system
+from nhscatter.cli import _resolve, build_parser, run
 from helpers import random_center
 
 
@@ -144,6 +146,19 @@ def test_evolve_daggered_center_amplifies(tmp_path):
     payload = json.loads(summary.read_text())
     assert abs(payload["R"] - 8.9) < 0.3
     assert abs(payload["T"] - 3.9) < 0.15
+
+    # the frames CSV against a per-site loop over the same trajectory
+    system = prototype_system("damped", 0.0, 0.3333333333333333).daggered()
+    traj = packet_experiment(system, math.pi / 2, left_len=150, right_len=150, frames=10)
+    lines = (tmp_path / "f.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,site,re_psi,im_psi,abs2"
+    cells = [line.split(",") for line in lines[1:]]
+    expected = [(t_now, site, amp) for t_now, state in zip(traj.times, traj.states)
+                for site, amp in enumerate(state)]
+    assert len(cells) == len(expected) == 11 * 302
+    for row, (t_now, site, amp) in zip(cells, expected):
+        assert row[:4] == [f"{t_now:.17g}", str(site), f"{amp.real:.17g}", f"{amp.imag:.17g}"]
+        assert abs(float(row[4]) - abs(amp) ** 2) <= 1e-15 * abs(amp) ** 2
 
 
 def test_evolve_file_center_hermitian_conserves_total(tmp_path):
@@ -338,10 +353,75 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 4
 
 
-def test_config_unknown_field_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bogus", 1),
+        ("k_count", "abc"),
+        ("k_count", 2.5),
+        ("ports", 5),
+        ("convention", "bogus"),
+        ("coupling", "x"),
+        ("dagger", "yes"),
+    ],
+    ids=["unknown", "k_count-text", "k_count-float", "ports-scalar", "convention-choice",
+         "coupling-text", "dagger-text"],
+)
+def test_config_unknown_field_rejected(tmp_path, capsys, field, value):
+    # a config value goes through the same type, nargs and choices as its flag
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"prototype": "undamped", "gamma": 0.3, "bogus": 1}))
-    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    cfg.write_text(json.dumps({"prototype": "undamped", "gamma": 0.3, field: value}))
+    out = tmp_path / "o.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"'{field}'" in err or "--" + field.replace("_", "-") in err
+    assert not out.exists()
+
+
+def test_config_null_means_unset(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prototype": "undamped", "gamma": 0.3, "k_min": None}))
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert run(["sweep", "--config", str(cfg), "--k-count", "3", "--out", str(from_file)]) == 0
+    assert run(["sweep", "--prototype", "undamped", "--gamma", "0.3", "--k-count", "3",
+                "--out", str(from_flags)]) == 0
+    assert from_file.read_text() == from_flags.read_text()
+
+
+def test_config_block_of_an_output_reruns_it(tmp_path):
+    # the embedded config (subcommand, nulls for unset fields) is itself a valid --config
+    first, second, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
+    assert run(["verify", "--prototype", "damped", "--gamma", "0.3", "--dagger", "--k", "1.1",
+                "--ports", "1", "0", "--out", str(first)]) == 0
+    payload = json.loads(first.read_text())
+    cfg.write_text(json.dumps(payload["config"]))
+    assert run(["verify", "--config", str(cfg), "--out", str(second)]) == 0
+    assert second.read_text() == first.read_text().replace(str(first), str(second))
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["classify", "--prototype", "damped", "--gamma", "0.3", "--ports", "0", "5"], "port"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "0.5", "0.5",
+          "--ports", "0", "5"], "port"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "-1", "0.5"], "kappa"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--sigma", "-1"], "sigma"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--frames", "0"], "frames"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "-0.1"], "dt"),
+    ],
+    ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt"],
+)
+def test_library_value_error_is_config_error(tmp_path, capsys, argv, names):
+    if argv[0] == "evolve":
+        outs = ["--out-frames", str(tmp_path / "f.csv"), "--out-summary", str(tmp_path / "s.json")]
+    else:
+        outs = ["--out", str(tmp_path / "o")]
+    assert run(argv + outs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert names in err
 
 
 def test_exit_code_config_error_on_double_center(tmp_path):
@@ -414,4 +494,86 @@ print(codes, "scipy.linalg" in sys.modules)
 
 def test_cli_help_exits_zero():
     assert run(["--help"]) == 0
-    assert run(["sweep", "--help"]) == 0
+    for command in PARSER_CONTRACT:
+        assert run([command, "--help"]) == 0
+
+
+# Every subcommand's options (flags, dest, nargs, choices) and its fully
+# resolved defaults.  The center options and their defaults are shared.
+_CENTER_OPTIONS = [
+    (["--prototype"], "prototype", None, ["damped", "undamped"]),
+    (["--v"], "v", None, None),
+    (["--gamma"], "gamma", None, None),
+    (["--center-file"], "center_file", None, None),
+    (["--dagger", "--no-dagger"], "dagger", 0, None),
+    (["--coupling"], "coupling", None, None),
+    (["--ports"], "ports", "+", None),
+]
+_CENTER_DEFAULTS = {"prototype": None, "v": 0.0, "gamma": None, "center_file": "c.json",
+                    "dagger": False, "coupling": 1.0, "ports": None}
+_CONVENTIONS = ["raw", "shifted"]
+
+PARSER_CONTRACT = {
+    "sweep": (
+        [(["--k-min"], "k_min", None, None), (["--k-max"], "k_max", None, None),
+         (["--k-count"], "k_count", None, None),
+         (["--convention"], "convention", None, _CONVENTIONS), (["--out"], "out", None, None)],
+        {"k_min": 0.05, "k_max": 3.0915926535897933, "k_count": 200, "convention": "shifted",
+         "out": "sweep.csv"},
+    ),
+    "evolve": (
+        [(["--k"], "k", None, None), (["--n0"], "n0", None, None),
+         (["--sigma"], "sigma", None, None), (["--left-len"], "left_len", None, None),
+         (["--right-len"], "right_len", None, None), (["--dt"], "dt", None, None),
+         (["--t-final"], "t_final", None, None), (["--frames"], "frames", None, None),
+         (["--out-frames"], "out_frames", None, None),
+         (["--out-summary"], "out_summary", None, None)],
+        {"k": 1.5707963267948966, "n0": -50.0, "sigma": 10.0, "left_len": 300, "right_len": 300,
+         "dt": None, "t_final": None, "frames": 50, "out_frames": "frames.csv",
+         "out_summary": "summary.json"},
+    ),
+    "classify": (
+        [(["--parity-file"], "parity_file", None, None), (["--tol"], "tol", None, None),
+         (["--out"], "out", None, None)],
+        {"parity_file": None, "tol": 1e-9, "out": "classify.json"},
+    ),
+    "verify": (
+        [(["--k"], "k", None, None), (["--convention"], "convention", None, _CONVENTIONS),
+         (["--tol"], "tol", None, None), (["--out"], "out", None, None)],
+        {"k": 1.5707963267948966, "convention": "shifted", "tol": 1e-9, "out": "verify.json"},
+    ),
+    "cmt": (
+        [(["--coupling-file"], "coupling_file", None, None), (["--kappa"], "kappa", 2, None),
+         (["--omega"], "omega", None, None), (["--omega-min"], "omega_min", None, None),
+         (["--omega-max"], "omega_max", None, None),
+         (["--omega-count"], "omega_count", None, None),
+         (["--port-signs"], "port_signs", 2, None), (["--out"], "out", None, None)],
+        {"coupling_file": None, "kappa": None, "omega": None, "omega_min": None,
+         "omega_max": None, "omega_count": 61, "port_signs": None, "out": "cmt.csv"},
+    ),
+    "campaign": (
+        [(["--trials"], "trials", None, None), (["--seed"], "seed", None, None),
+         (["--radius"], "radius", None, None), (["--tol"], "tol", None, None),
+         (["--out"], "out", None, None)],
+        {"trials": 100, "seed": 0, "radius": 1.0, "tol": 1e-8, "out": "campaign.json"},
+    ),
+}
+
+
+def test_parser_contract():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(PARSER_CONTRACT)
+    for command, (options, defaults) in PARSER_CONTRACT.items():
+        center = command != "campaign"
+        expected = ([(["-h", "--help"], "help", 0, None)] + (_CENTER_OPTIONS if center else [])
+                    + options + [(["--config"], "config", None, None)])
+        actual = [
+            (action.option_strings, action.dest, action.nargs,
+             None if action.choices is None else list(action.choices))
+            for action in subparsers.choices[command]._actions
+        ]
+        assert actual == expected, command
+        argv = [command, "--center-file", "c.json"] if center else [command]
+        cfg = json.loads(json.dumps(_resolve(parser.parse_args(argv)), default=str))
+        assert cfg == {"subcommand": command, **(_CENTER_DEFAULTS if center else {}), **defaults}
