@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,11 +60,18 @@ def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
     lines = [",".join(header)] + [row % tuple(values) for values in table.tolist()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +177,20 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _load_center_file(path) -> np.ndarray:
+def _load_center_file(path, flag: str) -> np.ndarray:
+    """The matrix JSON file ``path`` that the option ``flag`` named."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return matrix_from_json(payload)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"--center-file {path}: {exc}") from exc
+        raise ConfigError(f"{flag} {path}: {exc}") from exc
 
 
 def _build_center(cfg: dict) -> np.ndarray:
     if cfg.get("prototype") is not None:
         center = make_prototype(cfg["prototype"], cfg["v"], cfg["gamma"])
     else:
-        center = _load_center_file(cfg["center_file"])
+        center = _load_center_file(cfg["center_file"], "--center-file")
     if cfg.get("dagger"):
         center = dagger(center)
     return center
@@ -298,7 +307,7 @@ def _cmd_classify(cfg: dict) -> int:
         )
 
     if cfg.get("parity_file") is not None:
-        parity = _load_center_file(cfg["parity_file"])
+        parity = _load_center_file(cfg["parity_file"], "--parity-file")
         anti_pt = is_anti_pt(center, parity, tol)
     elif center.shape[0] == 2:
         anti_pt = is_anti_pt(center, _SIGMA_X, tol)
@@ -350,7 +359,7 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
     if has_file == has_kappa:
         raise ConfigError("choose exactly one coupling source: --coupling-file or --kappa")
     if has_file:
-        d = _load_center_file(cfg["coupling_file"])
+        d = _load_center_file(cfg["coupling_file"], "--coupling-file")
         if d.shape[0] != n_modes:
             raise ConfigError(f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center")
         return d
@@ -515,6 +524,7 @@ def _add_options(container, options: tuple[_Option, ...]) -> None:
         container.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
 
 
+@functools.cache  # parsing leaves no state on the parser, so one per process serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nhscatter",

@@ -2,12 +2,10 @@
 
 Matrices throughout the package are plain ``numpy.ndarray`` objects with
 dtype ``complex128`` in row-major layout.  All problem sizes are tiny
-(centers are a handful of sites, exponentials are capped at 64).  Inverses,
-solves and determinants go to LAPACK through ``numpy.linalg`` and accept a
-single matrix or a ``(K, N, N)`` stack, so a whole grid of points costs one
-call; a matrix whose reciprocal condition is at most ``RCOND_MIN`` counts as
-singular.  Also here: a scaling-and-squaring matrix exponential used as a
-propagation oracle, and analytic eigenvalues for 2x2 matrices.
+(centers are a handful of sites).  Inverses and determinants go to LAPACK
+through ``numpy.linalg`` and accept a single matrix or a ``(K, N, N)``
+stack, so a whole grid of points costs one call; a matrix whose reciprocal
+condition is at most ``RCOND_MIN`` counts as singular.
 
 The shared on-disk matrix format is JSON::
 
@@ -20,23 +18,16 @@ entries.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
 
-from .errors import DimensionTooLargeError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # Singularity threshold on the 1-norm reciprocal condition 1/(|A|_1 |A^-1|_1).
-# At or below it a solve raises SingularMatrixError instead of returning an
+# At or below it invert() raises SingularMatrixError instead of returning an
 # inverse dominated by rounding error.
 RCOND_MIN = 1e-12
-
-# Hard cap for expm(); it is an oracle for small propagators, not a workhorse.
-EXPM_MAX_DIM = 64
-
-_EXPM_TAYLOR_TERMS = 18
-_EXPM_TARGET_NORM = 0.5
 
 
 def as_complex_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -98,20 +89,6 @@ def invert(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for a matrix or a ``(K, N, N)`` stack ``A``.
-
-    ``b`` may be a vector or a matrix of right-hand sides; the result has
-    the same shape.  Singular ``A`` raises :class:`SingularMatrixError` by
-    the rule of :func:`invert`.
-    """
-    a_inv = invert(a)
-    rhs = np.asarray(b, dtype=np.complex128)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("B contains NaN or Inf entries")
-    return a_inv @ rhs
-
-
 def determinant(a: np.ndarray):
     """Determinant from LAPACK's LU: a complex for one matrix, an array for a stack.
 
@@ -119,47 +96,6 @@ def determinant(a: np.ndarray):
     """
     det = np.linalg.det(_as_square(a))
     return complex(det) if det.ndim == 0 else det
-
-
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
-
-    The argument is scaled by ``2**s`` until its 1-norm is at most 0.5,
-    an 18-term Taylor series is summed, and the result squared ``s`` times.
-    Capped at 64x64; this routine backs exact-propagation oracles only.
-    """
-    m = as_complex_matrix(m, square=True, name="M")
-    n = m.shape[0]
-    if n > EXPM_MAX_DIM:
-        raise DimensionTooLargeError(f"expm capped at {EXPM_MAX_DIM}, got {n}")
-    norm1 = float(np.abs(m).sum(axis=0).max())
-    s = 0 if norm1 <= _EXPM_TARGET_NORM else int(math.ceil(math.log2(norm1 / _EXPM_TARGET_NORM)))
-    x = m / (2.0 ** s)
-    result = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    for j in range(1, _EXPM_TAYLOR_TERMS + 1):
-        term = (term @ x) / j
-        result += term
-    for _ in range(s):
-        result = result @ result
-    return result
-
-
-def eig2(a: np.ndarray) -> tuple[complex, complex]:
-    """Both eigenvalues of a 2x2 matrix, ordered by (Re, Im) ascending.
-
-    Roots of ``z**2 - tr(A) z + det(A)``; a degenerate root is returned twice.
-    """
-    a = as_complex_matrix(a, square=True, name="A")
-    if a.shape != (2, 2):
-        raise ValueError(f"eig2 expects a 2x2 matrix, got shape {a.shape}")
-    tr = complex(a[0, 0] + a[1, 1])
-    det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    disc = complex(np.sqrt(complex(tr * tr - 4.0 * det)))
-    lam1 = 0.5 * (tr - disc)
-    lam2 = 0.5 * (tr + disc)
-    first, second = sorted((lam1, lam2), key=lambda z: (z.real, z.imag))
-    return first, second
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

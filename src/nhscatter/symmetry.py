@@ -92,40 +92,38 @@ def _rref_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> list[np.nd
 
 
 def _hermitian_from_params(theta: np.ndarray, n: int) -> np.ndarray:
-    """Assemble a Hermitian matrix from its N^2 real parameters.
+    """Assemble Hermitian matrices from their N^2 real parameters.
 
     Layout: N diagonal entries first, then (re, im) pairs of the strict
-    upper triangle in row-major order.
+    upper triangle in row-major order.  A ``(..., N^2)`` stack of parameter
+    vectors gives a ``(..., N, N)`` stack of matrices.
     """
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[np.diag_indices(n)] = theta[:n]
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = theta[idx] + 1j * theta[idx + 1]
-            q[i, j] = val
-            q[j, i] = val.conjugate()
-            idx += 2
+    theta = np.asarray(theta)
+    q = np.zeros(theta.shape[:-1] + (n, n), dtype=np.complex128)
+    diag = np.arange(n)
+    q[..., diag, diag] = theta[..., :n]
+    rows, cols = np.triu_indices(n, 1)  # row-major, matching the parameter layout
+    upper = theta[..., n::2] + 1j * theta[..., n + 1::2]
+    q[..., rows, cols] = upper
+    q[..., cols, rows] = upper.conj()
     return q
 
 
 def _canonicalize(q: np.ndarray) -> np.ndarray:
-    """Scale so the largest entry has magnitude 1, fix the overall sign.
+    """Scale each matrix of a stack so its largest entry has magnitude 1, fix its sign.
 
     Only real scalings preserve Hermiticity, so the sign rule looks at the
     first row-major entry of non-negligible magnitude: its real part is made
     positive, falling back to a positive imaginary part when it is purely
     imaginary.
     """
-    scale = float(np.abs(q).max())
+    scale = np.abs(q).max(axis=(-2, -1), keepdims=True)
     out = q / scale
-    for entry in out.ravel():
-        if abs(entry) <= 1e-12:
-            continue
-        if entry.real < -1e-12 or (abs(entry.real) <= 1e-12 and entry.imag < 0.0):
-            out = -out
-        break
-    return out
+    flat = out.reshape(len(out), -1)
+    # the largest entry has magnitude 1, so every matrix has a non-negligible one
+    first = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
+    flip = (first.real < -1e-12) | ((np.abs(first.real) <= 1e-12) & (first.imag < 0.0))
+    return np.where(flip[:, None, None], -out, out)
 
 
 def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOperator]:
@@ -141,23 +139,23 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
         raise DimensionTooLargeError(f"metric search capped at {METRIC_MAX_DIM}, got {n}")
     hd = h.conj().T
     n_params = n * n
-    coeff = np.zeros((2 * n_params, n_params))
-    for p in range(n_params):
-        theta = np.zeros(n_params)
-        theta[p] = 1.0
-        q = _hermitian_from_params(theta, n)
-        commutator = q @ hd - h @ q
-        coeff[:n_params, p] = commutator.real.ravel()
-        coeff[n_params:, p] = commutator.imag.ravel()
+    # column p holds the real and imaginary parts of the condition on the
+    # p-th unit parameter vector
+    units = _hermitian_from_params(np.eye(n_params), n)
+    commutators = (units @ hd - h @ units).reshape(n_params, n_params)
+    coeff = np.concatenate([commutators.real.T, commutators.imag.T])
 
-    basis = []
-    det_floor = INVERTIBILITY_RTOL
-    for theta in _rref_nullspace(coeff, tol):
-        q = _canonicalize(_hermitian_from_params(theta, n))
-        residual = frob(q @ hd - h @ q)
-        invertible = abs(determinant(q)) > det_floor * float(np.abs(q).max()) ** n
-        basis.append(MetricOperator(matrix=q, invertible=invertible, residual=residual))
-    return basis
+    thetas = _rref_nullspace(coeff, tol)
+    if not thetas:
+        return []
+    qs = _canonicalize(_hermitian_from_params(thetas, n))
+    residuals = frob(qs @ hd - h @ qs)
+    det_floor = INVERTIBILITY_RTOL * np.abs(qs).max(axis=(-2, -1)) ** n
+    invertible = np.abs(determinant(qs)) > det_floor
+    return [
+        MetricOperator(matrix=q, invertible=bool(inv), residual=float(res))
+        for q, inv, res in zip(qs, invertible, residuals)
+    ]
 
 
 def port_signature(

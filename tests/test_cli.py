@@ -435,6 +435,54 @@ def test_exit_code_config_error_on_missing_gamma(tmp_path):
     assert run(["sweep", "--prototype", "undamped", "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out"
+    argv = [command, "--prototype", "damped", "--gamma", "0.3", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3"], "--coupling-file"),
+        (["classify", "--prototype", "damped", "--gamma", "0.3"], "--parity-file"),
+    ],
+    ids=["cmt-coupling-file", "classify-parity-file"],
+)
+def test_bad_matrix_file_error_names_its_flag(tmp_path, capsys, argv, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}))
+    assert run(argv + [flag, str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} {bad}: ") and err.count("\n") == 1
+
+
+def test_consecutive_runs_share_no_state(tmp_path):
+    # one process reuses its parser: a --config or --dagger run must not leak into the next
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prototype": "undamped", "gamma": 0.3, "k_count": 3}))
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(["sweep", "--prototype", "undamped", "--out", str(tmp_path / "b.csv")]) == 2
+
+    center = ["--prototype", "damped", "--gamma", "0.3", "--k", "1.1"]
+    assert run(["verify", *center, "--dagger", "--out", str(tmp_path / "d.json")]) == 0
+    same_process = tmp_path / "v.json"
+    assert run(["verify", *center, "--out", str(same_process)]) == 0
+    fresh_process = tmp_path / "w.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhscatter", "verify", *center, "--out", str(fresh_process)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(same_process.read_text())["config"]["dagger"] is False
+    assert same_process.read_text() == fresh_process.read_text().replace(
+        str(fresh_process), str(same_process))
+
+
 def test_exit_code_numerical_on_scattering_singularity(tmp_path):
     assert run([
         "verify", "--prototype", "undamped", "--gamma", "1.0",
@@ -484,12 +532,19 @@ codes = [
          "--omega-count", "5", "--out", {str(tmp_path / "c.csv")!r}]),
     run(["verify", "--prototype", "undamped", "--gamma", "0.3",
          "--out", {str(tmp_path / "v.json")!r}]),
+    run(["classify", "--prototype", "damped", "--gamma", "0.3",
+         "--out", {str(tmp_path / "k.json")!r}]),
+    run(["campaign", "--trials", "3", "--out", {str(tmp_path / "p.json")!r}]),
+    run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "50",
+         "--right-len", "50", "--n0", "-25", "--sigma", "4",
+         "--out-frames", {str(tmp_path / "f.csv")!r},
+         "--out-summary", {str(tmp_path / "e.json")!r}]),
 ]
 print(codes, "scipy.linalg" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
 
 
 def test_cli_help_exits_zero():

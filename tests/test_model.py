@@ -30,6 +30,26 @@ def test_undamped_prototype_values():
     np.testing.assert_array_equal(make_prototype("undamped", 0.0, 0.0), np.zeros((2, 2)))
 
 
+def _spectrum(h, key):
+    return sorted(np.linalg.eigvals(h), key=key)
+
+
+def test_undamped_prototype_spectrum():
+    # +/- sqrt(v^2 - gamma^2): real above the exceptional point, imaginary below it
+    v, gamma = 2.0, 1.0
+    root = math.sqrt(v * v - gamma * gamma)
+    lo, hi = _spectrum(make_prototype("undamped", v, gamma), key=np.real)
+    assert abs(lo + root) < 1e-12 and abs(hi - root) < 1e-12
+    lo, hi = _spectrum(make_prototype("undamped", 0.0, 1.0), key=np.imag)
+    assert abs(lo + 1j) < 1e-12 and abs(hi - 1j) < 1e-12
+
+
+def test_damped_prototype_spectrum_at_zero_detuning():
+    lo, hi = _spectrum(make_prototype("damped", 0.0, 1.0), key=np.imag)
+    assert abs(lo + 2j) < 1e-12
+    assert abs(hi) < 1e-12
+
+
 def test_unknown_prototype_kind():
     with pytest.raises(ValueError):
         make_prototype("bogus", 0.0, 1.0)

@@ -10,13 +10,10 @@ from nhscatter import (
     DimensionTooLargeError,
     SingularMatrixError,
     determinant,
-    eig2,
-    expm,
     invert,
-    make_prototype,
     matrix_from_json,
     matrix_to_json,
-    solve_linear,
+    propagate_expm,
 )
 from helpers import cofactor_inverse, random_center
 
@@ -26,18 +23,18 @@ def _rng(seed):
 
 
 # ---------------------------------------------------------------------------
-# solve_linear / invert
+# invert, and solves A X = B as invert(A) @ B
 
 
 def test_solve_identity_returns_rhs():
     b = _rng(0).normal(size=(3, 2)) + 1j * _rng(1).normal(size=(3, 2))
-    x = solve_linear(np.eye(3), b)
+    x = invert(np.eye(3)) @ b
     np.testing.assert_allclose(x, b, atol=1e-15)
 
 
 def test_solve_diagonal_inverse():
     a = np.diag([2j, -1j])
-    x = solve_linear(a, np.eye(2))
+    x = invert(a) @ np.eye(2)
     np.testing.assert_allclose(x, np.diag([-0.5j, 1j]), atol=1e-15)
 
 
@@ -45,18 +42,10 @@ def test_solve_matches_cofactor_inverse_at_n4():
     rng = _rng(42)
     a = random_center(rng, 4) + 2.0 * np.eye(4)
     b = random_center(rng, 4)
-    x = solve_linear(a, b)
+    x = invert(a) @ b
     expected = cofactor_inverse(a) @ b
     assert np.abs(x - expected).max() < 1e-12
     assert np.linalg.norm(a @ x - b, "fro") <= 1e-12 * np.linalg.norm(b, "fro")
-
-
-def test_solve_accepts_vector_rhs():
-    a = random_center(_rng(3), 3) + 2.0 * np.eye(3)
-    b = np.array([1.0, 2.0j, -1.0])
-    x = solve_linear(a, b)
-    assert x.shape == (3,)
-    np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_invert_permutation_is_self_inverse():
@@ -78,7 +67,7 @@ def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        solve_linear(np.zeros((2, 2)), np.eye(2))
+        invert(np.zeros((2, 2)))
 
 
 def test_near_singular_below_pivot_threshold_raises():
@@ -132,24 +121,18 @@ def test_invert_roundtrip_random_well_conditioned(seed, n):
     assert residual < 1e-10
 
 
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 6))
-@settings(max_examples=25, deadline=None)
-def test_solve_against_identity_equals_invert(seed, n):
-    a = random_center(_rng(seed), n) + 1.5 * np.eye(n)
-    np.testing.assert_allclose(solve_linear(a, np.eye(n)), invert(a), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# expm
+# the matrix exponential behind the exact propagator exp(-i t H) psi0
 
 
 def test_expm_zero_is_identity():
-    np.testing.assert_array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    psi0 = _rng(4).normal(size=3) + 1j * _rng(5).normal(size=3)
+    np.testing.assert_array_equal(propagate_expm(np.zeros((3, 3)), psi0, 2.0), psi0)
 
 
 def test_expm_diagonal_phase():
-    out = expm(np.diag([-1j * math.pi / 2.0]))
-    np.testing.assert_allclose(out, np.diag([-1j]), atol=1e-15)
+    out = propagate_expm(np.diag([math.pi / 2.0]), np.ones(1), 1.0)
+    np.testing.assert_allclose(out, [-1j], atol=1e-15)
 
 
 def _expm_taylor_mpmath(a: np.ndarray, terms: int = 200) -> np.ndarray:
@@ -175,70 +158,25 @@ def _expm_taylor_mpmath(a: np.ndarray, terms: int = 200) -> np.ndarray:
 
 
 def test_expm_matches_long_taylor_series():
-    a = 2.0 * random_center(_rng(7), 4)
-    expected = _expm_taylor_mpmath(a)
+    # propagating the identity gives the whole propagator matrix
+    h = 2.0 * random_center(_rng(7), 4)
+    expected = _expm_taylor_mpmath(-1j * h)
     scale = np.abs(expected).max()
-    assert np.abs(expm(a) - expected).max() < 1e-10 * scale
+    assert np.abs(propagate_expm(h, np.eye(4), 1.0) - expected).max() < 1e-10 * scale
 
 
 def test_expm_dimension_cap():
+    np.testing.assert_array_equal(propagate_expm(np.zeros((64, 64)), np.ones(64), 1.0), 1.0)
     with pytest.raises(DimensionTooLargeError):
-        expm(np.zeros((65, 65)))
+        propagate_expm(np.zeros((65, 65)), np.ones(65), 1.0)
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_expm_inverse_property(seed):
-    m = 1.2 * random_center(_rng(seed), 4)  # 1-norm stays below 5
-    product = expm(m) @ expm(-m)
-    assert np.linalg.norm(product - np.eye(4), "fro") < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# eig2
-
-
-def test_eig2_prototype_eigenvalues():
-    # undamped dimer: +/- sqrt(v^2 - gamma^2)
-    v, gamma = 2.0, 1.0
-    lo, hi = eig2(make_prototype("undamped", v, gamma))
-    root = math.sqrt(v * v - gamma * gamma)
-    assert abs(lo + root) < 1e-12 and abs(hi - root) < 1e-12
-    # below the exceptional point the pair is imaginary
-    lo, hi = eig2(make_prototype("undamped", 0.0, 1.0))
-    assert abs(lo + 1j) < 1e-12 and abs(hi - 1j) < 1e-12
-
-
-def test_eig2_damped_prototype_at_zero_detuning():
-    lo, hi = eig2(make_prototype("damped", 0.0, 1.0))
-    assert abs(lo + 2j) < 1e-12
-    assert abs(hi) < 1e-12
-
-
-def test_eig2_identity():
-    assert eig2(np.eye(2)) == (1.0, 1.0)
-
-
-def test_eig2_degenerate_root_returned_twice():
-    lo, hi = eig2(np.array([[1.0, 1.0], [0.0, 1.0]]))  # defective, eigenvalue 1 twice
-    assert abs(lo - 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
-
-
-def test_eig2_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        eig2(np.eye(3))
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=50, deadline=None)
-def test_eig2_trace_det_property(seed):
-    a = 3.0 * random_center(_rng(seed), 2)
-    lam1, lam2 = eig2(a)
-    tr = complex(a[0, 0] + a[1, 1])
-    det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    assert abs(lam1 + lam2 - tr) < 1e-12 * max(1.0, abs(tr))
-    assert abs(lam1 * lam2 - det) < 1e-12 * max(1.0, abs(tr) ** 2, abs(det))
-    assert (lam1.real, lam1.imag) <= (lam2.real, lam2.imag)
+    h = 1.2 * random_center(_rng(seed), 4)  # 1-norm stays below 5
+    forward = propagate_expm(h, np.eye(4), 1.0)
+    assert np.linalg.norm(propagate_expm(h, forward, -1.0) - np.eye(4), "fro") < 1e-9
 
 
 # ---------------------------------------------------------------------------
