@@ -88,6 +88,11 @@ def cmt_smatrix(h_c: np.ndarray, coupling: CmtCoupling) -> np.ndarray:
     return dressed_smatrix(h, d, [coupling.omega])[0]
 
 
+def conjugation_defect(s: np.ndarray, s_bar: np.ndarray, signs) -> np.ndarray:
+    """``S̄ - diag(signs) S diag(signs)`` for one P x P pair or for (K, P, P) stacks."""
+    return s_bar - np.outer(signs, signs) * s
+
+
 class CmtResiduals(NamedTuple):
     conjugation: float
     conservation: float
@@ -134,6 +139,6 @@ def verify_cmt_relations(
 
     s = cmt_smatrix(h, coupling)
     s_bar = cmt_smatrix(h.conj().T, coupling)
-    conjugation = frob(s_bar - sign_diag @ s @ sign_diag)
+    conjugation = frob(conjugation_defect(s, s_bar, signs))
     conservation = frob(conservation_defect(s, s_bar))
     return CmtResiduals(conjugation=conjugation, conservation=conservation)

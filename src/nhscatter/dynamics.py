@@ -41,6 +41,7 @@ DEFAULT_DT = 0.02
 DEFAULT_FRAMES = 50
 PACKET_SUPPORT_SIGMAS = 5.0
 EDGE_WINDOW = 10
+EDGE_TOL = 1e-6  # R/T readouts need an edge occupancy below EDGE_TOL * (R + T)
 # Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
 EXPM_MAX_DIM = 64
 
@@ -281,10 +282,10 @@ def measure_rt(traj: WaveTrajectory) -> tuple[float, float, float]:
     """Final-frame reflection, transmission, and center leak.
 
     Valid only when the open chain ends are still empty: an edge occupancy
-    of at least ``1e-6 * (R + T)`` raises :class:`BoundaryContaminationError`.
+    of at least ``EDGE_TOL * (R + T)`` raises :class:`BoundaryContaminationError`.
     """
     r, t, leak, edge = block_intensities(traj, frame=-1)
-    if edge >= 1e-6 * (r + t):
+    if edge >= EDGE_TOL * (r + t):
         raise BoundaryContaminationError(
             f"edge occupancy {edge:.3e} vs R+T={r + t:.3e}; "
             "enlarge the leads or measure earlier"

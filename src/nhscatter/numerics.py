@@ -58,11 +58,6 @@ def frob(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm (largest absolute column sum), per matrix of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
 def invert(a: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix in a ``(K, N, N)`` stack.
 
@@ -78,7 +73,7 @@ def invert(a: np.ndarray) -> np.ndarray:
         # An exact zero pivot makes LAPACK's determinant exactly zero.
         index = int(np.flatnonzero(np.linalg.det(a) == 0)[0]) if a.ndim == 3 else None
         raise SingularMatrixError("matrix is exactly singular", index=index) from exc
-    rcond = 1.0 / (_norm1(a) * _norm1(inv))
+    rcond = 1.0 / (np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
     singular = ~(rcond > RCOND_MIN)
     if np.any(singular):
         index = int(np.argmax(singular)) if a.ndim == 3 else None

@@ -13,7 +13,7 @@ port q.  For two ports the layout is ``[[r_L, t_R], [t_L, r_R]]``.
 The same resolvent with the self-energy split into real and imaginary parts
 is the temporal coupled-mode S-matrix (Fan, Suh and Joannopoulos, JOSA A 20,
 569, 2003), so one batched kernel, :func:`dressed_smatrix`, serves both the
-lead and the coupled-mode forms over whole k or omega grids.
+lead and the coupled-mode forms over k or omega grids and center stacks.
 
 Phase conventions.  ``S_raw`` references the in/out amplitudes through the
 continuity value at the attachment site; the ``shifted`` convention applies
@@ -94,12 +94,12 @@ def self_energy(k: float, coupling: float) -> complex:
     return -float(coupling) * cmath.exp(1j * k)
 
 
-def port_indicator(system: ScatteringSystem) -> np.ndarray:
-    """N x P indicator matrix W with W[site_p, p] = 1."""
-    w = np.zeros((system.dim, system.n_ports), dtype=np.complex128)
-    for idx, port in enumerate(system.ports):
-        w[port.site, idx] = 1.0
-    return w
+def port_indicator(n: int, sites) -> np.ndarray:
+    """N x P indicator W with W[sites[p], p] = 1; a (K, P) stack of sites gives (K, N, P)."""
+    ordered = np.sort(sites, axis=-1)
+    if (ordered < 0).any() or (ordered >= n).any() or (ordered[..., 1:] == ordered[..., :-1]).any():
+        raise ValueError(f"port sites must be distinct sites of the {n}-site center")
+    return np.swapaxes(np.eye(n, dtype=np.complex128)[np.asarray(sites)], -1, -2)
 
 
 def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float]) -> np.ndarray:
@@ -127,15 +127,18 @@ def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float
 
 
 def lead_smatrices(
-    system: ScatteringSystem,
+    center: np.ndarray,
+    sites,
     ks: np.ndarray | list[float],
+    coupling: float = 1.0,
     convention: Convention | str = Convention.SHIFTED,
 ) -> np.ndarray:
-    """``(K, P, P)`` scattering amplitudes of ``system`` over a grid of wave vectors.
+    """``(K, P, P)`` scattering amplitudes over K wave vectors.
 
-    The self-energy ``-J e^{ik}`` splits into a real shift and a decay rate,
-    which makes the lead matrix the coupled-mode one with a k-dependent
-    center and coupling:
+    ``center`` (N x N) and port ``sites`` (P) serve every k, or come per k as
+    ``(K, N, N)`` and ``(K, P)`` stacks.  The self-energy ``-J e^{ik}`` splits
+    into a real shift and a decay rate, which makes the lead matrix the
+    coupled-mode one with a k-dependent center and coupling:
 
         S_raw(k) = -S_cmt(H_c - J cos k W W^T, D = sqrt(J sin k) W, omega = E).
 
@@ -148,10 +151,10 @@ def lead_smatrices(
     outside = ks[~((ks > 0.0) & (ks < math.pi))]
     if outside.size:
         require_in_band(outside[0])
-    j = system.coupling
-    w = port_indicator(system)
+    j = float(coupling)
+    w = port_indicator(np.shape(center)[-1], sites)
     cos_k = np.cos(ks)
-    h = system.center - (j * cos_k)[:, None, None] * (w @ w.T)
+    h = center - (j * cos_k)[:, None, None] * (w @ np.swapaxes(w, -1, -2))
     d = np.sqrt(j * np.sin(ks))[:, None, None] * w
     try:
         s = -dressed_smatrix(h, d, -2.0 * j * cos_k)
@@ -172,9 +175,9 @@ def scattering_matrix(
     """Scattering matrix of ``system`` at wave vector ``k``: the K = 1 case of
     :func:`lead_smatrices`.
     """
-    convention = Convention(convention)
     k = float(k)
-    return ScatteringMatrix(k, lead_smatrices(system, [k], convention)[0], convention)
+    entries = lead_smatrices(system.center, system.port_sites, [k], system.coupling, convention)
+    return ScatteringMatrix(k, entries[0], convention)
 
 
 def closed_form_damped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:

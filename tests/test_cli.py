@@ -7,7 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from nhscatter import matrix_to_json, packet_experiment, prototype_system
+from nhscatter import (
+    Port,
+    ScatteringSystem,
+    cli,
+    matrix_to_json,
+    packet_experiment,
+    prototype_system,
+    scattering_matrix,
+)
 from nhscatter.cli import _resolve, build_parser, run
 from helpers import random_center
 
@@ -325,6 +333,34 @@ def test_campaign_passes_and_is_deterministic(tmp_path):
     assert b1 == b2
 
 
+def test_campaign_equals_reference_loop(tmp_path, monkeypatch):
+    # stacked solves in blocks of 7 against one scattering_matrix call per trial
+    # and variant on the same RNG draws: the same floating-point operations on
+    # the same values, so the maxima over every prefix of the trials agree exactly
+    monkeypatch.setattr(cli, "CAMPAIGN_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    residuals = []  # per trial: law, transpose, conjugate, dagger
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        p = 2 if n < 3 else int(rng.integers(2, 4))
+        sites = sorted(int(s) for s in rng.permutation(n)[:p])
+        k = float(rng.uniform(0.05, math.pi - 0.05))
+        center = random_center(rng, n)
+        ports = tuple(Port(site, f"port{i}") for i, site in enumerate(sites))
+        s, s_bar, s_t, s_c = (scattering_matrix(ScatteringSystem(h, ports), k).entries
+                              for h in (center, center.conj().T, center.T, center.conj()))
+        defects = (s_bar.conj().T @ s - np.eye(p), s_t - s.T,
+                   s_c - np.linalg.inv(s.conj()), s_bar - np.linalg.inv(s.conj().T))
+        residuals.append([float(np.linalg.norm(d, axis=(-2, -1))) for d in defects])
+    out = tmp_path / "c.json"
+    for trials in range(1, 31):
+        assert run(["campaign", "--trials", str(trials), "--seed", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        keys = ("law", "transpose", "conjugate", "dagger")
+        actual = [payload[f"max_{key}_residual"] for key in keys]
+        assert actual == np.max(residuals[:trials], axis=0).tolist(), trials
+
+
 def test_campaign_zero_trials_succeeds(tmp_path):
     out = tmp_path / "c.json"
     assert run(["campaign", "--trials", "0", "--seed", "5", "--out", str(out)]) == 0
@@ -435,13 +471,19 @@ def test_exit_code_config_error_on_missing_gamma(tmp_path):
     assert run(["sweep", "--prototype", "undamped", "--out", str(tmp_path / "o.csv")]) == 2
 
 
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify", "sweep", "evolve"])
 def test_unwritable_output_is_config_error(tmp_path, capsys, command):
     out = tmp_path / "missing" / "out"
-    argv = [command, "--prototype", "damped", "--gamma", "0.3", "--out", str(out)]
+    argv = [command, "--prototype", "damped", "--gamma", "0.3"]
+    if command == "evolve":  # the frames file is written before the summary
+        argv += ["--left-len", "50", "--right-len", "50", "--n0", "-25", "--sigma", "4",
+                 "--out-frames", str(tmp_path / "f.csv"), "--out-summary", str(out)]
+    else:
+        argv += ["--out", str(out)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err == f"config error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []  # a failed run leaves no output file
 
 
 @pytest.mark.parametrize(

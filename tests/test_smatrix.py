@@ -246,16 +246,21 @@ def test_conjugate_identity(seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_batched_grid_equals_pointwise(seed, n, p, count):
+    # one system over a k-grid, and a different system (center and sites) per k
     rng = np.random.default_rng(seed)
     p = min(p, n)
-    system = random_system(rng, n=n, p=p)
+    systems = [random_system(rng, n=n, p=p) for _ in range(count)]
     ks = rng.uniform(0.05, math.pi - 0.05, count)
+    centers = np.array([system.center for system in systems])
+    sites = np.array([system.port_sites for system in systems])
     for convention in Convention:
-        batched = lead_smatrices(system, ks, convention)
-        assert batched.shape == (count, p, p)
-        for k, s_k in zip(ks, batched):
-            pointwise = scattering_matrix(system, float(k), convention).entries
-            assert np.abs(s_k - pointwise).max() <= 1e-13 * max(1.0, np.abs(pointwise).max())
+        grid = lead_smatrices(systems[0].center, systems[0].port_sites, ks, 1.0, convention)
+        stacked = lead_smatrices(centers, sites, ks, 1.0, convention)
+        assert grid.shape == stacked.shape == (count, p, p)
+        for k, system, s_grid, s_stacked in zip(ks, systems, grid, stacked):
+            for one, s_k in ((systems[0], s_grid), (system, s_stacked)):
+                pointwise = scattering_matrix(one, float(k), convention).entries
+                assert np.abs(s_k - pointwise).max() <= 1e-13 * max(1.0, np.abs(pointwise).max())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -266,7 +271,7 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     drawn = random_system(rng, n=int(rng.integers(2, 7)))
     system = ScatteringSystem(drawn.center, drawn.ports, 1.0 + rng.random())
     k, j = random_k(rng), system.coupling
-    w = port_indicator(system)
+    w = port_indicator(system.dim, system.port_sites)
     energy = -2.0 * j * math.cos(k)
     coupling = CmtCoupling(math.sqrt(j * math.sin(k)) * w, energy)
     s_cmt = cmt_smatrix(system.center - j * math.cos(k) * (w @ w.T), coupling)
@@ -287,7 +292,13 @@ def test_batched_singularity_names_first_singular_k():
     system = prototype_system("undamped", 0.0, 1.0)
     ks = [0.4, math.pi / 2.0, 2.0]
     with pytest.raises(ScatteringSingularityError, match=r"k=1\.5708") as info:
-        lead_smatrices(system, ks)
+        lead_smatrices(system.center, system.port_sites, ks)
     assert info.value.index == 1
     with pytest.raises(BandEdgeError):
-        lead_smatrices(system, [0.4, math.pi])
+        lead_smatrices(system.center, system.port_sites, [0.4, math.pi])
+
+
+@pytest.mark.parametrize("sites", [(0, 0), (-1, 0), (0, 2), [[0, 1], [1, 1]]])
+def test_lead_smatrices_rejects_bad_port_sites(sites):
+    with pytest.raises(ValueError, match="distinct sites of the 2-site center"):
+        lead_smatrices(np.eye(2), sites, [1.0, 1.2])
