@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, PortConditionError, ScatterError
 from .model import (
+    DEFAULT_PORTS,
     LEFT,
     PROTOTYPE_KINDS,
     RIGHT,
@@ -46,7 +47,7 @@ from .model import (
 )
 from .numerics import frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
-from .symmetry import metric_space, is_anti_pt, phase_of, port_signature
+from .symmetry import is_anti_pt, metric_space, phase_of, port_metric, port_signature
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,7 +203,7 @@ def _build_center(cfg: dict) -> np.ndarray:
 
 def _build_system(cfg: dict) -> ScatteringSystem:
     """Two port sites take the left and right leads; more take numbered ports."""
-    sites = cfg["ports"] or (0, 1)
+    sites = cfg["ports"] or DEFAULT_PORTS
     labels = (LEFT, RIGHT) if len(sites) == 2 else [f"port{i}" for i in range(len(sites))]
     return ScatteringSystem(_build_center(cfg), tuple(map(Port, sites, labels)), cfg["coupling"])
 
@@ -287,29 +288,26 @@ def _cmd_evolve(cfg: dict) -> int:
 
 def _cmd_classify(cfg: dict) -> int:
     center = _build_center(cfg)
-    ports = cfg.get("ports") or (0, 1)
+    ports = cfg.get("ports") or DEFAULT_PORTS
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
     tol = cfg["tol"]
 
     basis = metric_space(center, tol)
     basis_payload = []
-    flux_prediction = "neither"
     for op in basis:
         try:
             signature = list(port_signature(op, *ports, tol))
         except PortConditionError:
             signature = None
-        if signature is not None and op.invertible and flux_prediction == "neither":
-            flux_prediction = "energy" if signature[0] * signature[1] == 1 else "energy-difference"
-        basis_payload.append(
-            {
-                "matrix": matrix_to_json(op.matrix),
-                "invertible": op.invertible,
-                "residual": op.residual,
-                "port_signature": signature,
-            }
-        )
+        basis_payload.append({"matrix": matrix_to_json(op.matrix), "invertible": op.invertible,
+                              "residual": op.residual, "port_signature": signature})
+    witness = port_metric(basis, *ports, tol)
+    port_metric_payload, flux_prediction = None, "neither"
+    if witness is not None:
+        (s_m, s_n), q = witness
+        port_metric_payload = {"signature": [s_m, s_n], "matrix": matrix_to_json(q)}
+        flux_prediction = "energy" if s_m * s_n == 1 else "energy-difference"
 
     if cfg.get("parity_file") is not None:
         parity = _load_center_file(cfg["parity_file"], "--parity-file")
@@ -327,6 +325,7 @@ def _cmd_classify(cfg: dict) -> int:
     payload = {
         "dimension": len(basis),
         "metric_basis": basis_payload,
+        "port_metric": port_metric_payload,
         "anti_pt": anti_pt,
         "anti_hermitian": anti_hermitian,
         "predicted_flux_class": flux_prediction,
@@ -368,7 +367,7 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
         if d.shape[0] != n_modes:
             raise ConfigError(f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center")
         return d
-    ports = cfg.get("ports") or (0, 1)
+    ports = cfg.get("ports") or DEFAULT_PORTS
     if len(ports) != 2:
         raise ConfigError("aligned coupling needs exactly two port sites")
     return two_port_coupling(n_modes, *ports, *cfg["kappa"]).matrix
@@ -413,6 +412,7 @@ def _cmd_campaign(cfg: dict) -> int:
         raise ConfigError("trials must be non-negative")
     rng = np.random.default_rng(cfg["seed"])
     maxima = {"law": 0.0, "transpose": 0.0, "conjugate": 0.0, "dagger": 0.0}
+    solved = 0  # trials whose four residuals entered the maxima
     for start in range(0, trials, CAMPAIGN_BLOCK):
         groups = defaultdict(list)  # (n, p) -> the block's trials of that shape, in draw order
         for _ in range(min(CAMPAIGN_BLOCK, trials - start)):
@@ -430,8 +430,10 @@ def _cmd_campaign(cfg: dict) -> int:
             s_tr = np.swapaxes(s, -1, -2)  # S(H)^T
             defects = {"law": conservation_defect(s, s_bar), "transpose": s_t - s_tr,
                        "conjugate": s_c - invert(s.conj()), "dagger": s_bar - invert(s_tr.conj())}
-            for key, defect in defects.items():
-                maxima[key] = max(maxima[key], float(frob(defect).max()))
+            residuals = np.stack([frob(defect) for defect in defects.values()])  # (4, trials)
+            for key, worst in zip(defects, residuals.max(axis=1)):
+                maxima[key] = max(maxima[key], float(worst))
+            solved += residuals.shape[1]
 
     tol = cfg["tol"]
     worst = max(maxima.values()) if trials else 0.0
@@ -441,8 +443,9 @@ def _cmd_campaign(cfg: dict) -> int:
         "max_transpose_residual": maxima["transpose"],
         "max_conjugate_residual": maxima["conjugate"],
         "max_dagger_residual": maxima["dagger"],
+        "solved": solved,
         "tolerance": tol,
-        "passed": bool(worst <= tol),
+        "passed": bool(worst <= tol and solved == trials),
         "config": cfg,
     }
     _write_json(Path(cfg["out"]), payload)

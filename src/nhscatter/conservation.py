@@ -97,23 +97,9 @@ def verify_conservation_law(
     if s.k != s_bar.k:
         raise KMismatchError(f"wave vectors differ: {s.k} vs {s_bar.k}")
     if s.entries.shape != s_bar.entries.shape:
-        raise ValueError(
-            f"port counts differ: {s.entries.shape} vs {s_bar.entries.shape}"
-        )
-    p = s.n_ports
+        raise ValueError(f"port counts differ: {s.entries.shape} vs {s_bar.entries.shape}")
     product = conservation_defect(s.entries, s_bar.entries)
-    diag = tuple(complex(product[i, i]) for i in range(p))
-    offdiag = tuple(
-        complex(product[i, j]) for i in range(p) for j in range(p) if i != j
-    )
-    if p == 2:
-        flux_class, flux_residual = classify_flux(s, tol)
-    else:
-        flux_class, flux_residual = None, None
-    return ConservationReport(
-        law_residual=frob(product),
-        diag_residuals=diag,
-        offdiag_residuals=offdiag,
-        flux_class=flux_class,
-        flux_residual=flux_residual,
-    )
+    diag = tuple(map(complex, product.diagonal()))
+    offdiag = tuple(map(complex, product[~np.eye(s.n_ports, dtype=bool)]))  # row-major, i != j
+    flux_class, flux_residual = classify_flux(s, tol) if s.n_ports == 2 else (None, None)
+    return ConservationReport(frob(product), diag, offdiag, flux_class, flux_residual)

@@ -30,7 +30,7 @@ from .errors import (
     NotTwoPortError,
     PacketOutOfBoundsError,
 )
-from .model import LEFT, RIGHT, ScatteringSystem, mode_params, require_in_band
+from .model import ScatteringSystem, mode_params, require_in_band
 from .numerics import as_complex_matrix
 
 # Experiment-scale defaults: lead lengths keep the reflected and transmitted
@@ -101,8 +101,9 @@ def build_chain(
 ) -> tuple[ChainGeometry, sp.csr_matrix]:
     """Finite chain Hamiltonian embedding a scattering center.
 
-    Accepts either a two-port :class:`ScatteringSystem` (ports labeled left
-    and right) or a bare center matrix, in which case the leads attach to
+    Accepts either a two-port :class:`ScatteringSystem`, whose first port
+    takes the left lead and second the right lead (the order of the S-matrix
+    layout), or a bare center matrix, in which case the leads attach to
     sites 0 and N-1 (the same site for a single-site center) with hopping
     ``coupling``.  All lead bonds and the lead-center bonds are ``-J``;
     boundaries are open.
@@ -112,8 +113,7 @@ def build_chain(
         if system.n_ports != 2:
             raise NotTwoPortError(f"chain embedding needs 2 ports, got {system.n_ports}")
         center = np.asarray(system.center)
-        left_site = system.port_site(LEFT)
-        right_site = system.port_site(RIGHT)
+        left_site, right_site = system.port_sites
         j = system.coupling
     else:
         center = as_complex_matrix(system_or_center, square=True, name="center")

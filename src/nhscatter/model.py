@@ -22,6 +22,7 @@ from .numerics import as_complex_matrix
 
 LEFT = "left"
 RIGHT = "right"
+DEFAULT_PORTS = (0, 1)  # the two port sites when none are given: left lead, right lead
 
 # Prototype kinds: dissipatively coupled two-site centers, with and without
 # a common imaginary on-site shift.
@@ -84,12 +85,6 @@ class ScatteringSystem:
     def port_sites(self) -> tuple[int, ...]:
         return tuple(p.site for p in self.ports)
 
-    def port_site(self, label: str) -> int:
-        for p in self.ports:
-            if p.label == label:
-                return p.site
-        raise ValueError(f"no port labeled '{label}'")
-
     def daggered(self) -> "ScatteringSystem":
         """The Hermitian-conjugate system: same ports and leads, center -> center†."""
         return ScatteringSystem(dagger(self.center), self.ports, self.coupling)
@@ -123,11 +118,8 @@ def make_prototype(kind: str, v: float, gamma: float) -> np.ndarray:
 
 def prototype_system(kind: str, v: float, gamma: float, coupling: float = 1.0) -> ScatteringSystem:
     """Prototype center with the default two-port layout (left@0, right@1)."""
-    return ScatteringSystem(
-        make_prototype(kind, v, gamma),
-        (Port(0, LEFT), Port(1, RIGHT)),
-        coupling,
-    )
+    ports = tuple(map(Port, DEFAULT_PORTS, (LEFT, RIGHT)))
+    return ScatteringSystem(make_prototype(kind, v, gamma), ports, coupling)
 
 
 def dagger(h: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, NotTwoPortError, PortConditionError
 from .numerics import as_complex_matrix, determinant, frob, invert
-from .smatrix import ScatteringMatrix
+from .smatrix import ScatteringMatrix, port_indicator
 
 METRIC_MAX_DIM = 8
 NULLSPACE_RTOL = 1e-9
@@ -56,38 +56,28 @@ class MetricOperator:
         object.__setattr__(self, "matrix", q)
 
 
-def _rref_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> list[np.ndarray]:
-    """Nullspace basis of a real matrix via reduced row echelon form.
+def _nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """Orthonormal columns spanning the nullspace of a real matrix: the right
+    singular vectors whose singular value is at most ``rtol`` times the largest."""
+    # a wide matrix needs the full right factor
+    _, sv, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return vt[np.count_nonzero(sv > rtol * sv[:1]):].T
 
-    Pivots below ``rtol`` times the largest coefficient count as zero.  The
-    free-column back-substitution yields sparse, deterministic basis vectors.
+
+def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """The nullspace basis of a real matrix that row reduction gives, one vector per row.
+
+    Column c is free when it lies in the span of the columns before it, that
+    is when rank(null[c:]) > rank(null[c+1:]).  Each vector is 1 at its own
+    free column and 0 at the others.  Entries at most ``rtol`` times the
+    largest of their vector are rounding; they are set to exactly 0.
     """
-    a = np.array(mat, dtype=np.float64, copy=True)
-    rows, cols = a.shape
-    tol = rtol * float(np.abs(a).max())
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        local = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[local, c]) <= tol:
-            continue
-        if local != r:
-            a[[r, local]] = a[[local, r]]
-        a[r] /= a[r, c]
-        factors = a[:, c].copy()
-        factors[r] = 0.0
-        a -= np.outer(factors, a[r])
-        pivot_cols.append(c)
-        r += 1
-    basis = []
-    for free in (c for c in range(cols) if c not in pivot_cols):
-        v = np.zeros(cols)
-        v[free] = 1.0
-        for row, c in enumerate(pivot_cols):
-            v[c] = -a[row, free]
-        basis.append(v)
+    null = _nullspace(mat, rtol)
+    cols = len(null)
+    trailing = np.triu(np.ones((cols, cols)))[:, :, None] * null  # stack c: rows c, c+1, ...
+    rank = np.count_nonzero(np.linalg.svd(trailing, compute_uv=False) > rtol, axis=1)
+    basis = np.linalg.solve(null[rank > np.append(rank[1:], 0)].T, null.T)
+    basis[np.abs(basis) <= rtol * np.abs(basis).max(axis=1, keepdims=True)] = 0.0
     return basis
 
 
@@ -126,12 +116,21 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None, None], -out, out)
 
 
+def _invertible(q: np.ndarray):
+    """The rule of :attr:`MetricOperator.invertible` for one matrix or a stack."""
+    det_floor = INVERTIBILITY_RTOL * np.abs(q).max(axis=(-2, -1)) ** q.shape[-1]
+    return np.abs(determinant(q)) > det_floor
+
+
 def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOperator]:
     """Canonical basis of the Hermitian solutions of q H† = H q.
 
     The condition is a homogeneous real-linear system in the N^2 real
-    parameters of q and is solved by row reduction; ``tol`` is the relative
-    pivot threshold.  An empty list means only q = 0 solves.
+    parameters of q, solved by singular value decompositions; ``tol`` is the
+    relative singular-value threshold.  Element i is the solution whose i-th
+    free parameter (as row reduction names them) is 1 and whose other free
+    parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
+    only q = 0 solves.
     """
     h = as_complex_matrix(h, square=True, name="H")
     n = h.shape[0]
@@ -145,61 +144,79 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     commutators = (units @ hd - h @ units).reshape(n_params, n_params)
     coeff = np.concatenate([commutators.real.T, commutators.imag.T])
 
-    thetas = _rref_nullspace(coeff, tol)
-    if not thetas:
+    thetas = _canonical_nullspace(coeff, tol)
+    if not len(thetas):
         return []
     qs = _canonicalize(_hermitian_from_params(thetas, n))
     residuals = frob(qs @ hd - h @ qs)
-    det_floor = INVERTIBILITY_RTOL * np.abs(qs).max(axis=(-2, -1)) ** n
-    invertible = np.abs(determinant(qs)) > det_floor
+    invertible = _invertible(qs)
     return [
         MetricOperator(matrix=q, invertible=bool(inv), residual=float(res))
         for q, inv, res in zip(qs, invertible, residuals)
     ]
 
 
-def port_signature(
-    q: MetricOperator | np.ndarray,
-    m: int,
-    n: int,
-    tol: float = 1e-9,
-) -> tuple[int, int]:
+def port_signature(q: MetricOperator | np.ndarray, m: int, n: int,
+                   tol: float = 1e-9) -> tuple[int, int]:
     """Signs (s_m, s_n) when q is +identity on row/column m and +/-identity on n.
 
     Raises :class:`PortConditionError` with the first offending entry index
-    when the condition fails; s_m is forced to +1.
+    when the condition fails (site m first, then the sign entry (n, n), then
+    site n); s_m is forced to +1.
     """
     mat = q.matrix if isinstance(q, MetricOperator) else as_complex_matrix(q, square=True, name="q")
     dim = mat.shape[0]
-    if m == n:
-        raise ValueError("port sites must be distinct")
-    if not (0 <= m < dim and 0 <= n < dim):
-        raise ValueError(f"port sites ({m}, {n}) outside metric dimension {dim}")
-
-    def _check_unit(site: int, sign: float) -> None:
-        for j in range(dim):
-            want = sign if j == site else 0.0
-            for index in ((site, j), (j, site)):
-                if abs(mat[index] - want) > tol:
-                    raise PortConditionError(
-                        f"metric entry {index} = {complex(mat[index]):.3e} breaks the "
-                        f"port condition at site {site}",
-                        index=index,
-                    )
-
-    _check_unit(m, 1.0)
+    if m == n or not (0 <= m < dim and 0 <= n < dim):
+        raise ValueError(f"port sites ({m}, {n}) must be distinct sites of the {dim}-site metric")
     diag = complex(mat[n, n])
-    if abs(diag - 1.0) <= tol:
-        s_n = 1
-    elif abs(diag + 1.0) <= tol:
-        s_n = -1
-    else:
-        raise PortConditionError(
-            f"metric entry ({n}, {n}) = {diag:.3e} is neither +1 nor -1",
-            index=(n, n),
-        )
-    _check_unit(n, float(s_n))
+    s_n = next((s for s in (1, -1) if abs(diag - s) <= tol), None)
+    for site, sign in ((m, 1), (n, s_n)):
+        if sign is None:
+            raise PortConditionError(f"metric entry ({n}, {n}) = {diag:.3e} is neither +1 nor -1",
+                                     index=(n, n))
+        entries = np.stack([mat[site], mat[:, site]], axis=1)  # row then column entry of each j
+        entries[site] -= sign
+        bad = np.flatnonzero(np.abs(entries) > tol)
+        if bad.size:
+            j, column = divmod(int(bad[0]), 2)
+            index = (j, site) if column else (site, j)
+            raise PortConditionError(f"metric entry {index} = {complex(mat[index]):.3e} breaks the "
+                                     f"port condition at site {site}", index=index)
     return 1, s_n
+
+
+def port_metric(basis: list[MetricOperator], m: int, n: int,
+                tol: float = 1e-9) -> tuple[tuple[int, int], np.ndarray] | None:
+    """An invertible metric q in the span of ``basis`` meeting the port condition at (m, n).
+
+    That rows m and n of ``q = sum_i c_i basis[i]`` equal e_m and s e_n (the
+    columns follow, q being Hermitian) is linear in the real c; it is solved
+    by least squares for s = +1, then s = -1.  q is the particular solution
+    plus a fixed combination of the homogeneous directions, a generic point
+    of the solution set, so it is invertible whenever some point of it is.
+    Returns (:func:`port_signature` of q, q), or None when no sign has an
+    invertible solution.
+    """
+    if not basis:
+        return None
+    qs = np.stack([op.matrix for op in basis])
+    dim = qs.shape[-1]
+    rows = (port_indicator(dim, (m, n)).T @ qs).reshape(len(qs), 2 * dim)  # rows m and n
+    a = np.concatenate([rows.real, rows.imag], axis=1).T
+    homogeneous = _nullspace(a)
+    weights = np.random.default_rng(0).standard_normal(homogeneous.shape[1])  # fixed, generic
+    for s in (1, -1):
+        target = np.zeros((2, 2, dim))  # (re, im) of rows m and n
+        target[0, 0, m], target[0, 1, n] = 1.0, s
+        coef = np.linalg.lstsq(a, target.ravel(), rcond=None)[0] + homogeneous @ weights
+        q = np.tensordot(coef, qs, axes=1)
+        try:
+            signature = port_signature(q, m, n, tol)
+        except PortConditionError:
+            continue
+        if _invertible(q):
+            return signature, q
+    return None
 
 
 def is_anti_pt(h: np.ndarray, parity: np.ndarray, tol: float = 1e-9) -> bool:

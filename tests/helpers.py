@@ -61,3 +61,18 @@ def cofactor_inverse(matrix: np.ndarray) -> np.ndarray:
             minor = [row[:j] + row[j + 1:] for ri, row in enumerate(a) if ri != i]
             adj[j, i] = (-1) ** (i + j) * det_laplace(minor)
     return adj / det
+
+
+def port_metric_center(rng: np.random.Generator, n: int, sign: int) -> np.ndarray:
+    """A center ``H = M q^-1`` with ``M`` Hermitian, so that ``q H† q^-1 = H``.
+
+    ``q`` is Hermitian and invertible, the identity on site 0 and ``sign``
+    times the identity on site n-1, with a random block on the sites between;
+    with ports (0, n-1) the center obeys the flux law of that sign.
+    """
+    a = random_center(rng, n)
+    b = random_center(rng, n - 2)
+    q = np.zeros((n, n), dtype=np.complex128)
+    q[0, 0], q[-1, -1] = 1.0, sign
+    q[1:-1, 1:-1] = b + b.conj().T + np.diag(rng.choice([-2.0, 2.0], n - 2))
+    return (a + a.conj().T) @ np.linalg.inv(q)

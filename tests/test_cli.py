@@ -17,7 +17,7 @@ from nhscatter import (
     scattering_matrix,
 )
 from nhscatter.cli import _resolve, build_parser, run
-from helpers import random_center
+from helpers import port_metric_center, random_center
 
 
 def _read_csv(path):
@@ -203,6 +203,10 @@ def test_classify_undamped(tmp_path):
     assert payload["phase"] == "exact"
     signatures = [b["port_signature"] for b in payload["metric_basis"]]
     assert [1, -1] in signatures
+    assert payload["port_metric"]["signature"] == [1, -1]
+    witness = payload["port_metric"]["matrix"]
+    assert np.abs(np.array(witness["re"]) - np.diag([1.0, -1.0])).max() < 1e-12
+    assert np.abs(np.array(witness["im"])).max() < 1e-12
 
 
 def test_classify_undamped_with_detuning(tmp_path):
@@ -227,9 +231,30 @@ def test_classify_damped(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["dimension"] == 1
     assert payload["predicted_flux_class"] == "neither"
+    assert payload["port_metric"] is None
     assert payload["anti_pt"] is True
     assert payload["anti_hermitian"] is True
     assert not any(b["invertible"] for b in payload["metric_basis"])
+    assert run([
+        "classify", "--prototype", "damped", "--v", "0.2",
+        "--gamma", "0.3333333333333333", "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["predicted_flux_class"] == "neither"
+
+
+@pytest.mark.parametrize("sign, verdict", [(1, "energy"), (-1, "energy-difference")])
+def test_classify_finds_port_metric_outside_the_basis(tmp_path, sign, verdict):
+    rng = np.random.default_rng(8)
+    center = tmp_path / "center.json"
+    center.write_text(json.dumps(matrix_to_json(port_metric_center(rng, 4, sign))))
+    out = tmp_path / "classify.json"
+    assert run(["classify", "--center-file", str(center), "--ports", "0", "3",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["predicted_flux_class"] == verdict
+    assert payload["port_metric"]["signature"] == [1, sign]
+    # the witness is a combination of basis elements, none of which meets the condition
+    assert all(b["port_signature"] is None for b in payload["metric_basis"])
 
 
 def test_classify_file_center_with_parity(tmp_path):
@@ -359,13 +384,14 @@ def test_campaign_equals_reference_loop(tmp_path, monkeypatch):
         keys = ("law", "transpose", "conjugate", "dagger")
         actual = [payload[f"max_{key}_residual"] for key in keys]
         assert actual == np.max(residuals[:trials], axis=0).tolist(), trials
+        assert payload["solved"] == trials
 
 
 def test_campaign_zero_trials_succeeds(tmp_path):
     out = tmp_path / "c.json"
     assert run(["campaign", "--trials", "0", "--seed", "5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["trials"] == 0
+    assert payload["trials"] == payload["solved"] == 0
     assert payload["passed"] is True
     assert payload["max_law_residual"] == 0.0
 

@@ -9,6 +9,8 @@ from nhscatter import (
     DimensionTooLargeError,
     GeometryTooSmallError,
     PacketOutOfBoundsError,
+    Port,
+    ScatteringSystem,
     biorthogonal_overlap_series,
     block_intensities,
     build_chain,
@@ -19,6 +21,7 @@ from nhscatter import (
     propagate_rk4,
     prototype_system,
     rt_series,
+    scattering_matrix,
 )
 from helpers import random_center
 
@@ -212,6 +215,16 @@ def test_measure_rt_daggered_damped_prototype():
     r, t, leak = measure_rt(traj)
     assert abs(r - 8.9) < 0.3
     assert abs(t - 3.9) < 0.15
+
+
+def test_packet_follows_port_order_not_labels():
+    # the first port takes the left lead, as in the S-matrix layout, whatever its label
+    center = np.array([[0.3 - 0.2j, -0.4j], [-0.4j, -0.1]])
+    system = ScatteringSystem(center, (Port(1, "right"), Port(0, "left")))
+    s = scattering_matrix(system, math.pi / 2.0).entries
+    r, t, _ = measure_rt(packet_experiment(system, k=math.pi / 2.0))
+    assert abs(r - abs(s[0, 0]) ** 2) < 0.02
+    assert abs(t - abs(s[1, 0]) ** 2) < 0.02
 
 
 def test_packet_values_converge_to_plane_wave_with_width():

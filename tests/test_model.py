@@ -106,8 +106,6 @@ def test_dispersion_circle_identity(k, j):
 def test_prototype_system_default_layout():
     system = prototype_system("undamped", 0.0, 0.5)
     assert system.port_sites == (0, 1)
-    assert system.port_site("left") == 0
-    assert system.port_site("right") == 1
     assert system.coupling == 1.0
 
 

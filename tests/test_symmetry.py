@@ -16,15 +16,18 @@ from nhscatter import (
     ScatteringSystem,
     classify_flux,
     is_anti_pt,
+    flux_deviations,
+    lead_smatrices,
     make_prototype,
     metric_space,
     phase_of,
+    port_metric,
     port_signature,
     predict_conjugate_smatrix,
     prototype_system,
     scattering_matrix,
 )
-from helpers import random_center, random_k
+from helpers import port_metric_center, random_center, random_k
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -101,6 +104,49 @@ def test_metric_space_dimension_invariant_under_site_relabeling():
         assert len(metric_space(h)) == len(metric_space(p @ h @ p.T))
 
 
+def _hermitian_params(q: np.ndarray) -> np.ndarray:
+    """The N^2 real parameters of a Hermitian matrix: its diagonal, then the
+    (re, im) pairs of its strict upper triangle in row-major order."""
+    upper = q[np.triu_indices(len(q), 1)]
+    return np.concatenate([q.diagonal().real, np.column_stack([upper.real, upper.imag]).ravel()])
+
+
+def test_metric_space_is_the_row_echelon_basis_of_the_condition():
+    # oracle: the condition matrix column by column from unit Hermitian
+    # matrices, and its free columns from matrix_rank of leading column blocks
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in range(1, 7):
+        a = random_center(rng, n)
+        sign = np.diag(rng.choice([-1.0, 1.0], n))
+        sparse = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        cases += [a, a + a.conj().T, a + sign @ a.conj().T @ sign, sparse, np.zeros((n, n))]
+    for h in cases:
+        n = len(h)
+        columns = []
+        for p in range(n * n):
+            q = np.zeros((n, n), dtype=complex)
+            if p < n:
+                q[p, p] = 1.0
+            else:
+                i, j = (index[(p - n) // 2] for index in np.triu_indices(n, 1))
+                q[i, j] = 1.0 if (p - n) % 2 == 0 else 1j
+                q[j, i] = q[i, j].conjugate()
+            c = q @ h.conj().T - h @ q
+            columns.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
+        condition = np.column_stack(columns)
+        ranks = [np.linalg.matrix_rank(condition[:, :c]) if c else 0 for c in range(n * n + 1)]
+        free = [c for c in range(n * n) if ranks[c + 1] == ranks[c]]
+        basis = metric_space(h)
+        assert len(basis) == n * n - ranks[-1] == len(free)
+        for i, op in enumerate(basis):
+            theta = _hermitian_params(op.matrix)
+            assert abs(theta[free[i]]) > 1e-6
+            expected = np.zeros(len(free))
+            expected[i] = 1.0
+            assert np.abs(theta[free] / theta[free[i]] - expected).max() < 1e-9
+
+
 def test_metric_space_rejects_large_dimension():
     with pytest.raises(DimensionTooLargeError):
         metric_space(np.eye(9))
@@ -148,6 +194,62 @@ def test_port_signature_on_larger_metric():
     assert port_signature(q, 0, 1) == (1, -1)
     with pytest.raises(PortConditionError):
         port_signature(q, 0, 2)
+
+
+def test_port_metric_finds_conditioned_metric_inside_the_span():
+    # sigma_z is a basis element of the undamped metric space; the damped
+    # space holds no metric meeting the port condition
+    witness = port_metric(metric_space(make_prototype("undamped", 0.2, 0.7)), 0, 1)
+    assert witness is not None and witness[0] == (1, -1)
+    assert np.abs(witness[1] - SIGMA_Z).max() < 1e-12
+    assert port_metric(metric_space(make_prototype("damped", 0.2, 0.7)), 0, 1) is None
+    assert port_metric([], 0, 1) is None
+    with pytest.raises(ValueError):
+        port_metric(metric_space(np.eye(2)), 0, 0)
+
+
+def test_port_metric_verdict_on_constructed_centers():
+    # H = M q^-1 keeps q out of the basis itself, but in its span
+    rng = np.random.default_rng(6)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        sign = int(rng.choice([1, -1]))
+        witness = port_metric(metric_space(port_metric_center(rng, n, sign)), 0, n - 1)
+        verdicts.append(witness is not None and witness[0] == (1, sign))
+    assert sum(verdicts) == 300
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 5),
+       kind=st.sampled_from(["constructed", "hermitian", "generic", "damped", "undamped"]))
+@settings(max_examples=40, deadline=None)
+def test_predicted_flux_law_holds_on_k_grid(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    sites = (0, n - 1)
+    if kind == "constructed":
+        sign = int(rng.choice([1, -1]))
+        h = port_metric_center(rng, max(n, 3), sign)
+        sites = (0, len(h) - 1)
+    elif kind == "hermitian":
+        a = random_center(rng, n)
+        h = a + a.conj().T
+    elif kind == "generic":
+        h = random_center(rng, n)
+    else:
+        # gamma < J: the undamped dimer is singular at gamma^2 = J^2 + v^2, k = pi/2
+        h = make_prototype(kind, rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.9))
+        sites = (0, 1)
+    witness = port_metric(metric_space(h), *sites)
+    if kind in ("constructed", "hermitian", "undamped"):
+        assert witness is not None
+    if kind == "constructed":
+        assert witness[0] == (1, sign)
+    if witness is None:
+        return
+    law = 0 if witness[0] == (1, 1) else 1  # energy, energy difference
+    ks = np.linspace(0.1, math.pi - 0.1, 25)
+    deviations = flux_deviations(lead_smatrices(h, sites, ks))[law]
+    assert np.max(deviations) < 1e-8
 
 
 # ---------------------------------------------------------------------------
