@@ -37,13 +37,11 @@ from .dynamics import (
 from .errors import ConfigError, PortConditionError, ScatterError
 from .model import (
     DEFAULT_PORTS,
-    LEFT,
     PROTOTYPE_KINDS,
-    RIGHT,
-    Port,
     ScatteringSystem,
     dagger,
     make_prototype,
+    port_indicator,
 )
 from .numerics import frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
@@ -64,8 +62,8 @@ def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -
     significant digits, then the constant text column ``tail`` if given."""
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
-    lines = [",".join(header)] + [row % tuple(values) for values in table.tolist()]
-    _write_text(path, "\n".join(lines) + "\n")
+    template = "\n".join([",".join(header)] + [row] * len(table)) + "\n"
+    _write_text(path, template % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -177,7 +175,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if has_proto and cfg["gamma"] is None:
         raise ConfigError("--gamma is required with --prototype")
     ports = cfg["ports"]
-    if ports is not None and (len(ports) < 2 or len(set(ports)) != len(ports)):
+    if ports is not None and len(ports) < 2:
         raise ConfigError(f"--ports needs at least two distinct sites, got {ports}")
     return cfg
 
@@ -202,10 +200,7 @@ def _build_center(cfg: dict) -> np.ndarray:
 
 
 def _build_system(cfg: dict) -> ScatteringSystem:
-    """Two port sites take the left and right leads; more take numbered ports."""
-    sites = cfg["ports"] or DEFAULT_PORTS
-    labels = (LEFT, RIGHT) if len(sites) == 2 else [f"port{i}" for i in range(len(sites))]
-    return ScatteringSystem(_build_center(cfg), tuple(map(Port, sites, labels)), cfg["coupling"])
+    return ScatteringSystem(_build_center(cfg), cfg["ports"] or DEFAULT_PORTS, cfg["coupling"])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ def _cmd_sweep(cfg: dict) -> int:
     if cfg["k_count"] < 1:
         raise ConfigError("k_count must be at least 1")
     ks = np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"])
-    s, s_bar = (lead_smatrices(center, system.port_sites, ks, system.coupling, convention)
+    s, s_bar = (lead_smatrices(center, system.ports, ks, system.coupling, convention)
                 for center in (system.center, dagger(system.center)))
     defect = conservation_defect(s, s_bar)
     p = system.n_ports
@@ -291,6 +286,7 @@ def _cmd_classify(cfg: dict) -> int:
     ports = cfg.get("ports") or DEFAULT_PORTS
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
+    port_indicator(center.shape[0], ports)
     tol = cfg["tol"]
 
     basis = metric_space(center, tol)

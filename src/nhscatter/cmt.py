@@ -14,7 +14,6 @@ transmissions pick up the sign q_mm * q_nn.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .conservation import conservation_defect
 from .errors import PremiseViolatedError
+from .model import port_indicator
 from .numerics import as_complex_matrix, frob, invert
 from .smatrix import dressed_smatrix
 from .symmetry import MetricOperator, port_signature
@@ -62,16 +62,9 @@ def two_port_coupling(
     One nonzero real entry per column automatically satisfies the premises
     of :func:`verify_cmt_relations` for any port-conditioned metric.
     """
-    if m == n:
-        raise ValueError("coupled sites must be distinct")
-    if not (0 <= m < n_modes and 0 <= n < n_modes):
-        raise ValueError(f"port sites ({m}, {n}) outside mode count {n_modes}")
     if kappa_m < 0.0 or kappa_n < 0.0:
         raise ValueError(f"coupling rates kappa must be non-negative, got ({kappa_m}, {kappa_n})")
-    d = np.zeros((n_modes, 2), dtype=np.complex128)
-    d[m, 0] = math.sqrt(kappa_m)
-    d[n, 1] = math.sqrt(kappa_n)
-    return CmtCoupling(d, float(omega))
+    return CmtCoupling(port_indicator(n_modes, (m, n)) * np.sqrt([kappa_m, kappa_n]), float(omega))
 
 
 def cmt_smatrix(h_c: np.ndarray, coupling: CmtCoupling) -> np.ndarray:

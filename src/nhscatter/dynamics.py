@@ -113,7 +113,7 @@ def build_chain(
         if system.n_ports != 2:
             raise NotTwoPortError(f"chain embedding needs 2 ports, got {system.n_ports}")
         center = np.asarray(system.center)
-        left_site, right_site = system.port_sites
+        left_site, right_site = system.ports
         j = system.coupling
     else:
         center = as_complex_matrix(system_or_center, square=True, name="center")

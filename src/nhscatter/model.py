@@ -1,4 +1,4 @@
-"""Scattering centers, port maps, and lead dispersion.
+"""Scattering centers, port layouts, and lead dispersion.
 
 A scattering system is a finite complex center matrix coupled to
 semi-infinite uniform leads with hopping ``-J``.  Lead modes at wave
@@ -6,8 +6,8 @@ vector ``k`` (lattice constant 1) carry energy ``E = -2 J cos k`` and
 group velocity ``v_g = 2 J sin k``; both vanish usefully only inside the
 open band ``0 < k < pi``.
 
-Site indexing is 0-based everywhere.  The bundled two-site prototypes use
-the default port layout left -> site 0, right -> site 1.
+Site indexing is 0-based everywhere.  A port layout is a tuple of distinct
+center sites in port order, checked by :func:`port_indicator` alone.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 from .errors import BandEdgeError
 from .numerics import as_complex_matrix
 
-LEFT = "left"
-RIGHT = "right"
 DEFAULT_PORTS = (0, 1)  # the two port sites when none are given: left lead, right lead
 
 # Prototype kinds: dissipatively coupled two-site centers, with and without
@@ -39,20 +37,20 @@ def require_in_band(k: float) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class Port:
-    """Lead attachment: a center site index plus a side label."""
-
-    site: int
-    label: str
+def port_indicator(n: int, sites) -> np.ndarray:
+    """N x P indicator W with W[sites[p], p] = 1; a (K, P) stack of sites gives (K, N, P)."""
+    ordered = np.sort(sites, axis=-1)
+    if (ordered < 0).any() or (ordered >= n).any() or (ordered[..., 1:] == ordered[..., :-1]).any():
+        raise ValueError(f"port sites must be distinct sites of the {n}-site center")
+    return np.swapaxes(np.eye(n, dtype=np.complex128)[np.asarray(sites)], -1, -2)
 
 
 @dataclass(frozen=True)
 class ScatteringSystem:
-    """A center matrix, an ordered port list, and the lead coupling J."""
+    """A center matrix, the sites of its ports in port order, and the lead coupling J."""
 
     center: np.ndarray
-    ports: tuple[Port, ...]
+    ports: tuple[int, ...]
     coupling: float = 1.0
 
     def __post_init__(self):
@@ -63,13 +61,7 @@ class ScatteringSystem:
         object.__setattr__(self, "ports", tuple(self.ports))
         if not self.ports:
             raise ValueError("a scattering system needs at least one port")
-        n = center.shape[0]
-        sites = [p.site for p in self.ports]
-        for p in self.ports:
-            if not 0 <= p.site < n:
-                raise ValueError(f"port '{p.label}' attaches to site {p.site}, center has {n} sites")
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"ports must attach to distinct sites, got {sites}")
+        port_indicator(center.shape[0], self.ports)
         if not self.coupling > 0.0:
             raise ValueError(f"lead coupling must be positive, got {self.coupling}")
 
@@ -80,10 +72,6 @@ class ScatteringSystem:
     @property
     def n_ports(self) -> int:
         return len(self.ports)
-
-    @property
-    def port_sites(self) -> tuple[int, ...]:
-        return tuple(p.site for p in self.ports)
 
     def daggered(self) -> "ScatteringSystem":
         """The Hermitian-conjugate system: same ports and leads, center -> center†."""
@@ -118,8 +106,7 @@ def make_prototype(kind: str, v: float, gamma: float) -> np.ndarray:
 
 def prototype_system(kind: str, v: float, gamma: float, coupling: float = 1.0) -> ScatteringSystem:
     """Prototype center with the default two-port layout (left@0, right@1)."""
-    ports = tuple(map(Port, DEFAULT_PORTS, (LEFT, RIGHT)))
-    return ScatteringSystem(make_prototype(kind, v, gamma), ports, coupling)
+    return ScatteringSystem(make_prototype(kind, v, gamma), DEFAULT_PORTS, coupling)
 
 
 def dagger(h: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ScatteringSingularityError, SingularMatrixError
-from .model import ScatteringSystem, require_in_band
+from .model import ScatteringSystem, port_indicator, require_in_band
 from .numerics import as_complex_matrix, invert
 
 
@@ -92,14 +92,6 @@ def self_energy(k: float, coupling: float) -> complex:
     """
     k = require_in_band(k)
     return -float(coupling) * cmath.exp(1j * k)
-
-
-def port_indicator(n: int, sites) -> np.ndarray:
-    """N x P indicator W with W[sites[p], p] = 1; a (K, P) stack of sites gives (K, N, P)."""
-    ordered = np.sort(sites, axis=-1)
-    if (ordered < 0).any() or (ordered >= n).any() or (ordered[..., 1:] == ordered[..., :-1]).any():
-        raise ValueError(f"port sites must be distinct sites of the {n}-site center")
-    return np.swapaxes(np.eye(n, dtype=np.complex128)[np.asarray(sites)], -1, -2)
 
 
 def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float]) -> np.ndarray:
@@ -176,7 +168,7 @@ def scattering_matrix(
     :func:`lead_smatrices`.
     """
     k = float(k)
-    entries = lead_smatrices(system.center, system.port_sites, [k], system.coupling, convention)
+    entries = lead_smatrices(system.center, system.ports, [k], system.coupling, convention)
     return ScatteringMatrix(k, entries[0], convention)
 
 

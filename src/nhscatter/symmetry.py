@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, NotTwoPortError, PortConditionError
 from .numerics import as_complex_matrix, determinant, frob, invert
-from .smatrix import ScatteringMatrix, port_indicator
+from .model import port_indicator
+from .smatrix import ScatteringMatrix
 
 METRIC_MAX_DIM = 8
 NULLSPACE_RTOL = 1e-9
@@ -165,9 +166,7 @@ def port_signature(q: MetricOperator | np.ndarray, m: int, n: int,
     site n); s_m is forced to +1.
     """
     mat = q.matrix if isinstance(q, MetricOperator) else as_complex_matrix(q, square=True, name="q")
-    dim = mat.shape[0]
-    if m == n or not (0 <= m < dim and 0 <= n < dim):
-        raise ValueError(f"port sites ({m}, {n}) must be distinct sites of the {dim}-site metric")
+    port_indicator(mat.shape[0], (m, n))
     diag = complex(mat[n, n])
     s_n = next((s for s in (1, -1) if abs(diag - s) <= tol), None)
     for site, sign in ((m, 1), (n, s_n)):

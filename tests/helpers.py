@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from nhscatter import Port, ScatteringSystem
+from nhscatter import ScatteringSystem
 
 
 def random_center(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:
@@ -25,11 +25,7 @@ def random_system(rng: np.random.Generator, n: int | None = None, p: int | None 
     if p > n:
         raise ValueError("cannot attach more ports than center sites")
     sites = sorted(int(s) for s in rng.permutation(n)[:p])
-    if p == 2:
-        ports = (Port(sites[0], "left"), Port(sites[1], "right"))
-    else:
-        ports = tuple(Port(site, f"port{i}") for i, site in enumerate(sites))
-    return ScatteringSystem(random_center(rng, n, radius), ports, 1.0)
+    return ScatteringSystem(random_center(rng, n, radius), sites, 1.0)
 
 
 def random_k(rng: np.random.Generator) -> float:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from nhscatter import (
-    Port,
     ScatteringSystem,
     cli,
     matrix_to_json,
@@ -371,8 +370,7 @@ def test_campaign_equals_reference_loop(tmp_path, monkeypatch):
         sites = sorted(int(s) for s in rng.permutation(n)[:p])
         k = float(rng.uniform(0.05, math.pi - 0.05))
         center = random_center(rng, n)
-        ports = tuple(Port(site, f"port{i}") for i, site in enumerate(sites))
-        s, s_bar, s_t, s_c = (scattering_matrix(ScatteringSystem(h, ports), k).entries
+        s, s_bar, s_t, s_c = (scattering_matrix(ScatteringSystem(h, sites), k).entries
                               for h in (center, center.conj().T, center.T, center.conj()))
         defects = (s_bar.conj().T @ s - np.eye(p), s_t - s.T,
                    s_c - np.linalg.inv(s.conj()), s_bar - np.linalg.inv(s.conj().T))
@@ -472,10 +470,16 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--sigma", "-1"], "sigma"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--frames", "0"], "frames"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "-0.1"], "dt"),
+        (["classify", "--center-file", "center.json", "--ports", "0", "7"], "3-site center"),
     ],
-    ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt"],
+    ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
+         "classify-ports-empty-metric-space"],
 )
-def test_library_value_error_is_config_error(tmp_path, capsys, argv, names):
+def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
+    # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
+    monkeypatch.chdir(tmp_path)
+    center = random_center(np.random.default_rng(0), 3)
+    (tmp_path / "center.json").write_text(json.dumps(matrix_to_json(center)))
     if argv[0] == "evolve":
         outs = ["--out-frames", str(tmp_path / "f.csv"), "--out-summary", str(tmp_path / "s.json")]
     else:

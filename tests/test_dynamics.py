@@ -9,7 +9,6 @@ from nhscatter import (
     DimensionTooLargeError,
     GeometryTooSmallError,
     PacketOutOfBoundsError,
-    Port,
     ScatteringSystem,
     biorthogonal_overlap_series,
     block_intensities,
@@ -218,9 +217,9 @@ def test_measure_rt_daggered_damped_prototype():
 
 
 def test_packet_follows_port_order_not_labels():
-    # the first port takes the left lead, as in the S-matrix layout, whatever its label
+    # the first port takes the left lead, as in the S-matrix layout, even at the higher site
     center = np.array([[0.3 - 0.2j, -0.4j], [-0.4j, -0.1]])
-    system = ScatteringSystem(center, (Port(1, "right"), Port(0, "left")))
+    system = ScatteringSystem(center, (1, 0))
     s = scattering_matrix(system, math.pi / 2.0).entries
     r, t, _ = measure_rt(packet_experiment(system, k=math.pi / 2.0))
     assert abs(r - abs(s[0, 0]) ** 2) < 0.02

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nhscatter import (
     BandEdgeError,
-    Port,
     ScatteringSystem,
     dagger,
     make_prototype,
@@ -105,22 +104,22 @@ def test_dispersion_circle_identity(k, j):
 
 def test_prototype_system_default_layout():
     system = prototype_system("undamped", 0.0, 0.5)
-    assert system.port_sites == (0, 1)
+    assert system.ports == (0, 1)
     assert system.coupling == 1.0
 
 
 def test_system_validation():
     center = np.zeros((2, 2))
     with pytest.raises(ValueError, match="distinct"):
-        ScatteringSystem(center, (Port(0, "left"), Port(0, "right")))
+        ScatteringSystem(center, (0, 0))
     with pytest.raises(ValueError, match="site"):
-        ScatteringSystem(center, (Port(0, "left"), Port(5, "right")))
+        ScatteringSystem(center, (0, 5))
     with pytest.raises(ValueError, match="coupling"):
-        ScatteringSystem(center, (Port(0, "left"), Port(1, "right")), coupling=0.0)
+        ScatteringSystem(center, (0, 1), coupling=0.0)
     with pytest.raises(ValueError):
         ScatteringSystem(center, ())
     with pytest.raises(ValueError):
-        ScatteringSystem(np.full((2, 2), np.nan), (Port(0, "left"), Port(1, "right")))
+        ScatteringSystem(np.full((2, 2), np.nan), (0, 1))
 
 
 def test_system_center_is_readonly():

@@ -18,10 +18,13 @@ from nhscatter import (
     invert,
     lead_smatrices,
     port_indicator,
+    port_signature,
     prototype_system,
     scattering_matrix,
     self_energy,
+    two_port_coupling,
 )
+from nhscatter.cli import run
 from helpers import random_k, random_system
 
 GAMMA = 1.0 / 3.0
@@ -252,9 +255,9 @@ def test_batched_grid_equals_pointwise(seed, n, p, count):
     systems = [random_system(rng, n=n, p=p) for _ in range(count)]
     ks = rng.uniform(0.05, math.pi - 0.05, count)
     centers = np.array([system.center for system in systems])
-    sites = np.array([system.port_sites for system in systems])
+    sites = np.array([system.ports for system in systems])
     for convention in Convention:
-        grid = lead_smatrices(systems[0].center, systems[0].port_sites, ks, 1.0, convention)
+        grid = lead_smatrices(systems[0].center, systems[0].ports, ks, 1.0, convention)
         stacked = lead_smatrices(centers, sites, ks, 1.0, convention)
         assert grid.shape == stacked.shape == (count, p, p)
         for k, system, s_grid, s_stacked in zip(ks, systems, grid, stacked):
@@ -271,7 +274,7 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     drawn = random_system(rng, n=int(rng.integers(2, 7)))
     system = ScatteringSystem(drawn.center, drawn.ports, 1.0 + rng.random())
     k, j = random_k(rng), system.coupling
-    w = port_indicator(system.dim, system.port_sites)
+    w = port_indicator(system.dim, system.ports)
     energy = -2.0 * j * math.cos(k)
     coupling = CmtCoupling(math.sqrt(j * math.sin(k)) * w, energy)
     s_cmt = cmt_smatrix(system.center - j * math.cos(k) * (w @ w.T), coupling)
@@ -292,13 +295,24 @@ def test_batched_singularity_names_first_singular_k():
     system = prototype_system("undamped", 0.0, 1.0)
     ks = [0.4, math.pi / 2.0, 2.0]
     with pytest.raises(ScatteringSingularityError, match=r"k=1\.5708") as info:
-        lead_smatrices(system.center, system.port_sites, ks)
+        lead_smatrices(system.center, system.ports, ks)
     assert info.value.index == 1
     with pytest.raises(BandEdgeError):
-        lead_smatrices(system.center, system.port_sites, [0.4, math.pi])
+        lead_smatrices(system.center, system.ports, [0.4, math.pi])
 
 
 @pytest.mark.parametrize("sites", [(0, 0), (-1, 0), (0, 2), [[0, 1], [1, 1]]])
-def test_lead_smatrices_rejects_bad_port_sites(sites):
-    with pytest.raises(ValueError, match="distinct sites of the 2-site center"):
+def test_lead_smatrices_rejects_bad_port_sites(sites, tmp_path, capsys):
+    # one check of port sites: every entry point that takes them reports it alike
+    message = "distinct sites of the 2-site center"
+    with pytest.raises(ValueError, match=message):
         lead_smatrices(np.eye(2), sites, [1.0, 1.2])
+    m, n = map(int, np.atleast_2d(sites)[-1])  # the bad layout of a stack is its last
+    for build in (lambda: ScatteringSystem(np.eye(2), (m, n)),
+                  lambda: two_port_coupling(2, m, n, 1.0, 1.0),
+                  lambda: port_signature(np.eye(2), m, n)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert run(["classify", "--prototype", "damped", "--gamma", "0.3", "--ports", str(m), str(n),
+                "--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == f"config error: port sites must be {message}\n"

@@ -11,7 +11,6 @@ from nhscatter import (
     MetricOperator,
     NotTwoPortError,
     PhaseClass,
-    Port,
     PortConditionError,
     ScatteringSystem,
     classify_flux,
@@ -331,7 +330,7 @@ def test_sign_product_rule_on_constructed_centers(seed, n):
     b = random_center(rng, n)
     h = b + q @ b.conj().T @ q  # satisfies q H† q^{-1} = H
     assert port_signature(q, 0, 1) == (1, -1)
-    system = ScatteringSystem(h, (Port(0, "left"), Port(1, "right")), 1.0)
+    system = ScatteringSystem(h, (0, 1), 1.0)
     k = random_k(rng)
     cls, residual = classify_flux(scattering_matrix(system, k))
     assert cls is FluxClass.ENERGY_DIFFERENCE
@@ -348,7 +347,7 @@ def test_positive_sign_product_gives_energy_conservation(seed):
     b = random_center(rng, 3)
     h = b + b.conj().T  # q = identity
     assert port_signature(np.eye(3, dtype=complex), 0, 1) == (1, 1)
-    system = ScatteringSystem(h, (Port(0, "left"), Port(1, "right")), 1.0)
+    system = ScatteringSystem(h, (0, 1), 1.0)
     cls, residual = classify_flux(scattering_matrix(system, random_k(rng)))
     assert cls is FluxClass.ENERGY
     assert residual < 1e-10
