@@ -41,7 +41,7 @@ from .model import (
     ScatteringSystem,
     dagger,
     make_prototype,
-    port_indicator,
+    require_coupling,
 )
 from .numerics import frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
@@ -249,8 +249,6 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_evolve(cfg: dict) -> int:
     system = _build_system(cfg)
-    if system.n_ports != 2:
-        raise ConfigError("evolve needs a two-port system")
     params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
     traj = packet_experiment(system, **{name: cfg[name] for name in params})
 
@@ -282,11 +280,10 @@ def _cmd_evolve(cfg: dict) -> int:
 
 
 def _cmd_classify(cfg: dict) -> int:
-    center = _build_center(cfg)
-    ports = cfg.get("ports") or DEFAULT_PORTS
+    system = _build_system(cfg)
+    center, ports = system.center, system.ports
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
-    port_indicator(center.shape[0], ports)
     tol = cfg["tol"]
 
     basis = metric_space(center, tol)
@@ -358,12 +355,12 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
     has_kappa = cfg.get("kappa") is not None
     if has_file == has_kappa:
         raise ConfigError("choose exactly one coupling source: --coupling-file or --kappa")
+    ports = cfg.get("ports")
     if has_file:
-        d = _load_center_file(cfg["coupling_file"], "--coupling-file")
-        if d.shape[0] != n_modes:
-            raise ConfigError(f"coupling rows {d.shape[0]} do not match the {n_modes}-mode center")
-        return d
-    ports = cfg.get("ports") or DEFAULT_PORTS
+        if ports is not None:
+            raise ConfigError("--ports sets the sites of a --kappa coupling, not of --coupling-file")
+        return _load_center_file(cfg["coupling_file"], "--coupling-file")
+    ports = ports or DEFAULT_PORTS
     if len(ports) != 2:
         raise ConfigError("aligned coupling needs exactly two port sites")
     return two_port_coupling(n_modes, *ports, *cfg["kappa"]).matrix
@@ -371,6 +368,7 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
 
 def _cmd_cmt(cfg: dict) -> int:
     center = _build_center(cfg)
+    require_coupling(cfg["coupling"])  # cmt has no leads, but a bad shared --coupling is an error
     if cfg.get("omega") is not None:
         omegas = np.array([cfg["omega"]])
     else:

@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .conservation import conservation_defect
-from .errors import PremiseViolatedError
+from .errors import NotTwoPortError, PremiseViolatedError
 from .model import port_indicator
-from .numerics import as_complex_matrix, frob, invert
+from .numerics import as_complex_matrix, frob, frozen_matrix, invert
 from .smatrix import dressed_smatrix
 from .symmetry import MetricOperator, port_signature
 
@@ -35,18 +35,7 @@ class CmtCoupling:
     omega: float
 
     def __post_init__(self):
-        mat = as_complex_matrix(self.matrix, name="coupling")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.matrix.shape[1]
+        object.__setattr__(self, "matrix", frozen_matrix(self.matrix, name="coupling"))
 
 
 def two_port_coupling(
@@ -73,12 +62,7 @@ def cmt_smatrix(h_c: np.ndarray, coupling: CmtCoupling) -> np.ndarray:
     The K = 1 case of :func:`nhscatter.smatrix.dressed_smatrix`.
     """
     h = as_complex_matrix(h_c, square=True, name="H_c")
-    d = coupling.matrix
-    if d.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"coupling has {d.shape[0]} mode rows, center has {h.shape[0]} modes"
-        )
-    return dressed_smatrix(h, d, [coupling.omega])[0]
+    return dressed_smatrix(h, coupling.matrix, [coupling.omega])[0]
 
 
 def conjugation_defect(s: np.ndarray, s_bar: np.ndarray, signs) -> np.ndarray:
@@ -111,7 +95,7 @@ def verify_cmt_relations(
     q_arr = q.matrix if isinstance(q, MetricOperator) else as_complex_matrix(q, square=True, name="q")
     d = coupling.matrix
     if d.shape[1] != 2:
-        raise ValueError("the sign relation applies to two channels")
+        raise NotTwoPortError("the sign relation applies to two channels")
 
     q_inv = invert(q_arr)
     dd = d @ d.conj().T

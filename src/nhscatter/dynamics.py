@@ -30,7 +30,7 @@ from .errors import (
     NotTwoPortError,
     PacketOutOfBoundsError,
 )
-from .model import ScatteringSystem, mode_params, require_in_band
+from .model import ScatteringSystem, mode_params, require_coupling, require_in_band
 from .numerics import as_complex_matrix
 
 # Experiment-scale defaults: lead lengths keep the reflected and transmitted
@@ -119,9 +119,7 @@ def build_chain(
         center = as_complex_matrix(system_or_center, square=True, name="center")
         left_site = 0
         right_site = center.shape[0] - 1
-        j = 1.0 if coupling is None else float(coupling)
-        if j <= 0.0:
-            raise ValueError(f"lead coupling must be positive, got {j}")
+        j = 1.0 if coupling is None else require_coupling(coupling)
 
     left_len = int(left_len)
     right_len = int(right_len)

@@ -42,8 +42,9 @@ class KMismatchError(ScatterError):
     """Scattering matrices were computed at different momenta."""
 
 
-class NotTwoPortError(ScatterError):
-    """Operation is defined for two-port systems only."""
+class NotTwoPortError(ScatterError, ValueError):
+    """Operation is defined for two ports (or two channels) only; a caller
+    error, so also a ``ValueError`` (the command line's configuration error)."""
 
 
 class PortConditionError(ScatterError):

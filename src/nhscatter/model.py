@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandEdgeError
-from .numerics import as_complex_matrix
+from .numerics import as_complex_matrix, frozen_matrix
 
 DEFAULT_PORTS = (0, 1)  # the two port sites when none are given: left lead, right lead
 
@@ -37,12 +37,22 @@ def require_in_band(k: float) -> float:
     return k
 
 
+def require_coupling(j: float) -> float:
+    """The one check of a lead coupling J: finite and > 0, else ``ValueError``."""
+    j = float(j)
+    if not 0.0 < j < math.inf:
+        raise ValueError(f"lead coupling must be finite and positive, got {j}")
+    return j
+
+
 def port_indicator(n: int, sites) -> np.ndarray:
     """N x P indicator W with W[sites[p], p] = 1; a (K, P) stack of sites gives (K, N, P)."""
+    sites = np.asarray(sites)
     ordered = np.sort(sites, axis=-1)
-    if (ordered < 0).any() or (ordered >= n).any() or (ordered[..., 1:] == ordered[..., :-1]).any():
+    if (sites.dtype.kind not in "iu" or (ordered < 0).any() or (ordered >= n).any()
+            or (ordered[..., 1:] == ordered[..., :-1]).any()):
         raise ValueError(f"port sites must be distinct sites of the {n}-site center")
-    return np.swapaxes(np.eye(n, dtype=np.complex128)[np.asarray(sites)], -1, -2)
+    return np.swapaxes(np.eye(n, dtype=np.complex128)[sites], -1, -2)
 
 
 @dataclass(frozen=True)
@@ -54,16 +64,12 @@ class ScatteringSystem:
     coupling: float = 1.0
 
     def __post_init__(self):
-        center = as_complex_matrix(self.center, square=True, name="center")
-        center = center.copy()
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", frozen_matrix(self.center, square=True, name="center"))
         object.__setattr__(self, "ports", tuple(self.ports))
         if not self.ports:
             raise ValueError("a scattering system needs at least one port")
-        port_indicator(center.shape[0], self.ports)
-        if not self.coupling > 0.0:
-            raise ValueError(f"lead coupling must be positive, got {self.coupling}")
+        port_indicator(self.dim, self.ports)
+        object.__setattr__(self, "coupling", require_coupling(self.coupling))
 
     @property
     def dim(self) -> int:
@@ -117,9 +123,7 @@ def dagger(h: np.ndarray) -> np.ndarray:
 def mode_params(k: float, coupling: float) -> ModeParameters:
     """Dispersion data ``E = -2 J cos k``, ``v_g = 2 J sin k`` for ``0 < k < pi``."""
     k = require_in_band(k)
-    j = float(coupling)
-    if not j > 0.0:
-        raise ValueError(f"lead coupling must be positive, got {coupling}")
+    j = require_coupling(coupling)
     return ModeParameters(
         k=k,
         coupling=j,

@@ -42,6 +42,13 @@ def as_complex_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> 
     return arr
 
 
+def frozen_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.ndarray:
+    """A read-only copy of ``a``, checked by :func:`as_complex_matrix`: a frozen matrix field."""
+    arr = as_complex_matrix(a, square=square, name=name).copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_square(a: Any) -> np.ndarray:
     """Coerce ``a`` to a finite complex128 square matrix or ``(K, N, N)`` stack."""
     arr = np.asarray(a, dtype=np.complex128)

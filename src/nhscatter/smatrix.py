@@ -31,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ScatteringSingularityError, SingularMatrixError
+from .errors import NotTwoPortError, ScatteringSingularityError, SingularMatrixError
 from .model import ScatteringSystem, port_indicator, require_in_band
-from .numerics import as_complex_matrix, invert
+from .numerics import frozen_matrix, invert
 
 
 class Convention(str, Enum):
@@ -52,10 +52,7 @@ class ScatteringMatrix:
     convention: Convention
 
     def __post_init__(self):
-        entries = as_complex_matrix(self.entries, square=True, name="entries")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", frozen_matrix(self.entries, square=True, name="entries"))
         object.__setattr__(self, "convention", Convention(self.convention))
 
     @property
@@ -64,7 +61,7 @@ class ScatteringMatrix:
 
     def _two_port(self) -> np.ndarray:
         if self.n_ports != 2:
-            raise ValueError("named r/t accessors are defined for two ports only")
+            raise NotTwoPortError("named r/t accessors are defined for two ports only")
         return self.entries
 
     @property
@@ -103,10 +100,13 @@ def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float
     per point as ``(K, N, N)`` and ``(K, N, P)`` stacks.  All K resolvents are
     inverted in one batched LAPACK call; the result is ``(K, P, P)``.  A
     singular resolvent raises :class:`SingularMatrixError` naming the first
-    offending frequency, with its grid position as ``index``.
+    offending frequency, with its grid position as ``index``.  A ``d`` whose
+    mode rows do not match the modes of ``h`` raises ``ValueError``.
     """
     omega = np.asarray(omega, dtype=np.float64)
     n, p = d.shape[-2:]
+    if n != h.shape[-1]:
+        raise ValueError(f"coupling has {n} mode rows, center has {h.shape[-1]} modes")
     d_dag = np.swapaxes(d, -1, -2).conj()
     dressed = omega[:, None, None] * np.eye(n) - h + 1j * (d @ d_dag)
     try:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionTooLargeError, NotTwoPortError, PortConditionError
-from .numerics import as_complex_matrix, determinant, frob, invert
+from .numerics import as_complex_matrix, determinant, frob, frozen_matrix, invert
 from .model import port_indicator
 from .smatrix import ScatteringMatrix
 
@@ -49,11 +49,9 @@ class MetricOperator:
     residual: float
 
     def __post_init__(self):
-        q = as_complex_matrix(self.matrix, square=True, name="metric")
+        q = frozen_matrix(self.matrix, square=True, name="metric")
         if frob(q - q.conj().T) >= 1e-12 * max(1.0, frob(q)):
             raise ValueError("metric operator must be Hermitian")
-        q = q.copy()
-        q.setflags(write=False)
         object.__setattr__(self, "matrix", q)
 
 

@@ -1,8 +1,10 @@
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,9 +473,21 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--frames", "0"], "frames"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "-0.1"], "dt"),
         (["classify", "--center-file", "center.json", "--ports", "0", "7"], "3-site center"),
+        (["cmt", "--center-file", "center.json", "--coupling-file", "center.json",
+          "--ports", "0", "7"], "--ports"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--coupling", "inf"],
+         "lead coupling must"),
+        (["evolve", "--center-file", "center.json", "--ports", "0", "1", "2"], "2 ports"),
+        (["classify", "--prototype", "damped", "--gamma", "0.3", "--coupling", "-1"],
+         "lead coupling must"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling", "-1",
+          "--kappa", "1", "1"], "lead coupling must"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file", "center.json"],
+         "mode rows"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
-         "classify-ports-empty-metric-space"],
+         "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
+         "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
@@ -488,6 +502,24 @@ def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert names in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``nhscatter`` line in the README's "Command line" sh block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("nhscatter ")]
+
+
+def test_readme_covers_every_subcommand():
+    assert {argv[0] for argv in _readme_commands()} == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[-1])
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
 
 
 def test_exit_code_config_error_on_double_center(tmp_path):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from nhscatter import (
     CmtCoupling,
+    NotTwoPortError,
     PremiseViolatedError,
+    ScatteringMatrix,
     cmt_smatrix,
     make_prototype,
     two_port_coupling,
@@ -22,6 +24,20 @@ def test_decoupled_resonator_is_identity():
     h = random_center(np.random.default_rng(0), 3)
     coupling = CmtCoupling(np.zeros((3, 2)), omega=0.7)
     np.testing.assert_allclose(cmt_smatrix(h, coupling), np.eye(2), atol=1e-15)
+
+
+def test_coupling_rows_must_match_center():
+    with pytest.raises(ValueError, match="coupling has 2 mode rows, center has 3 modes"):
+        cmt_smatrix(np.eye(3), two_port_coupling(2, 0, 1, 1.0, 1.0))
+
+
+def test_two_port_rule_has_one_error():
+    # also a ValueError, so the command line reports it as a configuration error
+    assert issubclass(NotTwoPortError, ValueError)
+    with pytest.raises(NotTwoPortError):
+        verify_cmt_relations(np.eye(2), CmtCoupling(np.ones((2, 3)), 0.0), np.eye(2), 0, 1)
+    with pytest.raises(NotTwoPortError):
+        ScatteringMatrix(1.0, np.eye(3), "raw").r_left
 
 
 def test_single_mode_on_resonance_reflects_with_pi_phase():

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from nhscatter import (
     BandEdgeError,
     ScatteringSystem,
+    build_chain,
     dagger,
+    lead_smatrices,
     make_prototype,
     mode_params,
     prototype_system,
 )
+from nhscatter.model import require_coupling
 from helpers import random_center
 
 
@@ -116,10 +119,30 @@ def test_system_validation():
         ScatteringSystem(center, (0, 5))
     with pytest.raises(ValueError, match="coupling"):
         ScatteringSystem(center, (0, 1), coupling=0.0)
+    assert type(ScatteringSystem(center, (0, 1), coupling=2).coupling) is float  # the checked J
     with pytest.raises(ValueError):
         ScatteringSystem(center, ())
     with pytest.raises(ValueError):
         ScatteringSystem(np.full((2, 2), np.nan), (0, 1))
+    # non-integer sites: a float is no index, and a boolean pair would be a mask
+    for sites in [(0.5, 1), (True, False), np.array([0.0, 1.0])]:
+        with pytest.raises(ValueError, match="port sites"):
+            ScatteringSystem(center, sites)
+        with pytest.raises(ValueError, match="port sites"):
+            lead_smatrices(center, sites, [1.0])
+
+
+@pytest.mark.parametrize("j", [0.0, -1.0, math.nan, math.inf])
+def test_lead_coupling_has_one_check(j):
+    with pytest.raises(ValueError) as owner:
+        require_coupling(j)
+    assert "lead coupling must" in str(owner.value)
+    for build in (lambda: ScatteringSystem(np.eye(2), (0, 1), j),
+                  lambda: mode_params(1.0, j),
+                  lambda: build_chain(np.eye(2), 3, 3, coupling=j)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == str(owner.value)
 
 
 def test_system_center_is_readonly():

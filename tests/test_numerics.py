@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhscatter import (
+    CmtCoupling,
     DimensionTooLargeError,
+    MetricOperator,
+    ScatteringMatrix,
+    ScatteringSystem,
     SingularMatrixError,
     determinant,
     invert,
@@ -217,3 +221,14 @@ def test_matrix_json_rejects_bad_dimensions():
 def test_matrix_json_rejects_nonfinite():
     with pytest.raises(ValueError):
         matrix_from_json({"n": 1, "re": [[math.inf]], "im": [[0.0]]})
+
+
+def test_matrix_fields_are_readonly_copies():
+    source = np.eye(2, dtype=complex)
+    fields = [ScatteringSystem(source, (0, 1)).center, ScatteringMatrix(1.0, source, "raw").entries,
+              CmtCoupling(source, 0.0).matrix, MetricOperator(source, True, 0.0).matrix]
+    source[0, 0] = 5.0
+    for field in fields:
+        assert field[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            field[0, 0] = 2.0
