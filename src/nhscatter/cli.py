@@ -85,6 +85,25 @@ def _path(text: str) -> str:
     return str(Path(text))
 
 
+def _finite(text: str) -> float:
+    """A flag's value as a finite float; argparse names the flag in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A flag's value as a finite float above zero: a tolerance or a scale."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 @dataclass(frozen=True)
 class _Option:
     """One flag and its config-file field ``dest``; ``type=bool`` makes ``--x``/``--no-x``."""
@@ -268,6 +287,7 @@ def _cmd_evolve(cfg: dict) -> int:
         "boundary_ok": bool(edge < EDGE_TOL * (r + t)),
         "norm_cap_exceeded": traj.norm_cap_exceeded,
         "initial_norm": traj.initial_norm,
+        "rk4_deviation": traj.rk4_deviation,
         "t_final": float(traj.times[-1]),
         "config": cfg,
     }
@@ -472,21 +492,21 @@ _SUBCOMMANDS = {
     )),
     "classify": _Subcommand("metric space and symmetry verdicts", _cmd_classify, (
         _Option("--parity-file", None, _path),
-        _Option("--tol", 1e-9, float),
+        _Option("--tol", 1e-9, _positive),
         _Option("--out", "classify.json", _path),
     )),
     "verify": _Subcommand("conservation law at one momentum", _cmd_verify, (
         _Option("--k", math.pi / 2.0, float),
         _Option("--convention", "shifted", choices=_CONVENTIONS),
-        _Option("--tol", 1e-9, float),
+        _Option("--tol", 1e-9, _positive),
         _Option("--out", "verify.json", _path),
     )),
     "cmt": _Subcommand("coupled-mode scattering over frequency", _cmd_cmt, (
         _Option("--coupling-file", None, _path),
         _Option("--kappa", None, float, nargs=2, help="aligned decay rates for both channels"),
-        _Option("--omega", None, float),
-        _Option("--omega-min", None, float),
-        _Option("--omega-max", None, float),
+        _Option("--omega", None, _finite),
+        _Option("--omega-min", None, _finite),
+        _Option("--omega-max", None, _finite),
         _Option("--omega-count", 61, int),
         _Option("--port-signs", None, int, nargs=2),
         _Option("--out", "cmt.csv", _path),
@@ -494,8 +514,8 @@ _SUBCOMMANDS = {
     "campaign": _Subcommand("randomized conservation verification", _cmd_campaign, (
         _Option("--trials", 100, int),
         _Option("--seed", 0, int),
-        _Option("--radius", 1.0, float),
-        _Option("--tol", 1e-8, float),
+        _Option("--radius", 1.0, _positive),
+        _Option("--tol", 1e-8, _positive),
         _Option("--out", "campaign.json", _path),
     ), center=False),
 }

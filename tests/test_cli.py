@@ -11,9 +11,12 @@ import pytest
 
 from nhscatter import (
     ScatteringSystem,
+    build_chain,
     cli,
+    gaussian_packet,
     matrix_to_json,
     packet_experiment,
+    propagate_rk4,
     prototype_system,
     scattering_matrix,
 )
@@ -135,6 +138,7 @@ def test_evolve_reproduces_packet_values(tmp_path):
     assert payload["leak"] < 1e-6
     assert payload["boundary_ok"] is True
     assert payload["norm_cap_exceeded"] is False
+    assert payload["rk4_deviation"] < 1e-9
     assert payload["config"]["prototype"] == "damped"
 
     header, rows = _read_csv(frames)
@@ -168,6 +172,21 @@ def test_evolve_daggered_center_amplifies(tmp_path):
     for row, (t_now, site, amp) in zip(cells, expected):
         assert row[:4] == [f"{t_now:.17g}", str(site), f"{amp.real:.17g}", f"{amp.imag:.17g}"]
         assert abs(float(row[4]) - abs(amp) ** 2) <= 1e-15 * abs(amp) ** 2
+
+
+def test_evolve_frame_grid_is_the_rk4_grid(tmp_path):
+    # the t and site columns are those of an RK4 trajectory at the same dt
+    frames = tmp_path / "f.csv"
+    assert run([
+        "evolve", "--prototype", "undamped", "--gamma", "0.3", "--left-len", "60",
+        "--right-len", "60", "--n0", "-30", "--sigma", "5", "--dt", "0.03", "--t-final", "20",
+        "--frames", "7", "--out-frames", str(frames), "--out-summary", str(tmp_path / "s.json"),
+    ]) == 0
+    geom, h = build_chain(prototype_system("undamped", 0.0, 0.3), 60, 60)
+    traj = propagate_rk4(h, gaussian_packet(geom, -30.0, 5.0, math.pi / 2), 0.03, 20.0, 7)
+    expected = [f"{t_now:.17g},{site}" for t_now in traj.times for site in range(geom.total)]
+    lines = frames.read_text().splitlines()[1:]
+    assert [line.rsplit(",", 3)[0] for line in lines] == expected
 
 
 def test_evolve_file_center_hermitian_conserves_total(tmp_path):
@@ -484,10 +503,27 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
           "--kappa", "1", "1"], "lead coupling must"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file", "center.json"],
          "mode rows"),
+        (["classify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "-1"], "--tol"),
+        (["verify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "-1"], "--tol"),
+        (["campaign", "--radius", "-1"], "--radius"),
+        (["campaign", "--radius", "nan"], "--radius"),
+        (["campaign", "--tol", "inf"], "--tol"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega", "nan"], "--omega"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega-min=-inf"], "--omega-min"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega-max", "inf"], "--omega-max"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "nan"], "dt=nan"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--t-final", "inf"],
+         "t_final=inf"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
-         "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows"],
+         "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows",
+         "classify-tol", "verify-tol", "campaign-radius", "campaign-radius-nan", "campaign-tol-inf",
+         "cmt-omega-nan", "cmt-omega-min-inf", "cmt-omega-max-inf", "evolve-dt-nan",
+         "evolve-t-final-inf"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports

@@ -22,6 +22,7 @@ from nhscatter import (
     rt_series,
     scattering_matrix,
 )
+from nhscatter.dynamics import _frame_schedule, _taylor_frames
 from helpers import random_center
 
 GAMMA = 1.0 / 3.0
@@ -193,6 +194,55 @@ def test_norm_cap_reported_not_raised():
     with pytest.warns(RuntimeWarning, match="amplifying"):
         traj = propagate_rk4(h, psi0, dt=0.02, t_final=40.0, frames=10, norm_cap=1e3)
     assert traj.norm_cap_exceeded
+
+
+@pytest.mark.parametrize("center", ["lossy", "gain", "undamped", "random"])
+def test_taylor_frames_match_expm_oracle(center):
+    rng = np.random.default_rng(7)
+    centers = {
+        "lossy": prototype_system("damped", 0.0, GAMMA),
+        "gain": prototype_system("damped", 0.0, GAMMA).daggered(),
+        "undamped": prototype_system("undamped", 0.0, GAMMA),
+        "random": random_center(rng, 4),  # strongly non-Hermitian: the norm grows 1e8-fold
+    }
+    geom, h = build_chain(centers[center], 20, 20)
+    assert geom.total <= 64
+    psi0 = _random_state(rng, geom.total)
+    _, times = _frame_schedule(0.02, 20.0, 10)
+    states = _taylor_frames(h, psi0, times)
+    # Each substep stops at the unit roundoff 2**-53 of its partial sum, and
+    # rounding over at most 80 substeps of ~20 terms reaches ~1e-14 (7e-15
+    # seen, the dense expm oracle included); 1e-12 leaves a hundredfold margin.
+    for state, t_now in zip(states, times):
+        exact = propagate_expm(h, psi0, float(t_now))
+        assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_packet_experiment_agrees_with_rk4_on_bench_dimers():
+    # RK4 at the default dt is itself ~1.4e-10 off the exact propagator
+    for system in (prototype_system("damped", 0.0, GAMMA),
+                   prototype_system("damped", 0.0, GAMMA).daggered(),
+                   prototype_system("undamped", 0.0, GAMMA)):
+        traj = packet_experiment(system, k=math.pi / 2.0)
+        geom, h = build_chain(system, 300, 300)
+        psi0 = gaussian_packet(geom, -50.0, 10.0, math.pi / 2.0)
+        rk4 = propagate_rk4(h, psi0, dt=0.02, t_final=float(traj.times[-1]), geometry=geom)
+        np.testing.assert_array_equal(traj.times, rk4.times)
+        np.testing.assert_allclose(block_intensities(traj)[:3], block_intensities(rk4)[:3],
+                                   rtol=1e-9, atol=1e-9)
+        assert traj.rk4_deviation < 1e-9
+
+
+def test_packet_experiment_reports_norm_cap():
+    # on-site gain of 2 on both center sites: a bound state grows like exp(2t)
+    system = ScatteringSystem(np.array([[2j, -1.0], [-1.0, 2j]]), (0, 1))
+    with pytest.warns(RuntimeWarning, match=r"exceeded 1\.0e\+12 at t=\d") as caught:
+        traj = packet_experiment(system, k=math.pi / 2.0)
+    assert len(caught) == 1
+    assert traj.norm_cap_exceeded
+    norms = np.linalg.norm(traj.states, axis=1)
+    first = int(np.argmax(norms > 1e12))
+    assert f"at t={traj.times[first]:.3g};" in str(caught[0].message)
 
 
 # ---------------------------------------------------------------------------
