@@ -41,7 +41,7 @@ from .model import (
     ScatteringSystem,
     dagger,
     make_prototype,
-    require_coupling,
+    port_indicator,
 )
 from .numerics import frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
@@ -125,23 +125,18 @@ class _Subcommand:
     help: str
     handler: Callable[[dict], int]
     options: tuple[_Option, ...]
-    center: bool = True  # takes the shared scattering-center options
-
-    @property
-    def fields(self) -> tuple[_Option, ...]:
-        return (_CENTER_OPTIONS if self.center else ()) + self.options
 
 
+# the scattering center and its port sites
 _CENTER_OPTIONS = (
     _Option("--prototype", choices=PROTOTYPE_KINDS, help="built-in dimer center"),
     _Option("--v", 0.0, float, help="prototype detuning (units of J)"),
     _Option("--gamma", None, float, help="prototype imaginary coupling (units of J)"),
     _Option("--center-file", None, _path, help="matrix JSON file with the center"),
     _Option("--dagger", False, bool, help="use the Hermitian conjugate of the center"),
-    _Option("--coupling", 1.0, float, help="lead hopping J > 0 (default 1)"),
     _Option("--ports", None, int, nargs="+", help="attachment sites (default 0 1)"),
 )
-_CONVENTIONS = tuple(c.value for c in Convention)
+_COUPLING = _Option("--coupling", 1.0, float, help="lead hopping J > 0 (default 1)")
 
 
 def _config_argv(args: argparse.Namespace) -> list[str]:
@@ -156,7 +151,7 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
         raise ConfigError(str(exc)) from exc
     if not isinstance(loaded, dict):
         raise ConfigError("expected a JSON object")
-    fields = {opt.dest: opt for opt in _SUBCOMMANDS[args.command].fields}
+    fields = {opt.dest: opt for opt in _SUBCOMMANDS[args.command].options}
     argv = []
     for key, value in loaded.items():
         # the config block embedded in a JSON output names its subcommand
@@ -182,17 +177,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The run's full configuration, each field as given or else its default."""
     spec = _SUBCOMMANDS[args.command]
     cfg = {"subcommand": args.command}
-    for opt in spec.fields:
+    for opt in spec.options:
         value = getattr(args, opt.dest)
         cfg[opt.dest] = opt.default if value is None else value
-    if not spec.center:
+    if "prototype" not in cfg:
         return cfg
     has_proto = cfg["prototype"] is not None
-    has_file = cfg["center_file"] is not None
-    if has_proto == has_file:
+    if has_proto == (cfg["center_file"] is not None):
         raise ConfigError("choose exactly one center source: --prototype or --center-file")
     if has_proto and cfg["gamma"] is None:
         raise ConfigError("--gamma is required with --prototype")
+    if not has_proto and (cfg["v"] != 0.0 or cfg["gamma"] is not None):
+        raise ConfigError("--v and --gamma set a --prototype center, not a --center-file")
     ports = cfg["ports"]
     if ports is not None and len(ports) < 2:
         raise ConfigError(f"--ports needs at least two distinct sites, got {ports}")
@@ -300,8 +296,9 @@ def _cmd_evolve(cfg: dict) -> int:
 
 
 def _cmd_classify(cfg: dict) -> int:
-    system = _build_system(cfg)
-    center, ports = system.center, system.ports
+    center = _build_center(cfg)
+    ports = tuple(cfg["ports"] or DEFAULT_PORTS)
+    port_indicator(center.shape[0], ports)  # the check of the sites against the center
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
     tol = cfg["tol"]
@@ -351,10 +348,9 @@ def _cmd_classify(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     system = _build_system(cfg)
-    convention = Convention(cfg["convention"])
     k = cfg["k"]
-    s = scattering_matrix(system, k, convention)
-    s_bar = scattering_matrix(system.daggered(), k, convention)
+    s = scattering_matrix(system, k)
+    s_bar = scattering_matrix(system.daggered(), k)
     report = verify_conservation_law(s, s_bar, cfg["tol"])
     payload = {
         "k": k,
@@ -388,18 +384,14 @@ def _load_coupling(cfg: dict, n_modes: int) -> np.ndarray:
 
 def _cmd_cmt(cfg: dict) -> int:
     center = _build_center(cfg)
-    require_coupling(cfg["coupling"])  # cmt has no leads, but a bad shared --coupling is an error
-    if cfg.get("omega") is not None:
-        omegas = np.array([cfg["omega"]])
-    else:
-        scale = float(np.abs(center).max()) or 1.0
-        lo = cfg["omega_min"] if cfg.get("omega_min") is not None else -3.0 * scale
-        hi = cfg["omega_max"] if cfg.get("omega_max") is not None else 3.0 * scale
-        if not lo < hi:
-            raise ConfigError("need omega_min < omega_max")
-        if cfg["omega_count"] < 1:
-            raise ConfigError("omega_count must be at least 1")
-        omegas = np.linspace(lo, hi, cfg["omega_count"])
+    scale = float(np.abs(center).max()) or 1.0
+    lo = cfg["omega_min"] if cfg["omega_min"] is not None else -3.0 * scale
+    hi = cfg["omega_max"] if cfg["omega_max"] is not None else 3.0 * scale
+    if not lo < hi:
+        raise ConfigError("need omega_min < omega_max")
+    if cfg["omega_count"] < 1:
+        raise ConfigError("omega_count must be at least 1")
+    omegas = np.linspace(lo, hi, cfg["omega_count"])
 
     signs = cfg.get("port_signs")
     if signs is not None and any(s not in (-1, 1) for s in signs):
@@ -472,13 +464,17 @@ def _cmd_campaign(cfg: dict) -> int:
 
 _SUBCOMMANDS = {
     "sweep": _Subcommand("scattering coefficients over a momentum grid", _cmd_sweep, (
+        *_CENTER_OPTIONS,
+        _COUPLING,
         _Option("--k-min", 0.05, float),
         _Option("--k-max", math.pi - 0.05, float),
         _Option("--k-count", 200, int),
-        _Option("--convention", "shifted", choices=_CONVENTIONS),
+        _Option("--convention", "shifted", choices=tuple(c.value for c in Convention)),
         _Option("--out", "sweep.csv", _path),
     )),
     "evolve": _Subcommand("Gaussian packet time evolution", _cmd_evolve, (
+        *_CENTER_OPTIONS,
+        _COUPLING,
         _Option("--k", math.pi / 2.0, float),
         _Option("--n0", -50.0, float, help="packet center, sites left of the center block"),
         _Option("--sigma", 10.0, float),
@@ -491,20 +487,22 @@ _SUBCOMMANDS = {
         _Option("--out-summary", "summary.json", _path),
     )),
     "classify": _Subcommand("metric space and symmetry verdicts", _cmd_classify, (
+        *_CENTER_OPTIONS,
         _Option("--parity-file", None, _path),
         _Option("--tol", 1e-9, _positive),
         _Option("--out", "classify.json", _path),
     )),
     "verify": _Subcommand("conservation law at one momentum", _cmd_verify, (
+        *_CENTER_OPTIONS,
+        _COUPLING,
         _Option("--k", math.pi / 2.0, float),
-        _Option("--convention", "shifted", choices=_CONVENTIONS),
         _Option("--tol", 1e-9, _positive),
         _Option("--out", "verify.json", _path),
     )),
     "cmt": _Subcommand("coupled-mode scattering over frequency", _cmd_cmt, (
+        *_CENTER_OPTIONS,
         _Option("--coupling-file", None, _path),
         _Option("--kappa", None, float, nargs=2, help="aligned decay rates for both channels"),
-        _Option("--omega", None, _finite),
         _Option("--omega-min", None, _finite),
         _Option("--omega-max", None, _finite),
         _Option("--omega-count", 61, int),
@@ -517,7 +515,7 @@ _SUBCOMMANDS = {
         _Option("--radius", 1.0, _positive),
         _Option("--tol", 1e-8, _positive),
         _Option("--out", "campaign.json", _path),
-    ), center=False),
+    )),
 }
 
 
@@ -526,15 +524,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(f"{self.prog}: {message}")
-
-
-def _add_options(container, options: tuple[_Option, ...]) -> None:
-    for opt in options:
-        if opt.type is bool:
-            kind = {"action": argparse.BooleanOptionalAction}
-        else:
-            kind = {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices}
-        container.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
 
 
 @functools.cache  # parsing leaves no state on the parser, so one per process serves every run
@@ -546,11 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=spec.help)
-        if spec.center:
-            _add_options(sub.add_argument_group("scattering center"), _CENTER_OPTIONS)
+        # no abbreviations: a flag that a subcommand lacks is refused, not taken for a longer one
+        sub = subparsers.add_parser(name, help=spec.help, allow_abbrev=False)
         options = sub._optionals  # as sub.add_argument, minus a per-flag help-format check
-        _add_options(options, spec.options)
+        for opt in spec.options:
+            kind = ({"action": argparse.BooleanOptionalAction} if opt.type is bool
+                    else {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices})
+            options.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
         options.add_argument("--config", type=Path, help="JSON config; flags override its fields")
         sub.set_defaults(handler=spec.handler)
     return parser

@@ -117,10 +117,14 @@ def build_chain(
     layout), or a bare center matrix, in which case the leads attach to
     sites 0 and N-1 (the same site for a single-site center) with hopping
     ``coupling``.  All lead bonds and the lead-center bonds are ``-J``;
-    boundaries are open.
+    boundaries are open.  A system carries its own ``J``, so passing
+    ``coupling`` with one is a ``ValueError``.
     """
     if isinstance(system_or_center, ScatteringSystem):
         system = system_or_center
+        if coupling is not None:
+            raise ValueError("a ScatteringSystem carries its lead coupling; pass coupling "
+                             "with a bare center only")
         if system.n_ports != 2:
             raise NotTwoPortError(f"chain embedding needs 2 ports, got {system.n_ports}")
         center = np.asarray(system.center)
@@ -195,13 +199,14 @@ def _rk4_step(h, psi: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _frame_schedule(dt: float, t_final: float, frames: int) -> tuple[int, np.ndarray]:
-    if not (dt > 0.0 and t_final > 0.0 and frames >= 1
-            and math.isfinite(dt) and math.isfinite(t_final)):
+    # t_final snaps to the dt grid, and each frame takes at least one step of it
+    if not (math.isfinite(dt) and math.isfinite(t_final) and dt > 0.0 and t_final > 0.0
+            and 1 <= frames <= round(t_final / dt)):
         raise ValueError(
-            f"dt and t_final must be finite and positive and frames at least 1, "
-            f"got dt={dt}, t_final={t_final}, frames={frames}"
+            f"dt and t_final must be finite and positive and frames between 1 and "
+            f"t_final / dt, got dt={dt}, t_final={t_final}, frames={frames}"
         )
-    steps_per_frame = max(1, int(round(t_final / frames / dt)))
+    steps_per_frame = int(round(t_final / frames / dt))
     times = dt * steps_per_frame * np.arange(frames + 1)
     return steps_per_frame, times
 
@@ -269,9 +274,10 @@ def propagate_rk4(
 ) -> WaveTrajectory:
     """Integrate ``i dpsi/dt = H psi`` with classical RK4.
 
-    Frame times snap to the dt grid (``frames`` blocks of equal step count),
-    so ``times[-1]`` may differ slightly from ``t_final``; it is recorded on
-    the trajectory.  Gain systems may legitimately amplify without bound;
+    Frame times snap to the dt grid (``frames`` blocks of equal step count,
+    at least one step each, so ``frames`` may not exceed ``t_final / dt``
+    rounded), so ``times[-1]`` may differ slightly from ``t_final``; it is
+    recorded on the trajectory.  Gain systems may legitimately amplify without bound;
     crossing ``norm_cap`` is reported through ``norm_cap_exceeded`` and a
     warning rather than an error.
     """

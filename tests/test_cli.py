@@ -348,7 +348,8 @@ def test_cmt_single_omega_with_coupling_file(tmp_path):
     out = tmp_path / "cmt.csv"
     assert run([
         "cmt", "--prototype", "undamped", "--gamma", "0.3",
-        "--coupling-file", str(d_file), "--omega", "0.25", "--out", str(out),
+        "--coupling-file", str(d_file), "--omega-min", "0.25", "--omega-count", "1",
+        "--out", str(out),
     ]) == 0
     header, rows = _read_csv(out)
     assert len(rows) == 1
@@ -470,15 +471,137 @@ def test_config_null_means_unset(tmp_path):
     assert from_file.read_text() == from_flags.read_text()
 
 
-def test_config_block_of_an_output_reruns_it(tmp_path):
-    # the embedded config (subcommand, nulls for unset fields) is itself a valid --config
-    first, second, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
-    assert run(["verify", "--prototype", "damped", "--gamma", "0.3", "--dagger", "--k", "1.1",
-                "--ports", "1", "0", "--out", str(first)]) == 0
-    payload = json.loads(first.read_text())
-    cfg.write_text(json.dumps(payload["config"]))
-    assert run(["verify", "--config", str(cfg), "--out", str(second)]) == 0
-    assert second.read_text() == first.read_text().replace(str(first), str(second))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--prototype", "damped", "--gamma", "0.3", "--dagger", "--k", "1.1",
+         "--ports", "1", "0"],
+        ["classify", "--prototype", "undamped", "--v", "0.2", "--gamma", "0.3", "--ports", "1", "0",
+         "--tol", "1e-8"],
+        ["evolve", "--prototype", "damped", "--gamma", "0.3", "--coupling", "1.5", "--left-len",
+         "50", "--right-len", "50", "--n0", "-25", "--sigma", "4", "--frames", "5"],
+        ["campaign", "--trials", "5", "--seed", "3", "--radius", "0.5"],
+        ["verify", "--center-file", "CENTER", "--ports", "0", "2", "--k", "0.8"],
+    ],
+    ids=["verify", "classify", "evolve", "campaign", "verify-center-file"],
+)
+def test_config_block_of_an_output_reruns_it(tmp_path, monkeypatch, argv):
+    # the embedded config (subcommand, nulls for unset fields) is itself a valid --config;
+    # both runs write their default output names, each in its own directory
+    center = tmp_path / "center.json"
+    center.write_text(json.dumps(matrix_to_json(random_center(np.random.default_rng(2), 3))))
+    argv = [str(center) if arg == "CENTER" else arg for arg in argv]
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.chdir(first)
+    assert run(argv) == 0
+    report = "summary.json" if argv[0] == "evolve" else f"{argv[0]}.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads((first / report).read_text())["config"]))
+    monkeypatch.chdir(second)
+    assert run([argv[0], "--config", str(cfg)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert sorted(path.name for path in second.iterdir()) == names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+# The small input of each subcommand, and one alternative value for each of its
+# options but the output paths and --config.  The input files are in the test's
+# directory; FILE_CENTER replaces a base's six leading prototype tokens, and
+# COUPLING_FILE the --kappa of the cmt base.
+_BASE = {
+    "sweep": ["--prototype", "damped", "--gamma", "0.3", "--v", "0.2", "--k-count", "3"],
+    "evolve": ["--prototype", "damped", "--gamma", "0.3", "--v", "0.2", "--left-len", "50",
+               "--right-len", "50", "--n0", "-25", "--sigma", "4", "--frames", "4"],
+    "classify": ["--prototype", "undamped", "--gamma", "0.3", "--v", "0.2"],
+    "verify": ["--prototype", "damped", "--gamma", "0.3", "--v", "0.2", "--k", "1.1"],
+    "cmt": ["--prototype", "undamped", "--gamma", "0.3", "--v", "0.2", "--omega-count", "3",
+            "--kappa", "0.7", "0.4"],
+    "campaign": ["--trials", "5"],
+}
+_CENTER_VARIANTS = {
+    "--prototype": ["--prototype", "undamped"],
+    "--v": ["--v", "0.4"],
+    "--gamma": ["--gamma", "0.5"],
+    "--center-file": ["FILE_CENTER"],
+    "--dagger": ["--dagger"],
+    "--ports": ["--ports", "1", "0"],
+}
+_VARIANTS = {
+    "sweep": {**_CENTER_VARIANTS, "--coupling": ["--coupling", "2"],
+              "--k-min": ["--k-min", "0.5"], "--k-max": ["--k-max", "2.5"],
+              "--k-count": ["--k-count", "4"], "--convention": ["--convention", "raw"]},
+    "evolve": {**_CENTER_VARIANTS, "--coupling": ["--coupling", "1.5"], "--k": ["--k", "1.2"],
+               "--n0": ["--n0", "-20"], "--sigma": ["--sigma", "5"],
+               "--left-len": ["--left-len", "55"], "--right-len": ["--right-len", "55"],
+               "--dt": ["--dt", "0.05"], "--t-final": ["--t-final", "30"],
+               "--frames": ["--frames", "5"]},
+    "classify": {**_CENTER_VARIANTS, "--prototype": ["--prototype", "damped"],
+                 "--parity-file": ["--parity-file", "parity.json"], "--tol": ["--tol", "0.9"]},
+    "verify": {**_CENTER_VARIANTS, "--coupling": ["--coupling", "1.5"], "--k": ["--k", "1.2"],
+               "--tol": ["--tol", "1e-20"]},
+    "cmt": {**_CENTER_VARIANTS, "--prototype": ["--prototype", "damped"],
+            "--coupling-file": ["COUPLING_FILE"], "--kappa": ["--kappa", "0.5", "0.5"],
+            "--omega-min": ["--omega-min", "-0.5"], "--omega-max": ["--omega-max", "0.5"],
+            "--omega-count": ["--omega-count", "4"], "--port-signs": ["--port-signs", "1", "-1"]},
+    "campaign": {"--trials": ["--trials", "6"], "--seed": ["--seed", "1"],
+                 "--radius": ["--radius", "2"], "--tol": ["--tol", "1e-20"]},
+}
+_NOT_VARIED = {"--help", "--config", "--out", "--out-frames", "--out-summary", "--no-dagger"}
+
+
+def _variant_argv(command: str, variant: list[str]) -> list[str]:
+    base = _BASE[command]
+    if variant == ["FILE_CENTER"]:
+        return [command, "--center-file", "center.json", *base[6:]]
+    if variant == ["COUPLING_FILE"]:
+        return [command, *base[:-3], "--coupling-file", "coupling.json"]
+    return [command, *base, *variant]
+
+
+def _run_result(directory: Path, argv: list[str]):
+    """Exit code and output files of one run in ``directory``, JSON config blocks removed."""
+    directory.mkdir()
+    if argv[0] == "evolve":
+        outs = ["--out-frames", str(directory / "f"), "--out-summary", str(directory / "s")]
+    else:
+        outs = ["--out", str(directory / "o")]
+    code = run(argv + outs)
+    files = {}
+    for path in sorted(directory.iterdir()):
+        text = path.read_text()
+        if text.startswith("{"):
+            payload = json.loads(text)
+            del payload["config"]
+            text = payload
+        files[path.name] = text
+    return code, files
+
+
+def test_every_option_changes_the_result(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    center = random_center(np.random.default_rng(5), 3)
+    (tmp_path / "center.json").write_text(json.dumps(matrix_to_json(center)))
+    (tmp_path / "parity.json").write_text(json.dumps(matrix_to_json(np.eye(2))))
+    (tmp_path / "coupling.json").write_text(json.dumps(matrix_to_json(np.diag([0.6, 0.9]))))
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unchanged = []
+    for command, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings
+                 if flag.startswith("--")}
+        assert set(_VARIANTS[command]) == flags - _NOT_VARIED, command
+        base = _run_result(tmp_path / command, [command, *_BASE[command]])
+        assert base[0] == 0, command
+        for flag, variant in _VARIANTS[command].items():
+            argv = _variant_argv(command, variant)
+            assert flag in argv, (command, flag)
+            code, files = _run_result(tmp_path / f"{command}{flag}", argv)
+            if code != 2 and (code, files) == base:
+                unchanged.append(f"{command} {flag}")
+    assert unchanged == []
 
 
 @pytest.mark.parametrize(
@@ -498,9 +621,9 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
          "lead coupling must"),
         (["evolve", "--center-file", "center.json", "--ports", "0", "1", "2"], "2 ports"),
         (["classify", "--prototype", "damped", "--gamma", "0.3", "--coupling", "-1"],
-         "lead coupling must"),
+         "unrecognized arguments: --coupling"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling", "-1",
-          "--kappa", "1", "1"], "lead coupling must"),
+          "--kappa", "1", "1"], "unrecognized arguments: --coupling"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file", "center.json"],
          "mode rows"),
         (["classify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "-1"], "--tol"),
@@ -509,7 +632,7 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
         (["campaign", "--radius", "nan"], "--radius"),
         (["campaign", "--tol", "inf"], "--tol"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
-          "--omega", "nan"], "--omega"),
+          "--omega-min", "nan"], "--omega-min"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
           "--omega-min=-inf"], "--omega-min"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
@@ -517,13 +640,25 @@ def test_config_block_of_an_output_reruns_it(tmp_path):
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "nan"], "dt=nan"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--t-final", "inf"],
          "t_final=inf"),
+        (["verify", "--prototype", "damped", "--gamma", "0.3", "--convention", "raw"],
+         "unrecognized arguments: --convention"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega", "0.5"], "unrecognized arguments: --omega"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "60",
+          "--right-len", "60", "--n0", "-30", "--sigma", "5", "--frames", "3000"],
+         "got dt=0.02, t_final=45.0, frames=3000"),
+        (["sweep", "--center-file", "center.json", "--ports", "0", "2", "--gamma", "7"],
+         "--v and --gamma"),
+        (["sweep", "--center-file", "center.json", "--ports", "0", "2", "--v", "9"],
+         "--v and --gamma"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
          "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows",
          "classify-tol", "verify-tol", "campaign-radius", "campaign-radius-nan", "campaign-tol-inf",
          "cmt-omega-nan", "cmt-omega-min-inf", "cmt-omega-max-inf", "evolve-dt-nan",
-         "evolve-t-final-inf"],
+         "evolve-t-final-inf", "verify-convention", "cmt-omega", "evolve-frames-above-steps",
+         "sweep-file-center-gamma", "sweep-file-center-v"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
@@ -694,38 +829,39 @@ def test_cli_help_exits_zero():
 
 
 # Every subcommand's options (flags, dest, nargs, choices) and its fully
-# resolved defaults.  The center options and their defaults are shared.
+# resolved defaults.  The center options and their defaults are shared; the
+# lead coupling belongs to the subcommands with leads.
 _CENTER_OPTIONS = [
     (["--prototype"], "prototype", None, ["damped", "undamped"]),
     (["--v"], "v", None, None),
     (["--gamma"], "gamma", None, None),
     (["--center-file"], "center_file", None, None),
     (["--dagger", "--no-dagger"], "dagger", 0, None),
-    (["--coupling"], "coupling", None, None),
     (["--ports"], "ports", "+", None),
 ]
 _CENTER_DEFAULTS = {"prototype": None, "v": 0.0, "gamma": None, "center_file": "c.json",
-                    "dagger": False, "coupling": 1.0, "ports": None}
+                    "dagger": False, "ports": None}
+_COUPLING = (["--coupling"], "coupling", None, None)
 _CONVENTIONS = ["raw", "shifted"]
 
 PARSER_CONTRACT = {
     "sweep": (
-        [(["--k-min"], "k_min", None, None), (["--k-max"], "k_max", None, None),
+        [_COUPLING, (["--k-min"], "k_min", None, None), (["--k-max"], "k_max", None, None),
          (["--k-count"], "k_count", None, None),
          (["--convention"], "convention", None, _CONVENTIONS), (["--out"], "out", None, None)],
-        {"k_min": 0.05, "k_max": 3.0915926535897933, "k_count": 200, "convention": "shifted",
-         "out": "sweep.csv"},
+        {"coupling": 1.0, "k_min": 0.05, "k_max": 3.0915926535897933, "k_count": 200,
+         "convention": "shifted", "out": "sweep.csv"},
     ),
     "evolve": (
-        [(["--k"], "k", None, None), (["--n0"], "n0", None, None),
+        [_COUPLING, (["--k"], "k", None, None), (["--n0"], "n0", None, None),
          (["--sigma"], "sigma", None, None), (["--left-len"], "left_len", None, None),
          (["--right-len"], "right_len", None, None), (["--dt"], "dt", None, None),
          (["--t-final"], "t_final", None, None), (["--frames"], "frames", None, None),
          (["--out-frames"], "out_frames", None, None),
          (["--out-summary"], "out_summary", None, None)],
-        {"k": 1.5707963267948966, "n0": -50.0, "sigma": 10.0, "left_len": 300, "right_len": 300,
-         "dt": None, "t_final": None, "frames": 50, "out_frames": "frames.csv",
-         "out_summary": "summary.json"},
+        {"coupling": 1.0, "k": 1.5707963267948966, "n0": -50.0, "sigma": 10.0, "left_len": 300,
+         "right_len": 300, "dt": None, "t_final": None, "frames": 50,
+         "out_frames": "frames.csv", "out_summary": "summary.json"},
     ),
     "classify": (
         [(["--parity-file"], "parity_file", None, None), (["--tol"], "tol", None, None),
@@ -733,17 +869,17 @@ PARSER_CONTRACT = {
         {"parity_file": None, "tol": 1e-9, "out": "classify.json"},
     ),
     "verify": (
-        [(["--k"], "k", None, None), (["--convention"], "convention", None, _CONVENTIONS),
-         (["--tol"], "tol", None, None), (["--out"], "out", None, None)],
-        {"k": 1.5707963267948966, "convention": "shifted", "tol": 1e-9, "out": "verify.json"},
+        [_COUPLING, (["--k"], "k", None, None), (["--tol"], "tol", None, None),
+         (["--out"], "out", None, None)],
+        {"coupling": 1.0, "k": 1.5707963267948966, "tol": 1e-9, "out": "verify.json"},
     ),
     "cmt": (
         [(["--coupling-file"], "coupling_file", None, None), (["--kappa"], "kappa", 2, None),
-         (["--omega"], "omega", None, None), (["--omega-min"], "omega_min", None, None),
+         (["--omega-min"], "omega_min", None, None),
          (["--omega-max"], "omega_max", None, None),
          (["--omega-count"], "omega_count", None, None),
          (["--port-signs"], "port_signs", 2, None), (["--out"], "out", None, None)],
-        {"coupling_file": None, "kappa": None, "omega": None, "omega_min": None,
+        {"coupling_file": None, "kappa": None, "omega_min": None,
          "omega_max": None, "omega_count": 61, "port_signs": None, "out": "cmt.csv"},
     ),
     "campaign": (

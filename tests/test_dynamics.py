@@ -121,6 +121,17 @@ def test_zero_hamiltonian_freezes_state():
     np.testing.assert_array_equal(traj.states[-1], psi0)
 
 
+@pytest.mark.parametrize("dt, t_final, frames", [(0.02, 45.0, 3000), (0.5, 2.0, 5)])
+def test_rk4_refuses_more_frames_than_steps(dt, t_final, frames):
+    # a frame takes at least one dt step, so more frames than steps would stretch the run
+    with pytest.raises(ValueError) as exc:
+        propagate_rk4(np.zeros((4, 4)), np.ones(4), dt=dt, t_final=t_final, frames=frames)
+    assert f"dt={dt}, t_final={t_final}, frames={frames}" in str(exc.value)
+    # one step per frame is the limit, also where t_final / dt is 2.9999999999999996
+    traj = propagate_rk4(np.zeros((4, 4)), np.ones(4), dt=0.1, t_final=0.3, frames=3)
+    assert traj.times.tolist() == [0.0, 0.1, 0.2, 0.1 * 3]
+
+
 def test_hermitian_chain_preserves_norm():
     # band-center packet on a uniform chain, long evolution with edge bounces
     geom, h = build_chain(np.zeros((1, 1)), 120, 120)

@@ -145,6 +145,15 @@ def test_lead_coupling_has_one_check(j):
         assert str(exc.value) == str(owner.value)
 
 
+@pytest.mark.parametrize("j", [1.0, 2.0])
+def test_system_lead_coupling_is_not_overridden(j):
+    # a system carries its J; build_chain refuses a second one, even an equal one
+    system = prototype_system("damped", 0.0, 0.3)
+    with pytest.raises(ValueError, match="carries its lead coupling"):
+        build_chain(system, 3, 3, coupling=j)
+    assert build_chain(system, 3, 3)[0].coupling == system.coupling
+
+
 def test_system_center_is_readonly():
     system = prototype_system("undamped", 0.0, 0.5)
     with pytest.raises(ValueError):
