@@ -15,6 +15,9 @@ first frame against classical fourth-order Runge-Kutta
 (:func:`propagate_rk4`), an independent integrator.  A dense
 ``scipy.linalg.expm`` propagator (capped at 64 sites) is the exact oracle
 of the tests.
+
+Only :func:`build_chain` imports ``scipy.sparse``, and only when it is
+called, so that the subcommands that build no chain start without it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BoundaryContaminationError,
@@ -35,6 +38,9 @@ from .errors import (
 )
 from .model import ScatteringSystem, mode_params, require_coupling, require_in_band
 from .numerics import as_complex_matrix
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Experiment-scale defaults: lead lengths keep the reflected and transmitted
 # packets clear of the open ends; dt sets the frame grid and the step of the
@@ -109,7 +115,7 @@ def build_chain(
     left_len: int,
     right_len: int,
     coupling: float | None = None,
-) -> tuple[ChainGeometry, sp.csr_matrix]:
+) -> tuple[ChainGeometry, scipy.sparse.csr_matrix]:
     """Finite chain Hamiltonian embedding a scattering center.
 
     Accepts either a two-port :class:`ScatteringSystem`, whose first port
@@ -120,6 +126,9 @@ def build_chain(
     boundaries are open.  A system carries its own ``J``, so passing
     ``coupling`` with one is a ``ValueError``.
     """
+    # Imported here, the one use of scipy.sparse, so that only evolve pays for it.
+    import scipy.sparse as sp
+
     if isinstance(system_or_center, ScatteringSystem):
         system = system_or_center
         if coupling is not None:
@@ -198,17 +207,27 @@ def _rk4_step(h, psi: np.ndarray, dt: float) -> np.ndarray:
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _frame_schedule(dt: float, t_final: float, frames: int) -> tuple[int, np.ndarray]:
-    # t_final snaps to the dt grid, and each frame takes at least one step of it
+def _frame_schedule(dt: float, t_final: float, frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of each frame and the frame times, which start at 0.
+
+    ``t_final`` snaps to the nearest point ``n dt`` of the step grid, and the
+    ``n`` steps split over the frames as evenly as they go: each frame takes
+    ``n // frames`` or one more, so each takes at least one.  The last frame
+    lands at ``n dt``, within ``dt / 2`` of ``t_final``.
+    """
     if not (math.isfinite(dt) and math.isfinite(t_final) and dt > 0.0 and t_final > 0.0
             and 1 <= frames <= round(t_final / dt)):
         raise ValueError(
             f"dt and t_final must be finite and positive and frames between 1 and "
             f"t_final / dt, got dt={dt}, t_final={t_final}, frames={frames}"
         )
-    steps_per_frame = int(round(t_final / frames / dt))
-    times = dt * steps_per_frame * np.arange(frames + 1)
-    return steps_per_frame, times
+    base, extra = divmod(round(t_final / dt), frames)
+    index = np.arange(frames + 1)
+    # frames 1..i take base * i + extra_steps[i] steps in all; on an even split
+    # extra_steps is 0, and the times are dt * base * i bit for bit
+    extra_steps = index * extra // frames
+    times = dt * base * index + dt * extra_steps
+    return base + np.diff(extra_steps), times
 
 
 def _warn_norm_cap(times: np.ndarray, states: np.ndarray, norm_cap: float) -> bool:
@@ -274,19 +293,19 @@ def propagate_rk4(
 ) -> WaveTrajectory:
     """Integrate ``i dpsi/dt = H psi`` with classical RK4.
 
-    Frame times snap to the dt grid (``frames`` blocks of equal step count,
-    at least one step each, so ``frames`` may not exceed ``t_final / dt``
-    rounded), so ``times[-1]`` may differ slightly from ``t_final``; it is
-    recorded on the trajectory.  Gain systems may legitimately amplify without bound;
-    crossing ``norm_cap`` is reported through ``norm_cap_exceeded`` and a
-    warning rather than an error.
+    ``t_final`` snaps to the dt grid, and its steps split over the frames as
+    evenly as they go, at least one each (so ``frames`` may not exceed
+    ``t_final / dt`` rounded).  ``times[-1]`` is the snapped final time,
+    within ``dt / 2`` of ``t_final``.  Gain systems may legitimately amplify
+    without bound; crossing ``norm_cap`` is reported through
+    ``norm_cap_exceeded`` and a warning rather than an error.
     """
     psi = np.array(psi0, dtype=np.complex128, copy=True)
-    steps_per_frame, times = _frame_schedule(dt, t_final, frames)
+    frame_steps, times = _frame_schedule(dt, t_final, frames)
     states = np.empty((frames + 1, psi.size), dtype=np.complex128)
     states[0] = psi
-    for frame in range(1, frames + 1):
-        for _ in range(steps_per_frame):
+    for frame, steps in enumerate(frame_steps, start=1):
+        for _ in range(steps):
             psi = _rk4_step(h, psi, dt)
         states[frame] = psi
     return WaveTrajectory(
@@ -309,7 +328,7 @@ def propagate_expm(h, psi0: np.ndarray, t: float) -> np.ndarray:
     # Imported here so that no subcommand run pays for or depends on scipy.linalg.
     import scipy.linalg
 
-    dense = h.toarray() if sp.issparse(h) else as_complex_matrix(h, square=True, name="H")
+    dense = h.toarray() if hasattr(h, "toarray") else as_complex_matrix(h, square=True, name="H")
     if dense.shape[0] > EXPM_MAX_DIM:
         raise DimensionTooLargeError(
             f"exact propagation capped at {EXPM_MAX_DIM} sites, got {dense.shape[0]}"
@@ -376,7 +395,7 @@ def biorthogonal_overlap_series(
     """
     if np.shape(psi0) != np.shape(phi0):
         raise ValueError("both states must have the chain length")
-    h_dag = h.conj().T.tocsr() if sp.issparse(h) else np.conj(h).T
+    h_dag = h.conj().T
     forward = propagate_rk4(h, psi0, dt, t_final, frames)
     backward = propagate_rk4(h_dag, phi0, dt, t_final, frames)
     return [

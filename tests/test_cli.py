@@ -822,6 +822,53 @@ print(codes, "scipy.linalg" in sys.modules)
     assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
 
 
+def test_only_evolve_imports_scipy_sparse(tmp_path):
+    # build_chain alone imports scipy.sparse, so the five subcommands that
+    # build no chain start without it
+    script = f"""
+import sys
+import nhscatter
+import nhscatter.cli
+from nhscatter.cli import run
+loaded = ["scipy.sparse" in sys.modules]
+codes = [
+    run(["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "5",
+         "--out", {str(tmp_path / "s.csv")!r}]),
+    run(["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "0.7", "0.4",
+         "--omega-count", "5", "--out", {str(tmp_path / "c.csv")!r}]),
+    run(["verify", "--prototype", "undamped", "--gamma", "0.3",
+         "--out", {str(tmp_path / "v.json")!r}]),
+    run(["classify", "--prototype", "damped", "--gamma", "0.3",
+         "--out", {str(tmp_path / "k.json")!r}]),
+    run(["campaign", "--trials", "3", "--out", {str(tmp_path / "p.json")!r}]),
+]
+loaded.append("scipy.sparse" in sys.modules)
+codes.append(run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "50",
+                  "--right-len", "50", "--n0", "-25", "--sigma", "4",
+                  "--out-frames", {str(tmp_path / "f.csv")!r},
+                  "--out-summary", {str(tmp_path / "e.json")!r}]))
+loaded.append("scipy.sparse" in sys.modules)
+print(codes, loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]",
+                                   "[False,", "False,", "True]"]
+
+
+@pytest.mark.parametrize("t_final", [1.49, 1.5])
+def test_evolve_ends_within_half_a_step_of_t_final(tmp_path, t_final):
+    # steps rounded per frame, 1 or 2 of them, would end these runs at 1.0 and 2.0
+    frames, summary = tmp_path / "f.csv", tmp_path / "e.json"
+    assert run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "60",
+                "--right-len", "60", "--n0", "-30", "--sigma", "5",
+                "--t-final", repr(t_final), "--frames", "50",
+                "--out-frames", str(frames), "--out-summary", str(summary)]) == 0
+    written = json.loads(summary.read_text())["t_final"]
+    assert abs(written - t_final) <= 0.5 * 0.02 + 1e-12
+    assert float(frames.read_text().splitlines()[-1].split(",")[0]) == written
+
+
 def test_cli_help_exits_zero():
     assert run(["--help"]) == 0
     for command in PARSER_CONTRACT:

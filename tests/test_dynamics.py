@@ -132,6 +132,27 @@ def test_rk4_refuses_more_frames_than_steps(dt, t_final, frames):
     assert traj.times.tolist() == [0.0, 0.1, 0.2, 0.1 * 3]
 
 
+def test_frame_schedule_lands_within_half_a_step_of_t_final():
+    # the documented default: 2,750 steps in 50 frames of 55, on the grid
+    # dt * 55 * i bit for bit, as the packet frames CSV carries it
+    steps, times = _frame_schedule(0.02, 55.0, 50)
+    assert steps.tolist() == [55] * 50
+    np.testing.assert_array_equal(times, 0.02 * 55 * np.arange(51))
+    # 2,125 steps in 50 frames split 42 and 43 and end on t_final, not 42.0
+    steps, times = _frame_schedule(0.02, 42.5, 50)
+    assert set(steps.tolist()) == {42, 43} and steps.sum() == 2125
+    assert times[-1] == 42.5
+    np.testing.assert_allclose(times[1:], 0.02 * np.cumsum(steps), rtol=0.0, atol=1e-12)
+    # RK4 takes the same steps however the frames cut them (74 in 50 here)
+    rng = np.random.default_rng(3)
+    h = _lossy_center(rng, 6)
+    psi0 = _random_state(rng, 6)
+    framed = propagate_rk4(h, psi0, dt=0.02, t_final=1.49, frames=50)
+    whole = propagate_rk4(h, psi0, dt=0.02, t_final=1.49, frames=1)
+    np.testing.assert_array_equal(framed.states[-1], whole.states[-1])
+    assert framed.times[-1] == whole.times[-1]
+
+
 def test_hermitian_chain_preserves_norm():
     # band-center packet on a uniform chain, long evolution with edge bounces
     geom, h = build_chain(np.zeros((1, 1)), 120, 120)
