@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .errors import (
 )
 from .model import ScatteringSystem, mode_params, require_coupling, require_in_band
 from .numerics import as_complex_matrix
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 # Experiment-scale defaults: lead lengths keep the reflected and transmitted
 # packets clear of the open ends; dt sets the frame grid and the step of the

@@ -1,27 +1,31 @@
 """Process wall time and peak RSS of each subcommand at its README example.
 
-Usage, from the root of a source checkout:
+Usage, from the root of a git checkout:
 
-    python3 tools/process_times.py [--runs 7] LABEL=SRC [LABEL=SRC ...]
+    python3 tools/process_times.py LABEL=REV [LABEL=REV ...]
 
-Each ``SRC`` is the ``src`` directory of a checkout.  Every run is a fresh
-``python -m nhscatter ...`` process in an empty temporary directory with
-``PYTHONPATH=SRC`` and one BLAS/OpenMP thread, as in ``bench/run.py``.  The
-runs alternate between the checkouts, so that drift of the machine hits
-them alike.  The wall time is taken around the process, start-up and exit
-included; the peak RSS is the process's own ``ru_maxrss`` from ``wait4``.
-The JSON report on stdout holds the medians and every run.
+Each ``REV`` is a git revision of this repository; its ``src`` directory is
+extracted with ``git archive`` into a temporary directory.  Every run is a
+fresh ``python -m nhscatter ...`` process in an empty temporary directory
+with ``PYTHONPATH`` at that ``src`` and one BLAS/OpenMP thread, as in
+``bench/run.py``.  The runs alternate between the revisions, so that drift
+of the machine hits them alike.  The wall time is taken around the process,
+start-up and exit included; the peak RSS is the process's own ``ru_maxrss``
+from ``wait4``.  The JSON report on stdout names each revision's commit and
+``src`` tree and holds the medians of ``RUNS`` runs and every run.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -40,6 +44,7 @@ COMMANDS = {
             "--kappa", "0.7", "0.4", "--port-signs", "1", "-1", "--out", "cmt.csv"],
     "campaign": ["campaign", "--trials", "100", "--seed", "1", "--out", "campaign.json"],
 }
+RUNS = 7
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -59,36 +64,55 @@ def run_once(src: str, argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def extract_src(rev: str, dest: str) -> dict[str, str]:
+    """Extract ``src`` of ``rev`` into ``dest``; its commit and tree hashes."""
+    tarfile.open(fileobj=io.BytesIO(git("archive", rev, "src"))).extractall(dest)
+    return {"rev": rev,
+            "commit": git("rev-parse", f"{rev}^{{commit}}").decode().strip(),
+            "src_tree": git("rev-parse", f"{rev}:src").decode().strip()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=7)
-    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
+    parser.add_argument("trees", nargs="+", metavar="LABEL=REV")
     args = parser.parse_args()
-    trees = dict(tree.split("=", 1) for tree in args.trees)
 
-    results = {}
-    for name, argv in COMMANDS.items():
-        runs = {label: [] for label in trees}
-        for _ in range(args.runs):
-            for label, src in trees.items():
-                runs[label].append(run_once(src, argv))
-        results[name] = {
-            "argv": ["python", "-m", "nhscatter", *argv],
-            **{label: {
-                "wall_s_median": round(statistics.median(w for w, _ in samples), 4),
-                "peak_rss_mb_median": round(statistics.median(r for _, r in samples), 1),
-                "wall_s": [round(w, 4) for w, _ in samples],
-                "peak_rss_mb": [round(r, 1) for _, r in samples],
-            } for label, samples in runs.items()},
-        }
+    with tempfile.TemporaryDirectory() as root:
+        trees, srcs = {}, {}
+        for tree in args.trees:
+            label, rev = tree.split("=", 1)
+            trees[label] = extract_src(rev, os.path.join(root, label))
+            srcs[label] = os.path.join(root, label, "src")
+
+        results = {}
+        for name, argv in COMMANDS.items():
+            runs = {label: [] for label in srcs}
+            for _ in range(RUNS):
+                for label, src in srcs.items():
+                    runs[label].append(run_once(src, argv))
+            results[name] = {
+                "argv": ["python", "-m", "nhscatter", *argv],
+                **{label: {
+                    "wall_s_median": round(statistics.median(w for w, _ in samples), 4),
+                    "peak_rss_mb_median": round(statistics.median(r for _, r in samples), 1),
+                    "wall_s": [round(w, 4) for w, _ in samples],
+                    "peak_rss_mb": [round(r, 1) for _, r in samples],
+                } for label, samples in runs.items()},
+            }
     import numpy
     import scipy
     report = {
+        "what": __doc__.split("\n\n")[0],
         "command": " ".join(["python3", *sys.argv]),
+        "trees": trees,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "blas_threads": 1},
-        "runs": args.runs,
+        "runs": RUNS,
         "subcommands": results,
     }
     print(json.dumps(report, indent=2))
