@@ -267,12 +267,15 @@ def _cmd_evolve(cfg: dict) -> int:
     params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
     traj = packet_experiment(system, **{name: cfg[name] for name in params})
 
-    n_frames, n_sites = traj.states.shape
+    # The rows of _write_table with the t and site columns written into the
+    # template, so that only the amplitudes go through %.
+    site_rows = [f",{site},%.17g,%.17g,%.17g\n" for site in range(traj.states.shape[1])]
+    stamps = ["%.17g" % t for t in traj.times.tolist()]
+    template = "t,site,re_psi,im_psi,abs2\n" + "".join(t + t.join(site_rows) for t in stamps)
     psi = traj.states.ravel()
-    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
-               psi.real, psi.imag, np.abs(psi) ** 2]
+    amplitudes = np.column_stack([psi.real, psi.imag, np.abs(psi) ** 2]).ravel().tolist()
     frames = Path(cfg["out_frames"])
-    _write_table(frames, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
+    _write_text(frames, template % tuple(amplitudes))
 
     r, t, leak, edge = block_intensities(traj, frame=-1)
     summary = {

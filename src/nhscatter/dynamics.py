@@ -10,18 +10,17 @@ A Gaussian packet launched in the left lead scatters off the center; the
 intensity left of the center afterwards is the reflection, the intensity to
 the right the transmission.  ``packet_experiment`` propagates
 ``i dpsi/dt = H psi`` exactly, frame by frame, with the truncated-Taylor
-action of the matrix exponential on the sparse chain matrix, and checks the
+action of the matrix exponential on the chain's matvec, and checks the
 first frame against classical fourth-order Runge-Kutta
-(:func:`propagate_rk4`), an independent integrator.  A dense
-``scipy.linalg.expm`` propagator (capped at 64 sites) is the exact oracle
-of the tests.
-
-Only :func:`build_chain` imports ``scipy.sparse``, and only when it is
-called, so that the subcommands that build no chain start without it.
+(:func:`propagate_rk4`), an independent integrator.  The chain is a
+:class:`ChainOperator` of numpy arrays, so a packet experiment needs no
+scipy; a dense ``scipy.linalg.expm`` propagator (capped at 64 sites) is
+the exact oracle of the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,9 +33,10 @@ from .errors import (
     GeometryTooSmallError,
     NotTwoPortError,
     PacketOutOfBoundsError,
+    WorkLimitError,
 )
 from .model import ScatteringSystem, mode_params, require_coupling, require_in_band
-from .numerics import as_complex_matrix
+from .numerics import as_complex_matrix, frozen_matrix
 
 # Experiment-scale defaults: lead lengths keep the reflected and transmitted
 # packets clear of the open ends; dt sets the frame grid and the step of the
@@ -56,6 +56,11 @@ NORM_CAP = 1e12  # a state norm above this warns that the system is amplifying
 # non-finite state, whose stopping test never passes.
 TAYLOR_TOL = 2.0 ** -53
 TAYLOR_MAX_TERMS = 55
+# A packet experiment refuses to start above this many exact-propagator
+# substeps and RK4 steps in all: minutes of work on a 600-site chain, where
+# the documented defaults take about 200.
+MAX_PROPAGATION_STEPS = 10 ** 6
+MAX_STEP_COUNT = 2.0 ** 63  # the step counts of a frame schedule are int64
 
 
 @dataclass(frozen=True)
@@ -106,12 +111,59 @@ class WaveTrajectory:
         return float(np.linalg.norm(self.states[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class ChainOperator:
+    """A chain Hamiltonian as numpy arrays: the hopping ``hop`` between
+    neighbouring sites, except on the rows ``rows``, which hold the dense
+    block ``window`` over the columns ``cols`` and nothing else.
+
+    ``h @ x`` sums each row in column order, as a CSR matrix-vector product
+    does.  numpy may round a product of two complex numbers differently (by
+    a fused multiply-add), so the two agree bit for bit where each entry is
+    real or imaginary, as in the prototype dimers, and within rounding
+    elsewhere.
+    """
+
+    size: int
+    hop: complex
+    rows: slice
+    cols: slice
+    window: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.size, dtype=np.complex128)
+        p = self.hop * x
+        y[1:] += p[:-1]
+        y[:-1] += p[1:]
+        y[self.rows] = np.add.accumulate(self.window * x[self.cols], axis=1)[:, -1]
+        return y
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=np.complex128)
+        sites = np.arange(self.size - 1)
+        dense[sites, sites + 1] = dense[sites + 1, sites] = self.hop
+        dense[self.rows] = 0.0
+        dense[self.rows, self.cols] = self.window
+        return dense
+
+    @functools.cached_property
+    def norm1(self) -> float:
+        """``||H||_1``, the largest column sum of ``|H|``, each summed down its
+        column; ``inf`` if a sum overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.abs(self.toarray()).sum(axis=0).max())
+
+
 def build_chain(
     system_or_center,
     left_len: int,
     right_len: int,
     coupling: float | None = None,
-) -> tuple[ChainGeometry, scipy.sparse.csr_matrix]:
+) -> tuple[ChainGeometry, ChainOperator]:
     """Finite chain Hamiltonian embedding a scattering center.
 
     Accepts either a two-port :class:`ScatteringSystem`, whose first port
@@ -122,9 +174,6 @@ def build_chain(
     boundaries are open.  A system carries its own ``J``, so passing
     ``coupling`` with one is a ``ValueError``.
     """
-    # Imported here, the one use of scipy.sparse, so that only evolve pays for it.
-    import scipy.sparse as sp
-
     if isinstance(system_or_center, ScatteringSystem):
         system = system_or_center
         if coupling is not None:
@@ -150,19 +199,21 @@ def build_chain(
 
     n = center.shape[0]
     geom = ChainGeometry(left_len=left_len, right_len=right_len, center_dim=n, coupling=j)
-
-    def lead(sites: int):
-        return sp.diags([np.full(sites - 1, -j)] * 2, [-1, 1], shape=(sites, sites))
-
-    # coo_matrix stores only the nonzero center entries
-    blocks = [lead(left_len), sp.coo_matrix(center), lead(right_len)]
-    h = sp.block_diag(blocks, format="lil", dtype=np.complex128)
+    # The rows of the last left-lead site, the center and the first right-lead
+    # site, over the columns left_len - 2 .. left_len + n + 1.
+    block = np.zeros((n + 2, n + 4), dtype=np.complex128)
+    block[1:-1, 2:-2] = center
+    block[0, 0] = block[-1, -1] = -j  # the lead bonds into the block
     # the two attachment bonds: left-lead end to the left port site, right
     # port site to the right-lead start
-    a, b = left_len - 1, left_len + left_site
-    c, d = left_len + right_site, left_len + n
-    h[a, b] = h[b, a] = h[c, d] = h[d, c] = -j
-    return geom, h.tocsr()
+    block[0, 2 + left_site] = block[1 + left_site, 1] = -j
+    block[1 + right_site, n + 2] = block[-1, 2 + right_site] = -j
+    # a lead of one site has no bond beyond the block
+    origin = left_len - 2
+    cols = slice(max(origin, 0), min(origin + n + 4, geom.total))
+    window = block[:, cols.start - origin:cols.stop - origin]
+    rows = slice(left_len - 1, left_len + n + 1)
+    return geom, ChainOperator(geom.total, complex(-j), rows, cols, frozen_matrix(window))
 
 
 def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> np.ndarray:
@@ -187,11 +238,16 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
             f"the left lead [-{geom.left_len}, -1]"
         )
     offsets = geom.left_offsets()
-    envelope = np.exp(-((offsets - n0) ** 2) / (2.0 * sigma ** 2))
-    phase = np.exp(1j * k * offsets)
     psi = np.zeros(geom.total, dtype=np.complex128)
-    # normalization factor Omega = sqrt(pi) * sigma enters as Omega^{-1/2}
-    psi[geom.left_slice] = envelope * phase / math.sqrt(math.sqrt(math.pi) * sigma)
+    # a NaN, or a sigma whose square underflows, gives a packet refused below
+    with np.errstate(all="ignore"):
+        envelope = np.exp(-((offsets - n0) ** 2) / (2.0 * sigma ** 2))
+        # normalization factor Omega = sqrt(pi) * sigma enters as Omega^{-1/2}
+        psi[geom.left_slice] = (envelope * np.exp(1j * k * offsets)
+                                / math.sqrt(math.sqrt(math.pi) * sigma))
+    if not (np.isfinite(psi).all() and psi.any()):
+        raise ValueError(f"the packet of width sigma={sigma} at n0={n0} is not finite and "
+                         "nonzero on the lattice")
     return psi
 
 
@@ -211,13 +267,17 @@ def _frame_schedule(dt: float, t_final: float, frames: int) -> tuple[np.ndarray,
     ``n // frames`` or one more, so each takes at least one.  The last frame
     lands at ``n dt``, within ``dt / 2`` of ``t_final``.
     """
-    if not (math.isfinite(dt) and math.isfinite(t_final) and dt > 0.0 and t_final > 0.0
-            and 1 <= frames <= round(t_final / dt)):
+    valid = math.isfinite(dt) and math.isfinite(t_final) and dt > 0.0 and t_final > 0.0
+    if valid and not t_final / dt < MAX_STEP_COUNT:
+        raise ValueError(f"t_final / dt = {t_final / dt:.3g} steps, more than a step count "
+                         f"holds ({MAX_STEP_COUNT:.3g})")
+    steps = round(t_final / dt) if valid else 0
+    if not 1 <= frames <= steps:
         raise ValueError(
             f"dt and t_final must be finite and positive and frames between 1 and "
             f"t_final / dt, got dt={dt}, t_final={t_final}, frames={frames}"
         )
-    base, extra = divmod(round(t_final / dt), frames)
+    base, extra = divmod(steps, frames)
     index = np.arange(frames + 1)
     # frames 1..i take base * i + extra_steps[i] steps in all; on an even split
     # extra_steps is 0, and the times are dt * base * i bit for bit
@@ -239,22 +299,29 @@ def _warn_norm_cap(times: np.ndarray, states: np.ndarray, norm_cap: float) -> bo
     return bool(over.size)
 
 
-def _taylor_frames(h, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _taylor_substeps(h: ChainOperator, times: np.ndarray) -> np.ndarray:
+    """Substeps ``s = ceil(||H||_1 dt)`` of each frame interval ``dt``, at
+    least one, so that ``||tau H||_1 <= 1`` at ``tau = dt / s``; floats, so
+    that a count too large for an integer is ``inf``."""
+    with np.errstate(over="ignore"):
+        return np.maximum(1.0, np.ceil(h.norm1 * np.diff(times)))
+
+
+def _taylor_frames(h: ChainOperator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The states ``exp(-i H t) psi0`` at ``times``, which start at 0.
 
     The truncated-Taylor action of the matrix exponential (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33, 488, 2011) on the sparse matvec alone.
-    Each frame interval ``dt`` splits into ``s = ceil(||H||_1 dt)`` substeps
-    of length ``tau``, so that ``||tau H||_1 <= 1``.  Each substep sums the
-    Taylor terms of ``exp(-i tau H) psi`` until two consecutive terms add up
-    to at most :data:`TAYLOR_TOL` times the partial sum (infinity norms).
+    Higham, SIAM J. Sci. Comput. 33, 488, 2011) on the chain's matvec alone.
+    Each frame interval splits into the :func:`_taylor_substeps` of length
+    ``tau``.  Each substep sums the Taylor terms of ``exp(-i tau H) psi``
+    until two consecutive terms add up to at most :data:`TAYLOR_TOL` times
+    the partial sum (infinity norms).
     """
-    norm1 = float(abs(h).sum(axis=0).max())  # the largest column sum of |H|
     states = np.empty((len(times), psi0.size), dtype=np.complex128)
     states[0] = psi0
-    for frame in range(1, len(times)):
-        interval = float(times[frame] - times[frame - 1])
-        substeps = max(1, math.ceil(norm1 * interval))
+    intervals = np.diff(times).tolist()
+    substep_counts = _taylor_substeps(h, times).astype(int).tolist()
+    for frame, (interval, substeps) in enumerate(zip(intervals, substep_counts), start=1):
         scale = -1j * interval / substeps
         psi = states[frame - 1]
         for _ in range(substeps):
@@ -391,7 +458,7 @@ def biorthogonal_overlap_series(
     """
     if np.shape(psi0) != np.shape(phi0):
         raise ValueError("both states must have the chain length")
-    h_dag = h.conj().T
+    h_dag = h.toarray().conj().T
     forward = propagate_rk4(h, psi0, dt, t_final, frames)
     backward = propagate_rk4(h_dag, phi0, dt, t_final, frames)
     return [
@@ -423,6 +490,8 @@ def packet_experiment(
     frame cross-checks them: ``rk4_deviation`` is the largest deviation of
     its state from frame 1, relative to the largest amplitude of frame 1.
     A norm above :data:`NORM_CAP` warns and sets ``norm_cap_exceeded``.
+    Above :data:`MAX_PROPAGATION_STEPS` Taylor substeps and RK4 steps in
+    all, it raises :class:`WorkLimitError` before propagating.
     """
     if left_len < MIN_EXPERIMENT_LEAD or right_len < MIN_EXPERIMENT_LEAD:
         raise GeometryTooSmallError(
@@ -436,7 +505,14 @@ def packet_experiment(
         dt = DEFAULT_DT / system.coupling
     if t_final is None:
         t_final = (abs(n0) + 60.0) / mode.group_velocity
-    _, times = _frame_schedule(dt, t_final, frames)
+    frame_steps, times = _frame_schedule(dt, t_final, frames)
+    substeps = sum(_taylor_substeps(h, times).tolist())  # inf, not a warning, on overflow
+    if not substeps + frame_steps[0] <= MAX_PROPAGATION_STEPS:
+        raise WorkLimitError(
+            f"the packet experiment would take {substeps:.3g} exact-propagator substeps "
+            f"(||H||_1 = {h.norm1:.3g}) and {frame_steps[0]} RK4 steps, more than "
+            f"{MAX_PROPAGATION_STEPS:.0e} in all"
+        )
     states = _taylor_frames(h, psi0, times)
     # the frames below report a norm-cap crossing; the check stays silent
     check = propagate_rk4(h, psi0, dt=dt, t_final=float(times[1]), frames=1, norm_cap=math.inf)

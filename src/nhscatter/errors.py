@@ -80,3 +80,7 @@ class PremiseViolatedError(ScatterError):
 
 class ConfigError(ScatterError):
     """Invalid or inconsistent scenario configuration."""
+
+
+class WorkLimitError(ScatterError):
+    """A run would take more steps than its cap; the message states the estimate."""

@@ -796,15 +796,14 @@ def test_cli_entrypoint_via_module(tmp_path):
     assert json.loads(out.read_text())["flux_class"] == "energy-difference"
 
 
-def test_solve_commands_do_not_import_scipy_linalg(tmp_path):
-    # build_chain alone imports scipy.sparse, so the five subcommands that
-    # build no chain also run without it
+def test_subcommands_run_without_scipy(tmp_path):
+    # with every scipy import refused, all six subcommands still run: scipy
+    # serves only the tests' expm oracle
     script = f"""
 import sys
-import nhscatter
+sys.modules["scipy"] = None
 from nhscatter.cli import run
-sparse = ["scipy.sparse" in sys.modules]
-codes = [
+print([
     run(["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "5",
          "--out", {str(tmp_path / "s.csv")!r}]),
     run(["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "0.7", "0.4",
@@ -814,21 +813,77 @@ codes = [
     run(["classify", "--prototype", "damped", "--gamma", "0.3",
          "--out", {str(tmp_path / "k.json")!r}]),
     run(["campaign", "--trials", "3", "--out", {str(tmp_path / "p.json")!r}]),
-]
-sparse.append("scipy.sparse" in sys.modules)
-codes.append(run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "50",
-                  "--right-len", "50", "--n0", "-25", "--sigma", "4",
-                  "--out-frames", {str(tmp_path / "f.csv")!r},
-                  "--out-summary", {str(tmp_path / "e.json")!r}]))
-sparse.append("scipy.sparse" in sys.modules)
-print(codes, "scipy.linalg" in sys.modules)
-print(sparse)
+    run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "50",
+         "--right-len", "50", "--n0", "-25", "--sigma", "4",
+         "--out-frames", {str(tmp_path / "f.csv")!r},
+         "--out-summary", {str(tmp_path / "e.json")!r}]),
+])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    linalg, sparse = proc.stdout.splitlines()
-    assert linalg.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]
-    assert sparse == "[False, False, True]"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0]\n", proc.stderr
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--dt", "1e-300"], "t_final / dt = 5.5e+301 steps"),
+    (["--dt", "5e-324"], "t_final / dt = inf steps"),
+    (["--sigma", "1e-300"], "sigma=1e-300"),
+    (["--sigma", "1e-170"], "sigma=1e-170"),
+    (["--sigma", "nan"], "sigma=nan"),
+    (["--sigma", "1e-05", "--n0", "-50.5"], "sigma=1e-05 at n0=-50.5"),
+])
+def test_evolve_refuses_a_step_count_or_packet_it_cannot_represent(tmp_path, capsys, argv, names):
+    # these crashed with an OverflowError, or wrote NaN into the summary and
+    # the frames; the last packet is zero on every site
+    frames, summary = tmp_path / "f.csv", tmp_path / "e.json"
+    assert run(["evolve", "--prototype", "damped", "--gamma", "0.3", *argv,
+                "--out-frames", str(frames), "--out-summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert names in err
+    assert not frames.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("argv", [["--gamma", "1e200"], ["--v", "1e308", "--gamma", "0.3"],
+                                  ["--gamma", "0.3", "--dt", "1e-8"]])
+def test_evolve_refuses_work_beyond_the_step_cap(tmp_path, argv):
+    # ceil(||H||_1 dt) Taylor substeps per frame were 1e200 times the default
+    # work, and RK4 would take 1.1e8 steps over frame 1: runs that never ended
+    script = f"""
+import time
+from nhscatter.cli import run
+start = time.perf_counter()
+code = run(["evolve", "--prototype", "damped", *{argv!r},
+            "--out-frames", {str(tmp_path / "f.csv")!r},
+            "--out-summary", {str(tmp_path / "e.json")!r}])
+print(code, time.perf_counter() - start)
+"""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    code, seconds = proc.stdout.split()
+    assert code == "3" and float(seconds) < 1.0
+    assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1
+    assert "RK4 steps, more than 1e+06 in all" in proc.stderr
+
+
+def test_evolve_frames_equal_the_generic_table_writer(tmp_path):
+    # the frames writer writes t and site into its template; _write_table,
+    # which formats every column, stays its reference
+    frames = tmp_path / "f.csv"
+    argv = ["--left-len", "60", "--right-len", "70", "--n0", "-30", "--sigma", "5",
+            "--t-final", "30", "--frames", "7"]
+    assert run(["evolve", "--prototype", "damped", "--gamma", "0.3", "--dagger", *argv,
+                "--out-frames", str(frames), "--out-summary", str(tmp_path / "e.json")]) == 0
+    traj = packet_experiment(prototype_system("damped", 0.0, 0.3).daggered(), k=math.pi / 2,
+                             n0=-30.0, sigma=5.0, left_len=60, right_len=70, t_final=30.0,
+                             frames=7)
+    n_frames, n_sites = traj.states.shape
+    psi = traj.states.ravel()
+    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
+               psi.real, psi.imag, np.abs(psi) ** 2]
+    reference = tmp_path / "reference.csv"
+    cli._write_table(reference, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
+    assert frames.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("t_final", [1.49, 1.5])

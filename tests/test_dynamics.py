@@ -73,6 +73,55 @@ def test_hermitian_center_gives_hermitian_chain():
     assert np.abs(dense - dense.conj().T).max() == 0.0
 
 
+def _csr_chain(center, ports, left_len, right_len, j):
+    """The chain as scipy.sparse assembles it: the reference of build_chain."""
+    def lead(sites):
+        return sp.diags([np.full(sites - 1, -j)] * 2, [-1, 1], shape=(sites, sites))
+
+    h = sp.block_diag([lead(left_len), sp.coo_matrix(center), lead(right_len)],
+                      format="lil", dtype=complex)
+    n = center.shape[0]
+    a, b = left_len - 1, left_len + ports[0]
+    c, d = left_len + ports[1], left_len + n
+    h[a, b] = h[b, a] = h[c, d] = h[d, c] = -j
+    return h.tocsr()
+
+
+def _chain_cases():
+    """(center or system, left_len, right_len): the dimers, random 3- to
+    8-site centers with reversed, non-adjacent ports, and a one-site center."""
+    rng = np.random.default_rng(31)
+    dimers = [prototype_system("damped", 0.0, GAMMA), prototype_system("damped", 0.0, GAMMA).daggered(),
+              ScatteringSystem(prototype_system("undamped", 0.2, 0.4).center, (1, 0), 1.3)]
+    cases = [(system, left, right) for system in dimers for left, right in ((300, 300), (1, 2))]
+    for n in range(3, 9):
+        ports = (n - 1, int(rng.integers(0, n - 2)))
+        system = ScatteringSystem(random_center(rng, n), ports, float(rng.uniform(0.5, 2.0)))
+        cases += [(system, 300, 300), (system, 1, 1), (system, 2, 5)]
+    return cases + [(np.array([[0.4 - 0.2j]]), 4, 3)]
+
+
+@pytest.mark.parametrize("system, left_len, right_len", _chain_cases())
+def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
+    geom, h = build_chain(system, left_len, right_len)
+    if isinstance(system, ScatteringSystem):
+        ref = _csr_chain(system.center, system.ports, left_len, right_len, system.coupling)
+    else:
+        ref = _csr_chain(system, (0, 0), left_len, right_len, 1.0)
+    dense = h.toarray()
+    np.testing.assert_array_equal(dense, ref.toarray())
+    assert h.shape == ref.shape == (geom.total, geom.total)
+    # the same float as the sparse column sums, so the same Taylor substeps
+    assert h.norm1 == float(np.abs(dense).sum(axis=0).max()) == float(abs(ref).sum(axis=0).max())
+    rng = np.random.default_rng(geom.total)
+    x = rng.normal(size=geom.total) + 1j * rng.normal(size=geom.total)
+    want = ref @ x
+    if geom.center_dim == 2:
+        np.testing.assert_array_equal(h @ x, want)
+    else:
+        assert np.abs(h @ x - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_build_chain_rejects_empty_leads():
     with pytest.raises(GeometryTooSmallError):
         build_chain(np.zeros((2, 2)), 0, 5)
