@@ -7,7 +7,8 @@ are deterministic for a fixed configuration and seed: CSV numbers carry 17
 significant digits and JSON files embed the fully resolved configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error
-(singularities, band edges, invalid geometry), 4 verification failure.
+(singularities, band edges, invalid geometry, a packet run past its step
+cap), 4 verification failure.
 """
 
 from __future__ import annotations

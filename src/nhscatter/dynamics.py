@@ -130,10 +130,6 @@ class ChainOperator:
     cols: slice
     window: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.size, self.size)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.size, dtype=np.complex128)
         p = self.hop * x
@@ -143,7 +139,7 @@ class ChainOperator:
         return y
 
     def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.complex128)
+        dense = np.zeros((self.size, self.size), dtype=np.complex128)
         sites = np.arange(self.size - 1)
         dense[sites, sites + 1] = dense[sites + 1, sites] = self.hop
         dense[self.rows] = 0.0
@@ -153,9 +149,20 @@ class ChainOperator:
     @functools.cached_property
     def norm1(self) -> float:
         """``||H||_1``, the largest column sum of ``|H|``, each summed down its
-        column; ``inf`` if a sum overflows."""
+        column as CSR sums it, without the dense matrix; ``inf`` if a sum
+        overflows."""
+        hop = abs(self.hop)
+        sums = np.full(self.size, 2.0 * hop)  # two hopping neighbours, one at each end
+        sums[[0, -1]] = hop
+        # a window column sums the hopping row above the window that reaches
+        # it, the window's rows, then the hopping row below that reaches it
+        c = np.arange(self.cols.start, self.cols.stop)
+        above = np.where((c >= 1) & (c <= self.rows.start), hop, 0.0)
+        below = np.where((c >= self.rows.stop - 1) & (c < self.size - 1), hop, 0.0)
+        column = np.vstack([above, np.abs(self.window), below])
         with np.errstate(over="ignore"):
-            return float(np.abs(self.toarray()).sum(axis=0).max())
+            sums[self.cols] = np.add.accumulate(column, axis=0)[-1]
+        return float(sums.max())
 
 
 def build_chain(

@@ -89,7 +89,8 @@ def _csr_chain(center, ports, left_len, right_len, j):
 
 def _chain_cases():
     """(center or system, left_len, right_len): the dimers, random 3- to
-    8-site centers with reversed, non-adjacent ports, and a one-site center."""
+    8-site centers with reversed, non-adjacent ports, a one-site center, and
+    empty dimers whose largest column sum is a lead bond's."""
     rng = np.random.default_rng(31)
     dimers = [prototype_system("damped", 0.0, GAMMA), prototype_system("damped", 0.0, GAMMA).daggered(),
               ScatteringSystem(prototype_system("undamped", 0.2, 0.4).center, (1, 0), 1.3)]
@@ -98,7 +99,8 @@ def _chain_cases():
         ports = (n - 1, int(rng.integers(0, n - 2)))
         system = ScatteringSystem(random_center(rng, n), ports, float(rng.uniform(0.5, 2.0)))
         cases += [(system, 300, 300), (system, 1, 1), (system, 2, 5)]
-    return cases + [(np.array([[0.4 - 0.2j]]), 4, 3)]
+    return cases + [(np.array([[0.4 - 0.2j]]), 4, 3), (np.zeros((2, 2)), 2, 1),
+                    (np.zeros((2, 2)), 1, 2)]
 
 
 @pytest.mark.parametrize("system, left_len, right_len", _chain_cases())
@@ -107,10 +109,9 @@ def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
     if isinstance(system, ScatteringSystem):
         ref = _csr_chain(system.center, system.ports, left_len, right_len, system.coupling)
     else:
-        ref = _csr_chain(system, (0, 0), left_len, right_len, 1.0)
+        ref = _csr_chain(system, (0, len(system) - 1), left_len, right_len, 1.0)
     dense = h.toarray()
     np.testing.assert_array_equal(dense, ref.toarray())
-    assert h.shape == ref.shape == (geom.total, geom.total)
     # the same float as the sparse column sums, so the same Taylor substeps
     assert h.norm1 == float(np.abs(dense).sum(axis=0).max()) == float(abs(ref).sum(axis=0).max())
     rng = np.random.default_rng(geom.total)
