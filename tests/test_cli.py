@@ -848,7 +848,8 @@ def test_evolve_refuses_a_step_count_or_packet_it_cannot_represent(tmp_path, cap
                                   ["--gamma", "0.3", "--dt", "1e-8"]])
 def test_evolve_refuses_work_beyond_the_step_cap(tmp_path, argv):
     # ceil(||H||_1 dt) Taylor substeps per frame were 1e200 times the default
-    # work, and RK4 would take 1.1e8 steps over frame 1: runs that never ended
+    # work, and RK4 would take 1.1e8 steps over frame 1: runs that never ended,
+    # so each runs in a subprocess whose timeout fails the test
     script = f"""
 import time
 from nhscatter.cli import run
