@@ -92,7 +92,8 @@ def _chain_cases():
     8-site centers with reversed, non-adjacent ports, a one-site center, and
     empty dimers whose largest column sum is a lead bond's."""
     rng = np.random.default_rng(31)
-    dimers = [prototype_system("damped", 0.0, GAMMA), prototype_system("damped", 0.0, GAMMA).daggered(),
+    lossy = prototype_system("damped", 0.0, GAMMA)
+    dimers = [lossy, lossy.daggered(),
               ScatteringSystem(prototype_system("undamped", 0.2, 0.4).center, (1, 0), 1.3)]
     cases = [(system, left, right) for system in dimers for left, right in ((300, 300), (1, 2))]
     for n in range(3, 9):
