@@ -3,8 +3,8 @@ conservation checks, coupled-mode scattering, and randomized campaigns.
 
 Every subcommand accepts its parameters as flags and, optionally, a JSON
 config file (``--config``); explicit flags override file values.  Outputs
-are deterministic for a fixed configuration and seed: CSV numbers carry 17
-significant digits and JSON files embed the fully resolved configuration.
+are deterministic for a fixed configuration and seed: CSV numbers read as
+``'%.17g' % value`` and JSON files embed the fully resolved configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error
 (singularities, band edges, invalid geometry, a packet run past its step
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .model import (
     make_prototype,
     port_indicator,
 )
-from .numerics import frob, invert, matrix_from_json, matrix_to_json
+from .numerics import csv_text, frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
 from .symmetry import is_anti_pt, metric_space, phase_of, port_metric, port_signature
 
@@ -59,22 +60,28 @@ CAMPAIGN_BLOCK = 1024
 
 
 def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -> None:
-    """One CSV row per row of the stacked columns: every number to 17
-    significant digits, then the constant text column ``tail`` if given."""
+    """One CSV row per row of the stacked columns: every number as ``'%.17g' %``
+    writes it, then the constant text column ``tail`` if given."""
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
-    template = "\n".join([",".join(header)] + [row] * len(table)) + "\n"
-    _write_text(path, template % tuple(table.ravel().tolist()))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], csv_text(table, tail)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path``; a write that fails removes the file."""
     try:
-        path.write_text(text, encoding="utf-8")
+        out = path.open("w", encoding="utf-8")
     except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with out:
+            for chunk in chunks:
+                out.write(chunk)
+    except OSError as exc:
+        path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
@@ -268,15 +275,12 @@ def _cmd_evolve(cfg: dict) -> int:
     params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
     traj = packet_experiment(system, **{name: cfg[name] for name in params})
 
-    # The rows of _write_table with the t and site columns written into the
-    # template, so that only the amplitudes go through %.
-    site_rows = [f",{site},%.17g,%.17g,%.17g\n" for site in range(traj.states.shape[1])]
-    stamps = ["%.17g" % t for t in traj.times.tolist()]
-    template = "t,site,re_psi,im_psi,abs2\n" + "".join(t + t.join(site_rows) for t in stamps)
+    n_frames, n_sites = traj.states.shape
     psi = traj.states.ravel()
-    amplitudes = np.column_stack([psi.real, psi.imag, np.abs(psi) ** 2]).ravel().tolist()
+    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
+               psi.real, psi.imag, np.abs(psi) ** 2]
     frames = Path(cfg["out_frames"])
-    _write_text(frames, template % tuple(amplitudes))
+    _write_table(frames, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
 
     r, t, leak, edge = block_intensities(traj, frame=-1)
     summary = {

@@ -46,6 +46,9 @@ MIN_EXPERIMENT_LEAD = 50
 DEFAULT_DT = 0.02
 DEFAULT_FRAMES = 50
 PACKET_SUPPORT_SIGMAS = 5.0
+# A packet's squared norm on the lattice must be 1 within this: a packet much
+# narrower than a site is mostly one site of amplitude (sqrt(pi) sigma)^(-1/2).
+PACKET_NORM_TOL = 1e-3
 EDGE_WINDOW = 10
 EDGE_TOL = 1e-6  # R/T readouts need an edge occupancy below EDGE_TOL * (R + T)
 # Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
@@ -228,8 +231,12 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
 
     ``psi(j) = Omega^{-1/2} exp(-(j - n0)^2 / (2 sigma^2)) exp(i k j)`` on
     the left-lead offsets with ``Omega = sqrt(pi) * sigma``; center and
-    right-lead sites start empty.  The vector is not renormalized, so its
-    norm is 1 only up to the (tiny) discretization and truncation error.
+    right-lead sites start empty.  The vector is not renormalized: by Poisson
+    summation its squared norm is ``1 + 2 sum_m exp(-pi^2 sigma^2 m^2)
+    cos(2 pi m n0)``, which misses 1 by 1.0e-4 at ``sigma = 1`` and by less
+    than 1e-15 from ``sigma = 2``.  A packet whose squared norm misses 1 by
+    more than ``PACKET_NORM_TOL`` (``sigma`` below about 0.88 at integer
+    ``n0``), or is not finite, raises ``ValueError``.
     The core of the packet, 5 sigma around ``n0``, must fit strictly inside
     the left lead.
     """
@@ -252,9 +259,10 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
         # normalization factor Omega = sqrt(pi) * sigma enters as Omega^{-1/2}
         psi[geom.left_slice] = (envelope * np.exp(1j * k * offsets)
                                 / math.sqrt(math.sqrt(math.pi) * sigma))
-    if not (np.isfinite(psi).all() and psi.any()):
-        raise ValueError(f"the packet of width sigma={sigma} at n0={n0} is not finite and "
-                         "nonzero on the lattice")
+        norm2 = float(np.vdot(psi, psi).real)
+    if not abs(norm2 - 1.0) <= PACKET_NORM_TOL:
+        raise ValueError(f"the packet of width sigma={sigma} at n0={n0} has squared norm "
+                         f"{norm2:.6g} on the lattice, not 1 within {PACKET_NORM_TOL:g}")
     return psi
 
 

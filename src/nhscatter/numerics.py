@@ -14,10 +14,16 @@ The shared on-disk matrix format is JSON::
 Non-square matrices (channel-coupling blocks) carry explicit ``rows`` and
 ``cols`` keys instead of ``n``.  Parsers reject ragged rows and non-finite
 entries.
+
+CSV text comes from :func:`csv_text`, which formats a float table in numpy
+with the same bytes as Python's ``'%.17g' % value`` for every cell.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -133,3 +139,212 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         parts.append(np.asarray(block, dtype=np.float64))
     arr = parts[0] + 1j * parts[1]
     return as_complex_matrix(arr, name="matrix JSON")
+
+
+# ---------------------------------------------------------------------------
+# CSV text: every cell as '%.17g' % value writes it, formatted in numpy
+
+# cells formatted and written at a time; bounds the buffers for any table
+CSV_CHUNK_CELLS = 8192
+# the longest '%.17g' text, "-1.2345678901234567e-308", and one separator
+_CELL_WIDTH = 25
+# decimal exponents X of the table: every double's, -324 to 308, and one
+# either side for a first estimate that is one off
+_MIN_EXP10, _MAX_EXP10 = -325, 309
+# a cell whose scaled fraction is this close to 1/2 may be a decimal tie, or
+# too close to one for the fast path's error (below 2**-45) to round it
+_TIE_MARGIN = 2.0 ** -30
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hi, lo, scale)`` for each decimal exponent X, indexed by ``X - _MIN_EXP10``.
+
+    ``|x| * scale`` is ``|x|`` times a power of two that keeps it and its
+    Veltkamp split in the normal range, and ``hi + lo`` is
+    ``10**(16 - X) / scale`` to about 2**-106, from integer arithmetic.
+    Built on first use (a few ms), not at import.
+    """
+    his, los, scales = [], [], []
+    for x in range(_MIN_EXP10, _MAX_EXP10 + 1):
+        b = 600 if x < -200 else -600 if x > 200 else 0
+        q = 16 - x
+        num = 10 ** max(q, 0) << max(-b, 0)
+        den = 10 ** max(-q, 0) << max(b, 0)
+        e = num.bit_length() - den.bit_length()  # 2**(e - 1) < num / den < 2**(e + 1)
+        if num << max(-e, 0) >= den << max(e, 0):
+            e += 1
+        # num / den to 110 bits: the top 53 are hi, the rest rounded are lo
+        shift = 110 - e
+        a = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        his.append(math.ldexp(a >> 57, e - 53))
+        los.append(math.ldexp(a & ((1 << 57) - 1), e - 110))
+        scales.append(math.ldexp(1.0, b))
+    return np.array(his), np.array(los), np.array(scales)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The text pieces of a cell, built with numpy on first use.
+
+    The 4-digit groups 0000 to 9999 as four ASCII bytes in one ``uint32``;
+    the trailing zeros of each group (4 for 0000); for 0 to 17 digits kept,
+    the mask of ``000d dddd dddd dddd dddd`` that keeps them, as one ``V20``;
+    and the exponent ``e±dd`` or ``e±ddd`` of each X as one NUL-padded ``V5``.
+    """
+    n = np.arange(10000)
+    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10
+    groups = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = sum(n % 10 ** k == 0 for k in range(1, 5))
+    masks = np.where(np.arange(-3, 17) < np.arange(18)[:, None], 0xFF, 0).astype(np.uint8)
+    x = np.arange(_MIN_EXP10, _MAX_EXP10 + 1)
+    size = np.abs(x)
+    exponents = np.stack([np.full_like(x, ord("e")), np.where(x < 0, ord("-"), ord("+")),
+                          np.where(size >= 100, ord("0") + size // 100, 0),
+                          ord("0") + size // 10 % 10, ord("0") + size % 10], axis=1)
+    return (groups, zeros, masks.view("V20").ravel(),
+            exponents.astype(np.uint8).view("V5"))
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into 26-bit halves, ``a == high + low``."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(mag: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mag * 10**(16 - exp10)``: its floor and its fraction.
+
+    The product is a double-double, Dekker's exact product of the high
+    parts plus the low part's, so the fraction is off by less than 2**-45
+    while the floor is below 2**57, as it is once ``exp10`` is right.
+    """
+    index = exp10 - _MIN_EXP10
+    hi, lo, scale = (t[index] for t in _powers_of_ten())
+    x = mag * scale
+    p = x * hi
+    xh, xl = _split(x)
+    hh, hl = _split(hi)
+    err = ((xh * hh - p) + xh * hl + xl * hh) + xl * hl
+    whole = np.floor(p)
+    rest = (p - whole) + (err + x * lo)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _fallback(value: float) -> bytes:
+    """Python's own ``'%.17g' % value``, for the cells the fast path leaves."""
+    return ("%.17g" % value).encode()
+
+
+def _copy(target: np.ndarray, source: np.ndarray) -> None:
+    """Copy rows of bytes as one item each: numpy loops once, not once per row."""
+    if target.shape[1]:
+        item = f"V{target.shape[1]}"
+        target.view(item)[:] = source.view(item)
+
+
+def _g17_cells(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value as one row of ASCII bytes, NUL-padded.
+
+    Each finite nonzero value is rounded to 17 significant digits ``N`` with
+    decimal exponent ``X`` (``10**16 <= N < 10**17``), then laid out as
+    ``%g`` does: trailing zeros stripped, fixed-point for ``-4 <= X < 17``,
+    else ``d.ddde±XX``.  Values that the fast path does not round with
+    certainty (decimal ties), inf and nan are formatted by Python instead.
+    The last column is left for the caller's separator.
+    """
+    n = len(values)
+    finite = np.isfinite(values)
+    zero = values == 0.0
+    mag = np.abs(np.where(finite & ~zero, values, 1.0))
+    exp10 = np.floor(np.log10(mag)).astype(np.intp)
+    whole, frac = _scaled(mag, exp10)
+    # log10 can put X one off next to a power of ten; the floor shows which way
+    off = np.flatnonzero((whole < 10 ** 16) | (whole >= 10 ** 17))
+    if off.size:
+        exp10[off] += np.where(whole[off] < 10 ** 16, -1, 1)
+        whole[off], frac[off] = _scaled(mag[off], exp10[off])
+    digits = whole + (frac > 0.5)
+    rounds_up = digits == 10 ** 17
+    digits[rounds_up] = 10 ** 16
+    exp10[rounds_up] += 1
+    python = ~finite | (np.abs(frac - 0.5) < _TIE_MARGIN)
+    python |= (digits < 10 ** 16) | (digits >= 10 ** 17)
+    digits[zero] = 0
+    exp10[zero] = 0
+
+    # each layout fills a contiguous run of the cells sorted by it: 0 to 20 are
+    # fixed-point with X = layout - 4, 21 is scientific
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    layout = np.where(fixed, exp10 + 4, 21).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    starts = np.searchsorted(layout[order], np.arange(23))
+    digits, exp10, fixed = digits[order], exp10[order], fixed[order]
+    negative = np.signbit(values)[order]
+
+    # the 17 digits as text in groups of four, 000d dddd dddd dddd dddd, and
+    # how many of them %g keeps: trailing zeros go, but not before the point
+    group_text, group_zeros, masks, exponents = _text_tables()
+    rest, groups = digits, []
+    for _ in range(4):
+        quotient = rest // 10000
+        groups.insert(0, rest - 10000 * quotient)
+        rest = quotient
+    groups.insert(0, rest)
+    trailing = group_zeros[groups[4]]
+    more = np.flatnonzero(groups[4] == 0)
+    for group in groups[3:0:-1]:
+        trailing[more] += group_zeros[group[more]]
+        more = more[group[more] == 0]
+    significant = np.where(zero[order], 1, 17 - trailing)
+    kept = np.where(fixed, np.maximum(significant, exp10 + 1), significant)
+    text = np.stack([group_text[group] for group in groups], axis=1)
+    short = np.flatnonzero(kept < 17)
+    text[short] &= masks[kept[short]].view(np.uint32).reshape(-1, 5)
+    text = text.view(np.uint8)[:, 3:]
+
+    cells = np.zeros((n, _CELL_WIDTH), dtype=np.uint8)
+    cells[:, 0] = negative * np.uint8(ord("-"))
+    for key in range(22):
+        run = slice(starts[key], starts[key + 1])
+        if run.start == run.stop:
+            continue
+        out, run_text = cells[run], text[run]
+        if key >= 4:  # the first X + 1 digits (scientific: 1), "." if more follow
+            point = 1 if key == 21 else key - 3
+            _copy(out[:, 1:1 + point], run_text[:, :point])
+            out[:, 1 + point] = (significant[run] > point) * np.uint8(ord("."))
+            _copy(out[:, 2 + point:19], run_text[:, point:])
+        else:  # "0.", -X - 1 zeros, the digits
+            _copy(out[:, 1:6 - key], np.frombuffer(b"0.000"[:5 - key], dtype=np.uint8))
+            _copy(out[:, 6 - key:23 - key], run_text)
+        if key == 21:
+            _copy(out[:, 19:24], exponents[exp10[run] - _MIN_EXP10])
+    unsorted = np.empty_like(cells)
+    unsorted.view(f"V{_CELL_WIDTH}")[order] = cells.view(f"V{_CELL_WIDTH}")
+    for i in np.flatnonzero(python).tolist():
+        line = _fallback(values[i])
+        unsorted[i] = 0
+        unsorted[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)
+    return unsorted
+
+
+def csv_text(table: np.ndarray, tail: str = "") -> Iterator[str]:
+    """The CSV rows of a 2-D float table, in chunks of about ``CSV_CHUNK_CELLS`` cells.
+
+    Every cell reads as Python's ``'%.17g' % value``, byte for byte; a row
+    ends with ``,tail`` when ``tail`` is given, then a newline.
+    """
+    rows, cols = table.shape
+    end = np.frombuffer(f",{tail}\n".encode() if tail else b"\n", dtype=np.uint8)
+    step = max(1, CSV_CHUNK_CELLS // cols)
+    for start in range(0, rows, step):
+        block = np.ascontiguousarray(table[start:start + step], dtype=np.float64)
+        cells = _g17_cells(block.ravel()).reshape(len(block), cols, _CELL_WIDTH)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = 0  # the row's end follows its last cell
+        text = np.concatenate([cells.reshape(len(block), -1),
+                               np.broadcast_to(end, (len(block), len(end)))], axis=1)
+        yield text.tobytes().translate(None, b"\0").decode()

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from nhscatter import (
     scattering_matrix,
 )
 from nhscatter.cli import _resolve, build_parser, run
-from helpers import port_metric_center, random_center
+from helpers import percent_csv, port_metric_center, random_center
 
 
 def _read_csv(path):
@@ -29,6 +30,16 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _assert_percent_formatted(path):
+    # 17 significant digits read back exactly, so the file must be the bytes
+    # that Python's % writes for the numbers it holds
+    header, rows = _read_csv(path)
+    tail = rows[0][-1] if header[-1] == "convention" else ""
+    width = len(header) - (1 if tail else 0)
+    columns = [np.array([float(row[i]) for row in rows]) for i in range(width)]
+    assert path.read_bytes() == percent_csv(header, columns, tail).encode()
 
 
 def _col(header, rows, name):
@@ -69,6 +80,7 @@ def test_sweep_undamped_difference_is_unity(tmp_path):
     assert max(diff_dev) < 1e-12
     law = _col(header, rows, "law_residual")
     assert max(law) < 1e-12
+    _assert_percent_formatted(out)
 
 
 def test_sweep_damped_band_center_values(tmp_path):
@@ -104,6 +116,7 @@ def test_sweep_three_port_center_file(tmp_path):
     assert len(direct) == 9
     assert "flux_sum_dev" not in header  # flux laws are two-port only
     assert max(_col(header, rows, "law_residual")) < 1e-10
+    _assert_percent_formatted(out)
 
 
 def test_sweep_17_digit_roundtrip(tmp_path):
@@ -337,6 +350,7 @@ def test_cmt_sweep_with_signs(tmp_path):
     assert len(rows) == 11
     assert max(_col(header, rows, "conservation_residual")) < 1e-12
     assert max(_col(header, rows, "conjugation_residual")) < 1e-12
+    _assert_percent_formatted(out)
 
 
 def test_cmt_single_omega_with_coupling_file(tmp_path):
@@ -831,10 +845,12 @@ print([
     (["--sigma", "1e-170"], "sigma=1e-170"),
     (["--sigma", "nan"], "sigma=nan"),
     (["--sigma", "1e-05", "--n0", "-50.5"], "sigma=1e-05 at n0=-50.5"),
+    (["--sigma", "1e-160"], "sigma=1e-160 at n0=-50.0 has squared norm 5.6419e+159"),
 ])
 def test_evolve_refuses_a_step_count_or_packet_it_cannot_represent(tmp_path, capsys, argv, names):
     # these crashed with an OverflowError, or wrote NaN into the summary and
-    # the frames; the last packet is zero on every site
+    # the frames; the sixth packet is zero on every site, and the last one
+    # site of amplitude 7.5e79, which the summary read as amplification
     frames, summary = tmp_path / "f.csv", tmp_path / "e.json"
     assert run(["evolve", "--prototype", "damped", "--gamma", "0.3", *argv,
                 "--out-frames", str(frames), "--out-summary", str(summary)]) == 2
@@ -868,8 +884,7 @@ print(code, time.perf_counter() - start)
 
 
 def test_evolve_frames_equal_the_generic_table_writer(tmp_path):
-    # the frames writer writes t and site into its template; _write_table,
-    # which formats every column, stays its reference
+    # the frames against the % writer of the same columns
     frames = tmp_path / "f.csv"
     argv = ["--left-len", "60", "--right-len", "70", "--n0", "-30", "--sigma", "5",
             "--t-final", "30", "--frames", "7"]
@@ -882,9 +897,27 @@ def test_evolve_frames_equal_the_generic_table_writer(tmp_path):
     psi = traj.states.ravel()
     columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
                psi.real, psi.imag, np.abs(psi) ** 2]
-    reference = tmp_path / "reference.csv"
-    cli._write_table(reference, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
-    assert frames.read_bytes() == reference.read_bytes()
+    reference = percent_csv(["t", "site", "re_psi", "im_psi", "abs2"], columns)
+    assert frames.read_bytes() == reference.encode()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path):
+    # a 64 kB file size limit stops the 1.4 MB sweep CSV partway through
+    out = tmp_path / "s.csv"
+    script = f"""
+import resource, signal
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))
+from nhscatter.cli import run
+print(run(["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "2000",
+           "--out", {str(out)!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout == "2\n", proc.stderr
+    assert proc.stderr == f"config error: cannot write {out}: File too large\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("t_final", [1.49, 1.5])

@@ -19,7 +19,8 @@ from nhscatter import (
     matrix_to_json,
     propagate_expm,
 )
-from helpers import cofactor_inverse, random_center
+from nhscatter import numerics
+from helpers import cofactor_inverse, percent_csv, random_center
 
 
 def _rng(seed):
@@ -232,3 +233,73 @@ def test_matrix_fields_are_readonly_copies():
         assert field[0, 0] == 1.0
         with pytest.raises(ValueError):
             field[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# CSV text against Python's '%.17g' %
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value through ``numerics.csv_text`` as a one-column table."""
+    text = "".join(numerics.csv_text(np.asarray(values, dtype=np.float64)[:, None]))
+    return text.splitlines()
+
+
+def _bit_patterns(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_csv_cells_equal_percent_on_random_bit_patterns(bits):
+    values = _bit_patterns(bits)
+    assert _csv_cells(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_csv_cells_equal_percent_on_every_exponent():
+    # uniform 64-bit patterns: every binary exponent, subnormals, both signs
+    values = _bit_patterns(_rng(17).integers(0, 2 ** 64, 200_000, dtype=np.uint64))
+    assert _csv_cells(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_csv_cells_equal_percent_on_pinned_cases():
+    largest = np.finfo(np.float64).max
+    pinned = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, largest, -largest,
+              1.0, 0.1, 1 / 3, 123456789012345678.0, 99999999999999999.0, 9.999999999999999e16]
+    # the fixed/scientific edges and every power of ten, each with its neighbours
+    for center in [1e-5, 1e-4, 1e16, 1e17] + [float(f"1e{p}") for p in range(-323, 309)]:
+        pinned += [np.nextafter(center, -math.inf), center, np.nextafter(center, math.inf)]
+    values = np.array(pinned)
+    values = np.concatenate([values, -values])
+    assert _csv_cells(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_csv_decimal_ties_go_to_python(monkeypatch):
+    # 1 + j 2^-17 for odd j has 18 significant digits, the last a 5: a tie
+    # at the 17th, which only Python's correctly rounded conversion settles
+    values = 1.0 + np.arange(1, 2 ** 17, 2) * 2.0 ** -17
+    seen = []
+    fallback = numerics._fallback
+
+    def recording(value):
+        seen.append(value)
+        return fallback(value)
+
+    monkeypatch.setattr(numerics, "_fallback", recording)
+    assert _csv_cells(values) == ["%.17g" % v for v in values.tolist()]
+    assert seen == values.tolist()
+
+
+@pytest.mark.parametrize("rows, cols, tail", [
+    (3 * (numerics.CSV_CHUNK_CELLS // 7) + 5, 7, ""),
+    (2 * numerics.CSV_CHUNK_CELLS + 1, 1, ""),
+    (1, 35, "shifted"),
+    (0, 3, ""),
+])
+def test_csv_table_equals_the_percent_writer(rows, cols, tail):
+    # tables across chunk boundaries, and one sweep row with its tail column
+    rng = _rng(rows + cols)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    header = [f"c{j}" for j in range(cols)] + (["convention"] if tail else [])
+    text = ",".join(header) + "\n" + "".join(numerics.csv_text(table, tail))
+    assert text == percent_csv(header, list(table.T), tail)
