@@ -59,9 +59,13 @@ NORM_CAP = 1e12  # a state norm above this warns that the system is amplifying
 # non-finite state, whose stopping test never passes.
 TAYLOR_TOL = 2.0 ** -53
 TAYLOR_MAX_TERMS = 55
+# The largest ||tau H||_1 of one substep: theta_25 of Al-Mohy and Higham
+# (Table 3.1), up to which a Taylor polynomial of degree 25 reaches the unit
+# roundoff.
+TAYLOR_THETA = 2.43
 # A packet experiment refuses to start above this many exact-propagator
 # substeps and RK4 steps in all: minutes of work on a 600-site chain, where
-# the documented defaults take about 200.
+# the documented defaults take about 105 (50 substeps and 55 RK4 steps).
 MAX_PROPAGATION_STEPS = 10 ** 6
 MAX_STEP_COUNT = 2.0 ** 63  # the step counts of a frame schedule are int64
 
@@ -108,6 +112,7 @@ class WaveTrajectory:
     sigma: float | None = None
     norm_cap_exceeded: bool = False
     rk4_deviation: float | None = None
+    taylor_matvecs: int | None = None
 
     @property
     def initial_norm(self) -> float:
@@ -315,25 +320,30 @@ def _warn_norm_cap(times: np.ndarray, states: np.ndarray, norm_cap: float) -> bo
 
 
 def _taylor_substeps(h: ChainOperator, times: np.ndarray) -> np.ndarray:
-    """Substeps ``s = ceil(||H||_1 dt)`` of each frame interval ``dt``, at
-    least one, so that ``||tau H||_1 <= 1`` at ``tau = dt / s``; floats, so
-    that a count too large for an integer is ``inf``."""
+    """Substeps ``s = ceil(||H||_1 dt / theta)`` of each frame interval
+    ``dt``, at least one, so that ``||tau H||_1 <= theta`` at ``tau = dt / s``
+    with ``theta =`` :data:`TAYLOR_THETA`; floats, so that a count too large
+    for an integer is ``inf``."""
     with np.errstate(over="ignore"):
-        return np.maximum(1.0, np.ceil(h.norm1 * np.diff(times)))
+        return np.maximum(1.0, np.ceil(h.norm1 * np.diff(times) / TAYLOR_THETA))
 
 
-def _taylor_frames(h: ChainOperator, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The states ``exp(-i H t) psi0`` at ``times``, which start at 0.
+def _taylor_frames(h: ChainOperator, psi0: np.ndarray,
+                   times: np.ndarray) -> tuple[np.ndarray, int]:
+    """The states ``exp(-i H t) psi0`` at ``times``, which start at 0, and
+    the number of chain matvecs they took.
 
     The truncated-Taylor action of the matrix exponential (Al-Mohy and
     Higham, SIAM J. Sci. Comput. 33, 488, 2011) on the chain's matvec alone.
     Each frame interval splits into the :func:`_taylor_substeps` of length
-    ``tau``.  Each substep sums the Taylor terms of ``exp(-i tau H) psi``
-    until two consecutive terms add up to at most :data:`TAYLOR_TOL` times
-    the partial sum (infinity norms).
+    ``tau``, with ``||tau H||_1`` at most Al-Mohy and Higham's ``theta_25``.
+    Each substep sums the Taylor terms of ``exp(-i tau H) psi`` until two
+    consecutive terms add up to at most :data:`TAYLOR_TOL` times the partial
+    sum (infinity norms), which takes about 25 terms at ``theta_25``.
     """
     states = np.empty((len(times), psi0.size), dtype=np.complex128)
     states[0] = psi0
+    matvecs = 0
     intervals = np.diff(times).tolist()
     substep_counts = _taylor_substeps(h, times).astype(int).tolist()
     for frame, (interval, substeps) in enumerate(zip(intervals, substep_counts), start=1):
@@ -353,8 +363,9 @@ def _taylor_frames(h: ChainOperator, psi0: np.ndarray, times: np.ndarray) -> np.
                 if tail <= TAYLOR_TOL * bound and tail <= TAYLOR_TOL * np.abs(psi).max():
                     break
                 previous = current
+            matvecs += j
         states[frame] = psi
-    return states
+    return states, matvecs
 
 
 def propagate_rk4(
@@ -504,6 +515,7 @@ def packet_experiment(
     grid, as in :func:`propagate_rk4`.  RK4 at step ``dt`` over the first
     frame cross-checks them: ``rk4_deviation`` is the largest deviation of
     its state from frame 1, relative to the largest amplitude of frame 1.
+    ``taylor_matvecs`` counts the chain matvecs of the exact frames.
     A norm above :data:`NORM_CAP` warns and sets ``norm_cap_exceeded``.
     Above :data:`MAX_PROPAGATION_STEPS` Taylor substeps and RK4 steps in
     all, it raises :class:`WorkLimitError` before propagating.
@@ -528,7 +540,7 @@ def packet_experiment(
             f"(||H||_1 = {h.norm1:.3g}) and {frame_steps[0]} RK4 steps, more than "
             f"{MAX_PROPAGATION_STEPS:.0e} in all"
         )
-    states = _taylor_frames(h, psi0, times)
+    states, matvecs = _taylor_frames(h, psi0, times)
     # the frames below report a norm-cap crossing; the check stays silent
     check = propagate_rk4(h, psi0, dt=dt, t_final=float(times[1]), frames=1, norm_cap=math.inf)
     deviation = np.abs(check.states[1] - states[1]).max() / np.abs(states[1]).max()
@@ -541,4 +553,5 @@ def packet_experiment(
         sigma=sigma,
         norm_cap_exceeded=_warn_norm_cap(times, states, NORM_CAP),
         rk4_deviation=float(deviation),
+        taylor_matvecs=matvecs,
     )

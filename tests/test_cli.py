@@ -152,6 +152,7 @@ def test_evolve_reproduces_packet_values(tmp_path):
     assert payload["boundary_ok"] is True
     assert payload["norm_cap_exceeded"] is False
     assert payload["rk4_deviation"] < 1e-9
+    assert isinstance(payload["taylor_matvecs"], int) and payload["taylor_matvecs"] > 0
     assert payload["config"]["prototype"] == "damped"
 
     header, rows = _read_csv(frames)
@@ -863,9 +864,9 @@ def test_evolve_refuses_a_step_count_or_packet_it_cannot_represent(tmp_path, cap
 @pytest.mark.parametrize("argv", [["--gamma", "1e200"], ["--v", "1e308", "--gamma", "0.3"],
                                   ["--gamma", "0.3", "--dt", "1e-8"]])
 def test_evolve_refuses_work_beyond_the_step_cap(tmp_path, argv):
-    # ceil(||H||_1 dt) Taylor substeps per frame were 1e200 times the default
-    # work, and RK4 would take 1.1e8 steps over frame 1: runs that never ended,
-    # so each runs in a subprocess whose timeout fails the test
+    # ceil(||H||_1 dt / theta) Taylor substeps per frame were 1e200 times the
+    # default work, and RK4 would take 1.1e8 steps over frame 1: runs that
+    # never ended, so each runs in a subprocess whose timeout fails the test
     script = f"""
 import time
 from nhscatter.cli import run

@@ -22,7 +22,7 @@ from nhscatter import (
     rt_series,
     scattering_matrix,
 )
-from nhscatter.dynamics import _frame_schedule, _taylor_frames
+from nhscatter.dynamics import TAYLOR_THETA, _frame_schedule, _taylor_frames, _taylor_substeps
 from helpers import random_center
 
 GAMMA = 1.0 / 3.0
@@ -292,10 +292,53 @@ def test_taylor_frames_match_expm_oracle(center):
     assert geom.total <= 64
     psi0 = _random_state(rng, geom.total)
     _, times = _frame_schedule(0.02, 20.0, 10)
-    states = _taylor_frames(h, psi0, times)
+    states, _ = _taylor_frames(h, psi0, times)
     # Each substep stops at the unit roundoff 2**-53 of its partial sum, and
-    # rounding over at most 80 substeps of ~20 terms reaches ~1e-14 (7e-15
+    # rounding over at most 40 substeps of up to ~25 terms reaches ~1e-14 (4e-15
     # seen, the dense expm oracle included); 1e-12 leaves a hundredfold margin.
+    for state, t_now in zip(states, times):
+        exact = propagate_expm(h, psi0, float(t_now))
+        assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+class _CountingChain:
+    """A chain operator that counts its matvecs."""
+
+    def __init__(self, h):
+        self.h, self.norm1, self.matvecs = h, h.norm1, 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.h @ x
+
+
+def test_default_packet_takes_one_taylor_substep_per_frame():
+    # ||H||_1 = 2 over frame intervals of 1.1 is below theta_25: one substep a
+    # frame; at ||tau H||_1 <= 1 it took three, and 1,852-1,929 matvecs a run
+    for system in (prototype_system("damped", 0.0, GAMMA),
+                   prototype_system("damped", 0.0, GAMMA).daggered(),
+                   prototype_system("undamped", 0.0, GAMMA)):
+        traj = packet_experiment(system, k=math.pi / 2.0)
+        _, h = build_chain(system, 300, 300)
+        assert _taylor_substeps(h, traj.times).tolist() == [1.0] * 50
+        counting = _CountingChain(h)
+        states, matvecs = _taylor_frames(counting, traj.states[0], traj.times)
+        np.testing.assert_array_equal(states, traj.states)
+        assert matvecs == counting.matvecs == traj.taylor_matvecs <= 1000
+
+
+@pytest.mark.parametrize("center", ["gain", "random"])
+@pytest.mark.parametrize("side, substeps", [(1.0 - 1e-6, 1), (1.0 + 1e-6, 2)])
+def test_taylor_substeps_at_theta_match_expm_oracle(center, side, substeps):
+    # frame intervals with ||dt H||_1 just below and just above theta_25
+    rng = np.random.default_rng(11)
+    system = (prototype_system("damped", 0.0, GAMMA).daggered() if center == "gain"
+              else random_center(rng, 4))
+    geom, h = build_chain(system, 20, 20)
+    psi0 = _random_state(rng, geom.total)
+    times = np.arange(6) * (side * TAYLOR_THETA / h.norm1)
+    assert _taylor_substeps(h, times).tolist() == [substeps] * 5
+    states, _ = _taylor_frames(h, psi0, times)
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
