@@ -294,8 +294,9 @@ def test_taylor_frames_match_expm_oracle(center):
     _, times = _frame_schedule(0.02, 20.0, 10)
     states, _ = _taylor_frames(h, psi0, times)
     # Each substep stops at the unit roundoff 2**-53 of its partial sum, and
-    # rounding over at most 40 substeps of up to ~25 terms reaches ~1e-14 (4e-15
-    # seen, the dense expm oracle included); 1e-12 leaves a hundredfold margin.
+    # rounding over at most 40 substeps of up to ~25 terms reaches ~1e-14
+    # (4e-15 seen, the dense expm oracle included); 1e-12 leaves a hundredfold
+    # margin.
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -314,7 +315,8 @@ class _CountingChain:
 
 def test_default_packet_takes_one_taylor_substep_per_frame():
     # ||H||_1 = 2 over frame intervals of 1.1 is below theta_25: one substep a
-    # frame; at ||tau H||_1 <= 1 it took three, and 1,852-1,929 matvecs a run
+    # frame of ~19 terms; three substeps a frame (||tau H||_1 <= 1) take about
+    # 1,900 matvecs, which the bound of 1,000 refuses
     for system in (prototype_system("damped", 0.0, GAMMA),
                    prototype_system("damped", 0.0, GAMMA).daggered(),
                    prototype_system("undamped", 0.0, GAMMA)):
