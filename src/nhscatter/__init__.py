@@ -16,23 +16,18 @@ from .conservation import (
     flux_deviations,
     verify_conservation_law,
 )
-from .cmt import CmtCoupling, CmtResiduals, cmt_smatrix, two_port_coupling, verify_cmt_relations
+from .cmt import CmtCoupling, cmt_smatrix, two_port_coupling
 from .dynamics import (
     ChainGeometry,
     WaveTrajectory,
-    biorthogonal_overlap_series,
     block_intensities,
     build_chain,
     gaussian_packet,
-    measure_rt,
     packet_experiment,
-    propagate_expm,
     propagate_rk4,
-    rt_series,
 )
 from .errors import (
     BandEdgeError,
-    BoundaryContaminationError,
     ConfigError,
     ConventionMismatchError,
     DimensionTooLargeError,
@@ -41,7 +36,6 @@ from .errors import (
     NotTwoPortError,
     PacketOutOfBoundsError,
     PortConditionError,
-    PremiseViolatedError,
     ScatterError,
     ScatteringSingularityError,
     SingularMatrixError,
@@ -73,7 +67,6 @@ from .smatrix import (
     dressed_smatrix,
     lead_smatrices,
     scattering_matrix,
-    self_energy,
 )
 from .symmetry import (
     MetricOperator,
@@ -83,15 +76,12 @@ from .symmetry import (
     phase_of,
     port_metric,
     port_signature,
-    predict_conjugate_smatrix,
 )
 
 __all__ = [
     "BandEdgeError",
-    "BoundaryContaminationError",
     "ChainGeometry",
     "CmtCoupling",
-    "CmtResiduals",
     "ConfigError",
     "ConservationReport",
     "Convention",
@@ -107,7 +97,6 @@ __all__ = [
     "PacketOutOfBoundsError",
     "PhaseClass",
     "PortConditionError",
-    "PremiseViolatedError",
     "ScatterError",
     "ScatteringMatrix",
     "ScatteringSingularityError",
@@ -117,7 +106,6 @@ __all__ = [
     "WaveTrajectory",
     "WorkLimitError",
     "as_complex_matrix",
-    "biorthogonal_overlap_series",
     "block_intensities",
     "build_chain",
     "classify_flux",
@@ -135,7 +123,6 @@ __all__ = [
     "make_prototype",
     "matrix_from_json",
     "matrix_to_json",
-    "measure_rt",
     "metric_space",
     "mode_params",
     "packet_experiment",
@@ -143,14 +130,9 @@ __all__ = [
     "port_indicator",
     "port_metric",
     "port_signature",
-    "predict_conjugate_smatrix",
-    "propagate_expm",
     "propagate_rk4",
     "prototype_system",
-    "rt_series",
     "scattering_matrix",
-    "self_energy",
     "two_port_coupling",
-    "verify_cmt_relations",
     "verify_conservation_law",
 ]

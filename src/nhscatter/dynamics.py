@@ -14,8 +14,7 @@ action of the matrix exponential on the chain's matvec, and checks the
 first frame against classical fourth-order Runge-Kutta
 (:func:`propagate_rk4`), an independent integrator.  The chain is a
 :class:`ChainOperator` of numpy arrays, so a packet experiment needs no
-scipy; a dense ``scipy.linalg.expm`` propagator (capped at 64 sites) is
-the exact oracle of the tests.
+scipy.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundaryContaminationError,
-    DimensionTooLargeError,
     GeometryTooSmallError,
     NotTwoPortError,
     PacketOutOfBoundsError,
@@ -51,8 +48,6 @@ PACKET_SUPPORT_SIGMAS = 5.0
 PACKET_NORM_TOL = 1e-3
 EDGE_WINDOW = 10
 EDGE_TOL = 1e-6  # R/T readouts need an edge occupancy below EDGE_TOL * (R + T)
-# Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
-EXPM_MAX_DIM = 64
 NORM_CAP = 1e12  # a state norm above this warns that the system is amplifying
 # Taylor terms of one substep stop at the unit roundoff of double precision;
 # the cap (the largest degree of Al-Mohy and Higham) is reached only by a
@@ -77,7 +72,6 @@ class ChainGeometry:
     left_len: int
     right_len: int
     center_dim: int
-    coupling: float
 
     @property
     def total(self) -> int:
@@ -213,7 +207,7 @@ def build_chain(
         )
 
     n = center.shape[0]
-    geom = ChainGeometry(left_len=left_len, right_len=right_len, center_dim=n, coupling=j)
+    geom = ChainGeometry(left_len=left_len, right_len=right_len, center_dim=n)
     # The rows of the last left-lead site, the center and the first right-lead
     # site, over the columns left_len - 2 .. left_len + n + 1.
     block = np.zeros((n + 2, n + 4), dtype=np.complex128)
@@ -408,24 +402,6 @@ def propagate_rk4(
     )
 
 
-def propagate_expm(h, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Exact propagation ``exp(-i H t) psi0`` for chains of at most 64 sites.
-
-    The exponential is ``scipy.linalg.expm`` (scaling and squaring with Pade
-    approximants, Al-Mohy and Higham 2009).
-    """
-    # Imported here so that no subcommand run pays for or depends on scipy.linalg.
-    import scipy.linalg
-
-    dense = h.toarray() if hasattr(h, "toarray") else as_complex_matrix(h, square=True, name="H")
-    if dense.shape[0] > EXPM_MAX_DIM:
-        raise DimensionTooLargeError(
-            f"exact propagation capped at {EXPM_MAX_DIM} sites, got {dense.shape[0]}"
-        )
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    return scipy.linalg.expm(-1j * float(t) * dense) @ psi0
-
-
 def block_intensities(traj: WaveTrajectory, frame: int = -1) -> tuple[float, float, float, float]:
     """(R, T, leak, edge) intensity sums of one frame.
 
@@ -443,54 +419,6 @@ def block_intensities(traj: WaveTrajectory, frame: int = -1) -> tuple[float, flo
     w_right = min(EDGE_WINDOW, geom.right_len)
     edge = float(density[:w_left].sum() + density[-w_right:].sum())
     return r, t, leak, edge
-
-
-def measure_rt(traj: WaveTrajectory) -> tuple[float, float, float]:
-    """Final-frame reflection, transmission, and center leak.
-
-    Valid only when the open chain ends are still empty: an edge occupancy
-    of at least ``EDGE_TOL * (R + T)`` raises :class:`BoundaryContaminationError`.
-    """
-    r, t, leak, edge = block_intensities(traj, frame=-1)
-    if edge >= EDGE_TOL * (r + t):
-        raise BoundaryContaminationError(
-            f"edge occupancy {edge:.3e} vs R+T={r + t:.3e}; "
-            "enlarge the leads or measure earlier"
-        )
-    return r, t, leak
-
-
-def rt_series(traj: WaveTrajectory) -> list[tuple[float, float, float]]:
-    """Per-frame (t, R, T) without the boundary-validity gate."""
-    out = []
-    for frame, t_now in enumerate(traj.times):
-        r, t, _, _ = block_intensities(traj, frame=frame)
-        out.append((float(t_now), r, t))
-    return out
-
-
-def biorthogonal_overlap_series(
-    h,
-    psi0: np.ndarray,
-    phi0: np.ndarray,
-    dt: float,
-    t_final: float,
-    frames: int = DEFAULT_FRAMES,
-) -> list[tuple[float, complex]]:
-    """Overlap <phi(t)|psi(t)> with psi evolved under H and phi under H†.
-
-    The overlap of the two evolutions is a constant of motion for any H;
-    the returned series makes the numerical drift visible.
-    """
-    if np.shape(psi0) != np.shape(phi0):
-        raise ValueError("both states must have the chain length")
-    h_dag = h.toarray().conj().T
-    forward = propagate_rk4(h, psi0, dt, t_final, frames)
-    backward = propagate_rk4(h_dag, phi0, dt, t_final, frames)
-    return [
-        (float(t_now), complex(np.vdot(phi, psi)))
-        for t_now, psi, phi in zip(forward.times, forward.states, backward.states)
-    ]
 
 
 def packet_experiment(

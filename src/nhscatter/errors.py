@@ -63,21 +63,6 @@ class PacketOutOfBoundsError(ScatterError):
     """Initial packet support does not fit inside the input lead."""
 
 
-class BoundaryContaminationError(ScatterError):
-    """Chain-edge occupancy too large for a valid reflection/transmission readout."""
-
-
-class PremiseViolatedError(ScatterError):
-    """A precondition identity of a verification routine does not hold.
-
-    ``identity`` names the violated relation.
-    """
-
-    def __init__(self, message: str, identity: str | None = None):
-        super().__init__(message)
-        self.identity = identity
-
-
 class ConfigError(ScatterError):
     """Invalid or inconsistent scenario configuration."""
 

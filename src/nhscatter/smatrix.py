@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotTwoPortError, ScatteringSingularityError, SingularMatrixError
+from .errors import ScatteringSingularityError, SingularMatrixError
 from .model import ScatteringSystem, port_indicator, require_in_band
 from .numerics import frozen_matrix, invert
 
@@ -58,37 +58,6 @@ class ScatteringMatrix:
     @property
     def n_ports(self) -> int:
         return self.entries.shape[0]
-
-    def _two_port(self) -> np.ndarray:
-        if self.n_ports != 2:
-            raise NotTwoPortError("named r/t accessors are defined for two ports only")
-        return self.entries
-
-    @property
-    def r_left(self) -> complex:
-        return complex(self._two_port()[0, 0])
-
-    @property
-    def t_left(self) -> complex:
-        return complex(self._two_port()[1, 0])
-
-    @property
-    def r_right(self) -> complex:
-        return complex(self._two_port()[1, 1])
-
-    @property
-    def t_right(self) -> complex:
-        return complex(self._two_port()[0, 1])
-
-
-def self_energy(k: float, coupling: float) -> complex:
-    """Exact boundary term ``-J e^{ik}`` replacing one semi-infinite lead.
-
-    Its imaginary part ``-J sin k`` is negative everywhere in the open band,
-    encoding outgoing-wave decay into the eliminated lead.
-    """
-    k = require_in_band(k)
-    return -float(coupling) * cmath.exp(1j * k)
 
 
 def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float]) -> np.ndarray:

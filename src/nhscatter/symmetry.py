@@ -17,10 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionTooLargeError, NotTwoPortError, PortConditionError
+from .errors import DimensionTooLargeError, PortConditionError
 from .numerics import as_complex_matrix, determinant, frob, frozen_matrix, invert
 from .model import port_indicator
-from .smatrix import ScatteringMatrix
 
 METRIC_MAX_DIM = 8
 NULLSPACE_RTOL = 1e-9
@@ -238,16 +237,3 @@ def phase_of(v: float, gamma: float) -> PhaseClass:
         return PhaseClass.EXCEPTIONAL_POINT
     return PhaseClass.BROKEN
 
-
-def predict_conjugate_smatrix(s: ScatteringMatrix, s_m: int, s_n: int) -> ScatteringMatrix:
-    """Scattering matrix of the conjugate center predicted from a port signature.
-
-    Conjugation by diag(s_m, s_n) keeps the reflections and multiplies both
-    transmissions by s_m * s_n.
-    """
-    if s.n_ports != 2:
-        raise NotTwoPortError(f"signature prediction needs 2 ports, got {s.n_ports}")
-    if s_m not in (1, -1) or s_n not in (1, -1):
-        raise ValueError(f"signature signs must be +/-1, got ({s_m}, {s_n})")
-    d = np.diag([float(s_m), float(s_n)])
-    return ScatteringMatrix(s.k, d @ s.entries @ d, s.convention)

@@ -1,12 +1,23 @@
-"""Shared test utilities: random system draws and brute-force oracles."""
+"""Shared test utilities: random system draws, brute-force oracles and readouts."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import scipy.linalg
 
-from nhscatter import ScatteringSystem
+from nhscatter import (
+    DimensionTooLargeError,
+    ScatteringSystem,
+    as_complex_matrix,
+    block_intensities,
+    propagate_rk4,
+)
+from nhscatter.dynamics import DEFAULT_FRAMES, EDGE_TOL
+
+# Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
+EXPM_MAX_DIM = 64
 
 
 def percent_csv(header: list[str], columns: list, tail: str = "") -> str:
@@ -84,3 +95,40 @@ def port_metric_center(rng: np.random.Generator, n: int, sign: int) -> np.ndarra
     q[0, 0], q[-1, -1] = 1.0, sign
     q[1:-1, 1:-1] = b + b.conj().T + np.diag(rng.choice([-2.0, 2.0], n - 2))
     return (a + a.conj().T) @ np.linalg.inv(q)
+
+
+# ---------------------------------------------------------------------------
+# propagation oracles and packet readouts
+
+
+def propagate_expm(h, psi0: np.ndarray, t: float) -> np.ndarray:
+    """Exact propagation ``exp(-i H t) psi0`` for chains of at most 64 sites.
+
+    The exponential is ``scipy.linalg.expm`` (scaling and squaring with Pade
+    approximants, Al-Mohy and Higham 2009).
+    """
+    dense = h.toarray() if hasattr(h, "toarray") else as_complex_matrix(h, square=True, name="H")
+    if dense.shape[0] > EXPM_MAX_DIM:
+        raise DimensionTooLargeError(
+            f"exact propagation capped at {EXPM_MAX_DIM} sites, got {dense.shape[0]}"
+        )
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    return scipy.linalg.expm(-1j * float(t) * dense) @ psi0
+
+
+def overlap_series(h, psi0: np.ndarray, phi0: np.ndarray, dt: float, t_final: float,
+                   frames: int = DEFAULT_FRAMES) -> np.ndarray:
+    """The overlaps ``<phi(t)|psi(t)>`` of each frame, with psi evolved under H
+    and phi under H† by two RK4 runs; a constant of motion for any H."""
+    forward = propagate_rk4(h, psi0, dt, t_final, frames)
+    backward = propagate_rk4(h.toarray().conj().T, phi0, dt, t_final, frames)
+    return np.array([np.vdot(phi, psi) for psi, phi in zip(forward.states, backward.states)])
+
+
+def final_rt(traj) -> tuple[float, float, float]:
+    """Last-frame R, T and center leak of a packet run whose open ends are
+    still empty: the edge rule of ``evolve``'s ``boundary_ok``, an edge
+    occupancy below ``EDGE_TOL * (R + T)``, is asserted."""
+    r, t, leak, edge = block_intensities(traj)
+    assert edge < EDGE_TOL * (r + t), f"edge occupancy {edge:.3e} vs R+T={r + t:.3e}"
+    return r, t, leak

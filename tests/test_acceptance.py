@@ -14,7 +14,6 @@ from nhscatter import (
     CmtCoupling,
     FluxClass,
     ScatteringSystem,
-    biorthogonal_overlap_series,
     block_intensities,
     build_chain,
     classify_flux,
@@ -24,23 +23,22 @@ from nhscatter import (
     invert,
     is_anti_pt,
     make_prototype,
-    measure_rt,
     metric_space,
     packet_experiment,
     phase_of,
     port_signature,
     PhaseClass,
     PortConditionError,
-    propagate_expm,
     propagate_rk4,
     prototype_system,
-    rt_series,
     scattering_matrix,
     two_port_coupling,
-    verify_cmt_relations,
     verify_conservation_law,
 )
-from helpers import random_center, random_k, random_system
+from nhscatter.cmt import conjugation_defect
+from nhscatter.conservation import conservation_defect
+from nhscatter.numerics import frob
+from helpers import final_rt, overlap_series, propagate_expm, random_center, random_k, random_system
 
 GAMMA = 1.0 / 3.0
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,14 +93,14 @@ def test_criterion_2_wave_packet_reflection_transmission():
         start = time.perf_counter()
         traj = packet_experiment(system, k=math.pi / 2.0, n0=-50.0, sigma=10.0)
         elapsed_loss = time.perf_counter() - start
-        r, t, _ = measure_rt(traj)
+        r, t, _ = final_rt(traj)  # asserts the edge rule of evolve's boundary_ok
         assert abs(r - 0.36) < 0.02, f"lossy R={r:.4f}"
         assert abs(t - 0.16) < 0.02, f"lossy T={t:.4f}"
 
         start = time.perf_counter()
         traj = packet_experiment(system.daggered(), k=math.pi / 2.0, n0=-50.0, sigma=10.0)
         elapsed_gain = time.perf_counter() - start
-        r, t, _ = measure_rt(traj)
+        r, t, _ = final_rt(traj)
         assert abs(r - 8.9) < 0.3, f"gain R={r:.4f}"
         assert abs(t - 3.9) < 0.15, f"gain T={t:.4f}"
 
@@ -116,8 +114,8 @@ def test_criterion_3_energy_difference_conservation():
         # time domain: R(t) - T(t) locks to 1 once the packet clears the center
         traj = packet_experiment(system, k=math.pi / 2.0, t_final=80.0)
         post = []
-        for frame, (t_now, r, t) in enumerate(rt_series(traj)):
-            leak = block_intensities(traj, frame=frame)[2]
+        for frame, t_now in enumerate(traj.times):
+            r, t, leak, _ = block_intensities(traj, frame=frame)
             if t_now > 0.0 and leak < 1e-4:
                 post.append(r - t)
         assert len(post) >= 5, "not enough post-scattering frames"
@@ -126,8 +124,8 @@ def test_criterion_3_energy_difference_conservation():
 
         # steady state: |r|^2 - |t|^2 = 1 at every grid momentum
         for k in np.linspace(0.05, math.pi - 0.05, 200):
-            s = scattering_matrix(system, float(k))
-            diff = abs(s.r_left) ** 2 - abs(s.t_left) ** 2
+            s = scattering_matrix(system, float(k)).entries
+            diff = abs(s[0, 0]) ** 2 - abs(s[1, 0]) ** 2
             assert abs(diff - 1.0) < 1e-12
 
 
@@ -224,13 +222,13 @@ def test_criterion_7_coupled_mode_relations():
     with reported("7 coupled-mode relations"):
         # port-aligned coupling with the diag(1,-1) metric
         h = make_prototype("undamped", 0.4, 0.3)
+        signs = port_signature(SIGMA_Z, 0, 1)
         for omega in np.linspace(-1.5, 1.5, 11):
             coupling = two_port_coupling(2, 0, 1, 0.7, 0.4, omega=float(omega))
-            res = verify_cmt_relations(h, coupling, SIGMA_Z, 0, 1)
-            assert res.conjugation < 1e-12
-            assert res.conservation < 1e-12
             s = cmt_smatrix(h, coupling)
             s_bar = cmt_smatrix(h.conj().T, coupling)
+            assert frob(conjugation_defect(s, s_bar, signs)) < 1e-12
+            assert frob(conservation_defect(s, s_bar)) < 1e-12
             assert abs(s_bar[0, 0] - s[0, 0]) < 1e-12
             assert abs(s_bar[0, 1] + s[0, 1]) < 1e-12
 
@@ -269,6 +267,6 @@ def test_criterion_8_propagation_oracles():
             phi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
             psi0 /= np.linalg.norm(psi0)
             phi0 /= np.linalg.norm(phi0)
-            series = biorthogonal_overlap_series(h, psi0, phi0, dt=0.01, t_final=10.0)
-            drift = max(abs(ov - series[0][1]) for _, ov in series)
+            series = overlap_series(h, psi0, phi0, dt=0.01, t_final=10.0)
+            drift = np.abs(series - series[0]).max()
             assert drift < 1e-7, f"overlap drift {drift:.3e}"

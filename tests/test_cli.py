@@ -22,6 +22,7 @@ from nhscatter import (
     scattering_matrix,
 )
 from nhscatter.cli import _resolve, build_parser, run
+from nhscatter.dynamics import EDGE_TOL
 from helpers import percent_csv, port_metric_center, random_center
 
 
@@ -159,6 +160,21 @@ def test_evolve_reproduces_packet_values(tmp_path):
     assert header == ["t", "site", "re_psi", "im_psi", "abs2"]
     total_sites = 150 + 2 + 150
     assert len(rows) == 51 * total_sites
+
+
+def test_evolve_flags_packet_past_the_open_ends(tmp_path):
+    # a narrow packet run until it reaches the ends of short leads: the run
+    # succeeds and its summary marks the R/T readout as contaminated
+    summary = tmp_path / "summary.json"
+    code = run([
+        "evolve", "--prototype", "damped", "--gamma", "0.3333333333333333",
+        "--left-len", "60", "--right-len", "60", "--sigma", "2", "--t-final", "120",
+        "--out-frames", str(tmp_path / "f.csv"), "--out-summary", str(summary),
+    ])
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    assert payload["boundary_ok"] is False
+    assert payload["edge_occupancy"] >= EDGE_TOL * (payload["R"] + payload["T"])
 
 
 def test_evolve_daggered_center_amplifies(tmp_path):

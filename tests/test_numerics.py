@@ -17,10 +17,9 @@ from nhscatter import (
     invert,
     matrix_from_json,
     matrix_to_json,
-    propagate_expm,
 )
 from nhscatter import numerics
-from helpers import cofactor_inverse, percent_csv, random_center
+from helpers import cofactor_inverse, percent_csv, propagate_expm, random_center
 
 
 def _rng(seed):

@@ -21,7 +21,6 @@ from nhscatter import (
     port_signature,
     prototype_system,
     scattering_matrix,
-    self_energy,
     two_port_coupling,
 )
 from nhscatter.cli import run
@@ -60,29 +59,39 @@ def _self_energy_oracle(k: float, j: float = 1.0) -> complex:
     return vals[0]
 
 
+def _kernel_self_energy(k: float) -> complex:
+    """The boundary term that the S-matrix kernel applies at J = 1, read back from it.
+
+    A one-site, one-port zero center has ``S_raw = -1 + 2i sin k / (E - sigma)``,
+    so ``sigma = E - 2i sin k / (S_raw + 1)``.
+    """
+    s = lead_smatrices(np.zeros((1, 1)), [0], [k], 1.0, Convention.RAW)[0, 0, 0]
+    return -2.0 * math.cos(k) - 2j * math.sin(k) / (s + 1.0)
+
+
 def test_self_energy_at_band_center():
-    assert abs(self_energy(math.pi / 2.0, 1.0) - (-1j)) < 1e-15
-    assert abs(self_energy(math.pi / 2.0, 1.0) - _self_energy_oracle(math.pi / 2.0)) < 1e-3
+    assert abs(_kernel_self_energy(math.pi / 2.0) - (-1j)) < 1e-15
+    assert abs(_kernel_self_energy(math.pi / 2.0) - _self_energy_oracle(math.pi / 2.0)) < 1e-3
 
 
 def test_self_energy_matches_lead_elimination_oracle():
     for k in (0.7, math.pi / 3.0, 2.2):
-        assert abs(self_energy(k, 1.0) - _self_energy_oracle(k)) < 1e-3
+        assert abs(_kernel_self_energy(k) - _self_energy_oracle(k)) < 1e-3
 
 
 def test_self_energy_closed_value():
     expected = -(0.5 + 1j * math.sqrt(3.0) / 2.0)
-    assert abs(self_energy(math.pi / 3.0, 1.0) - expected) < 1e-15
+    assert abs(_kernel_self_energy(math.pi / 3.0) - expected) < 1e-15
 
 
 def test_self_energy_negative_imaginary_part():
     for k in np.linspace(0.01, math.pi - 0.01, 50):
-        assert self_energy(float(k), 1.0).imag < 0.0
+        assert _kernel_self_energy(float(k)).imag < 0.0
 
 
 def test_self_energy_band_edge():
     with pytest.raises(BandEdgeError):
-        self_energy(0.0, 1.0)
+        _kernel_self_energy(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +172,9 @@ def test_raw_convention_differs_by_reference_plane_phase():
 def test_decoupled_undamped_center_fully_reflects():
     system = prototype_system("undamped", 0.0, 0.0)
     for k in np.linspace(0.1, math.pi - 0.1, 7):
-        s = scattering_matrix(system, float(k))
-        assert abs(s.t_left) < 1e-14
-        assert abs(abs(s.r_left) - 1.0) < 1e-14
+        s = scattering_matrix(system, float(k)).entries
+        assert abs(s[1, 0]) < 1e-14
+        assert abs(abs(s[0, 0]) - 1.0) < 1e-14
 
 
 def test_numeric_singularity_is_typed():
@@ -181,12 +190,15 @@ def test_band_edge_rejected():
 
 
 def test_two_port_entry_layout():
-    system = prototype_system("undamped", 0.0, GAMMA)
-    s = scattering_matrix(system, 1.0)
-    assert s.entries[0, 0] == s.r_left
-    assert s.entries[1, 0] == s.t_left
-    assert s.entries[1, 1] == s.r_right
-    assert s.entries[0, 1] == s.t_right
+    # entry (p, q) is the amplitude out of port p for input at port q: on a
+    # dimer with hoppings a (site 1 to 0) and b (site 0 to 1), t_L = S[1, 0]
+    # rides b and t_R = S[0, 1] rides a, and the reflections are equal
+    a, b = -0.3, -0.8
+    system = ScatteringSystem(np.array([[0.0, a], [b, 0.0]]), (0, 1))
+    for k in (0.5, 1.0, 2.4):
+        s = scattering_matrix(system, k).entries
+        assert abs(s[1, 0] / s[0, 1] - b / a) < 1e-13
+        assert abs(s[0, 0] - s[1, 1]) < 1e-13
 
 
 def test_symmetric_s_for_zero_detuning_prototypes():
@@ -280,7 +292,8 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     s_cmt = cmt_smatrix(system.center - j * math.cos(k) * (w @ w.T), coupling)
 
     # textbook lead elimination with the self-energy, solved directly
-    dressed = energy * np.eye(system.dim) - system.center - self_energy(k, j) * (w @ w.T)
+    sigma = -j * cmath.exp(1j * k)
+    dressed = energy * np.eye(system.dim) - system.center - sigma * (w @ w.T)
     s_lead = -np.eye(system.n_ports) + 2j * j * math.sin(k) * (w.T @ np.linalg.solve(dressed, w))
 
     for convention, phase in ((Convention.RAW, 1.0), (Convention.SHIFTED, cmath.exp(-2j * k))):

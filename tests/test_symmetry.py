@@ -9,7 +9,6 @@ from nhscatter import (
     DimensionTooLargeError,
     FluxClass,
     MetricOperator,
-    NotTwoPortError,
     PhaseClass,
     PortConditionError,
     ScatteringSystem,
@@ -22,10 +21,10 @@ from nhscatter import (
     phase_of,
     port_metric,
     port_signature,
-    predict_conjugate_smatrix,
     prototype_system,
     scattering_matrix,
 )
+from nhscatter.cmt import conjugation_defect
 from helpers import port_metric_center, random_center, random_k
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -279,41 +278,28 @@ def test_phase_classification():
 
 
 # ---------------------------------------------------------------------------
-# conjugate-matrix prediction
+# conjugate-matrix prediction: S(H†) = diag(s) S(H) diag(s)
 
 
 def test_prediction_matches_direct_computation_for_undamped():
     system = prototype_system("undamped", 0.0, GAMMA)
     for k in (0.5, math.pi / 2.0, 2.3):
         s = scattering_matrix(system, k)
-        predicted = predict_conjugate_smatrix(s, 1, -1)
         direct = scattering_matrix(system.daggered(), k)
-        assert np.abs(predicted.entries - direct.entries).max() < 1e-10
+        assert np.abs(conjugation_defect(s.entries, direct.entries, (1, -1))).max() < 1e-10
 
 
 def test_prediction_value_at_band_center():
-    s = scattering_matrix(prototype_system("undamped", 0.0, GAMMA), math.pi / 2.0)
-    predicted = predict_conjugate_smatrix(s, 1, -1)
-    assert abs(predicted.t_left - (-0.75)) < 1e-12
-    assert abs(predicted.r_left - s.r_left) < 1e-15
+    system = prototype_system("undamped", 0.0, GAMMA)
+    s = scattering_matrix(system, math.pi / 2.0).entries
+    direct = scattering_matrix(system.daggered(), math.pi / 2.0).entries
+    assert abs(direct[1, 0] - (-0.75)) < 1e-12
+    assert abs(direct[0, 0] - s[0, 0]) < 1e-15
 
 
 def test_trivial_signature_is_identity_map():
-    s = scattering_matrix(prototype_system("damped", 0.0, GAMMA), 1.0)
-    predicted = predict_conjugate_smatrix(s, 1, 1)
-    np.testing.assert_array_equal(predicted.entries, s.entries)
-
-
-def test_prediction_validates_inputs():
-    s = scattering_matrix(prototype_system("damped", 0.0, GAMMA), 1.0)
-    with pytest.raises(ValueError):
-        predict_conjugate_smatrix(s, 2, 1)
-    rng = np.random.default_rng(2)
-    from helpers import random_system
-
-    s3 = scattering_matrix(random_system(rng, p=3), 1.0)
-    with pytest.raises(NotTwoPortError):
-        predict_conjugate_smatrix(s3, 1, 1)
+    s = scattering_matrix(prototype_system("damped", 0.0, GAMMA), 1.0).entries
+    np.testing.assert_array_equal(conjugation_defect(s, s, (1, 1)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +321,9 @@ def test_sign_product_rule_on_constructed_centers(seed, n):
     cls, residual = classify_flux(scattering_matrix(system, k))
     assert cls is FluxClass.ENERGY_DIFFERENCE
     assert residual < 1e-10
-    predicted = predict_conjugate_smatrix(scattering_matrix(system, k), 1, -1)
-    direct = scattering_matrix(system.daggered(), k)
-    assert np.abs(predicted.entries - direct.entries).max() < 1e-10
+    s = scattering_matrix(system, k).entries
+    direct = scattering_matrix(system.daggered(), k).entries
+    assert np.abs(conjugation_defect(s, direct, (1, -1))).max() < 1e-10
 
 
 @given(seed=st.integers(0, 10_000))
