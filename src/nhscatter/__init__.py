@@ -9,6 +9,8 @@ embedding chains.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .conservation import (
     ConservationReport,
     FluxClass,
@@ -62,8 +64,6 @@ from .numerics import (
 from .smatrix import (
     Convention,
     ScatteringMatrix,
-    closed_form_damped,
-    closed_form_undamped,
     dressed_smatrix,
     lead_smatrices,
     scattering_matrix,
@@ -78,61 +78,9 @@ from .symmetry import (
     port_signature,
 )
 
-__all__ = [
-    "BandEdgeError",
-    "ChainGeometry",
-    "CmtCoupling",
-    "ConfigError",
-    "ConservationReport",
-    "Convention",
-    "ConventionMismatchError",
-    "DAMPED",
-    "DimensionTooLargeError",
-    "FluxClass",
-    "GeometryTooSmallError",
-    "KMismatchError",
-    "MetricOperator",
-    "ModeParameters",
-    "NotTwoPortError",
-    "PacketOutOfBoundsError",
-    "PhaseClass",
-    "PortConditionError",
-    "ScatterError",
-    "ScatteringMatrix",
-    "ScatteringSingularityError",
-    "ScatteringSystem",
-    "SingularMatrixError",
-    "UNDAMPED",
-    "WaveTrajectory",
-    "WorkLimitError",
-    "as_complex_matrix",
-    "block_intensities",
-    "build_chain",
-    "classify_flux",
-    "closed_form_damped",
-    "closed_form_undamped",
-    "cmt_smatrix",
-    "dagger",
-    "determinant",
-    "dressed_smatrix",
-    "flux_deviations",
-    "gaussian_packet",
-    "invert",
-    "is_anti_pt",
-    "lead_smatrices",
-    "make_prototype",
-    "matrix_from_json",
-    "matrix_to_json",
-    "metric_space",
-    "mode_params",
-    "packet_experiment",
-    "phase_of",
-    "port_indicator",
-    "port_metric",
-    "port_signature",
-    "propagate_rk4",
-    "prototype_system",
-    "scattering_matrix",
-    "two_port_coupling",
-    "verify_conservation_law",
-]
+# The public names are the ones imported above; the submodules they bind stay
+# reachable as attributes but are not exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

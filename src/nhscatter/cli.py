@@ -484,7 +484,7 @@ _SUBCOMMANDS = {
     "evolve": _Subcommand("Gaussian packet time evolution", _cmd_evolve, (
         *_CENTER_OPTIONS,
         _COUPLING,
-        _Option("--k", math.pi / 2.0, float),
+        _Option("--k", math.pi / 2.0, _finite),
         _Option("--n0", -50.0, float, help="packet center, sites left of the center block"),
         _Option("--sigma", 10.0, float),
         _Option("--left-len", DEFAULT_LEAD_LEN, int),
@@ -504,7 +504,7 @@ _SUBCOMMANDS = {
     "verify": _Subcommand("conservation law at one momentum", _cmd_verify, (
         *_CENTER_OPTIONS,
         _COUPLING,
-        _Option("--k", math.pi / 2.0, float),
+        _Option("--k", math.pi / 2.0, _finite),
         _Option("--tol", 1e-9, _positive),
         _Option("--out", "verify.json", _path),
     )),

@@ -236,8 +236,10 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
     than 1e-15 from ``sigma = 2``.  A packet whose squared norm misses 1 by
     more than ``PACKET_NORM_TOL`` (``sigma`` below about 0.88 at integer
     ``n0``), or is not finite, raises ``ValueError``.
-    The core of the packet, 5 sigma around ``n0``, must fit strictly inside
-    the left lead.
+    The core of the packet, ``n0 - 5 sigma`` to ``n0 + 5 sigma``, must lie
+    within ``[-(left_len + 1), 0]``: its ends may reach the site past the
+    open end and the center's first site, but not beyond.  The defaults
+    (``n0 = -50``, ``sigma = 10``) put its right end exactly at 0.
     """
     k = require_in_band(k)
     sigma = float(sigma)
@@ -247,8 +249,9 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
     half_width = PACKET_SUPPORT_SIGMAS * sigma
     if n0 + half_width > 0.0 or n0 - half_width < -(geom.left_len + 1):
         raise PacketOutOfBoundsError(
-            f"packet support ({n0 - half_width:.1f}, {n0 + half_width:.1f}) leaves "
-            f"the left lead [-{geom.left_len}, -1]"
+            f"packet core [{n0 - half_width!r}, {n0 + half_width!r}] leaves "
+            f"[-{geom.left_len + 1}, 0], the left lead [-{geom.left_len}, -1] and one site "
+            f"past each end"
         )
     offsets = geom.left_offsets()
     psi = np.zeros(geom.total, dtype=np.complex128)

@@ -17,14 +17,13 @@ lead and the coupled-mode forms over k or omega grids and center stacks.
 
 Phase conventions.  ``S_raw`` references the in/out amplitudes through the
 continuity value at the attachment site; the ``shifted`` convention applies
-the global reference-plane phase ``e^{-2ik}`` and reproduces the closed-form
-dimer coefficients below bit for bit.  Intensities and every conservation
-quantity are convention independent.
+the global reference-plane phase ``e^{-2ik}`` and matches the closed-form
+dimer coefficients, the tests' oracle in ``tests/helpers.py``.  Intensities
+and every conservation quantity are convention independent.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -140,41 +139,3 @@ def scattering_matrix(
     entries = lead_smatrices(system.center, system.ports, [k], system.coupling, convention)
     return ScatteringMatrix(k, entries[0], convention)
 
-
-def closed_form_damped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:
-    """(r, t) of the damped dimer in the shifted convention.
-
-        r = -(iJ + 2 gamma cos k) / (iJ + 2 gamma e^{ik})
-        t =  2i gamma sin k       / (iJ + 2 gamma e^{ik})
-
-    Valid for the zero-detuning dimer; ``gamma`` may be negative, which is
-    the Hermitian-conjugate (gain) system.
-    """
-    k = require_in_band(k)
-    j = float(coupling)
-    g = float(gamma)
-    den = 1j * j + 2.0 * g * cmath.exp(1j * k)
-    if abs(den) <= 1e-12 * (j + 2.0 * abs(g)):
-        raise ScatteringSingularityError(f"closed-form denominator vanishes at k={k:.6g}")
-    r = -(1j * j + 2.0 * g * math.cos(k)) / den
-    t = 2j * g * math.sin(k) / den
-    return r, t
-
-
-def closed_form_undamped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:
-    """(r, t) of the undamped dimer in the shifted convention.
-
-        r = -(J^2 + gamma^2)      / (J^2 + gamma^2 e^{2ik})
-        t =  2 J gamma sin k      / (J^2 + gamma^2 e^{2ik})
-
-    Flipping the sign of ``gamma`` keeps r and negates t.
-    """
-    k = require_in_band(k)
-    j = float(coupling)
-    g = float(gamma)
-    den = j * j + g * g * cmath.exp(2j * k)
-    if abs(den) <= 1e-12 * (j * j + g * g):
-        raise ScatteringSingularityError(f"closed-form denominator vanishes at k={k:.6g}")
-    r = -(j * j + g * g) / den
-    t = 2.0 * j * g * math.sin(k) / den
-    return r, t

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -9,12 +10,14 @@ import scipy.linalg
 
 from nhscatter import (
     DimensionTooLargeError,
+    ScatteringSingularityError,
     ScatteringSystem,
     as_complex_matrix,
     block_intensities,
     propagate_rk4,
 )
 from nhscatter.dynamics import DEFAULT_FRAMES, EDGE_TOL
+from nhscatter.model import require_in_band
 
 # Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
 EXPM_MAX_DIM = 64
@@ -53,6 +56,49 @@ def random_system(rng: np.random.Generator, n: int | None = None, p: int | None 
 
 def random_k(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.05, math.pi - 0.05))
+
+
+# ---------------------------------------------------------------------------
+# closed-form dimer coefficients, the oracle of acceptance criterion 1
+
+
+def closed_form_damped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:
+    """(r, t) of the damped dimer in the shifted convention.
+
+        r = -(iJ + 2 gamma cos k) / (iJ + 2 gamma e^{ik})
+        t =  2i gamma sin k       / (iJ + 2 gamma e^{ik})
+
+    Valid for the zero-detuning dimer; ``gamma`` may be negative, which is
+    the Hermitian-conjugate (gain) system.
+    """
+    k = require_in_band(k)
+    j = float(coupling)
+    g = float(gamma)
+    den = 1j * j + 2.0 * g * cmath.exp(1j * k)
+    if abs(den) <= 1e-12 * (j + 2.0 * abs(g)):
+        raise ScatteringSingularityError(f"closed-form denominator vanishes at k={k:.6g}")
+    r = -(1j * j + 2.0 * g * math.cos(k)) / den
+    t = 2j * g * math.sin(k) / den
+    return r, t
+
+
+def closed_form_undamped(k: float, gamma: float, coupling: float = 1.0) -> tuple[complex, complex]:
+    """(r, t) of the undamped dimer in the shifted convention.
+
+        r = -(J^2 + gamma^2)      / (J^2 + gamma^2 e^{2ik})
+        t =  2 J gamma sin k      / (J^2 + gamma^2 e^{2ik})
+
+    Flipping the sign of ``gamma`` keeps r and negates t.
+    """
+    k = require_in_band(k)
+    j = float(coupling)
+    g = float(gamma)
+    den = j * j + g * g * cmath.exp(2j * k)
+    if abs(den) <= 1e-12 * (j * j + g * g):
+        raise ScatteringSingularityError(f"closed-form denominator vanishes at k={k:.6g}")
+    r = -(j * j + g * g) / den
+    t = 2.0 * j * g * math.sin(k) / den
+    return r, t
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from nhscatter import (
     block_intensities,
     build_chain,
     classify_flux,
-    closed_form_damped,
-    closed_form_undamped,
     cmt_smatrix,
     invert,
     is_anti_pt,
@@ -38,7 +36,16 @@ from nhscatter import (
 from nhscatter.cmt import conjugation_defect
 from nhscatter.conservation import conservation_defect
 from nhscatter.numerics import frob
-from helpers import final_rt, overlap_series, propagate_expm, random_center, random_k, random_system
+from helpers import (
+    closed_form_damped,
+    closed_form_undamped,
+    final_rt,
+    overlap_series,
+    propagate_expm,
+    random_center,
+    random_k,
+    random_system,
+)
 
 GAMMA = 1.0 / 3.0
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

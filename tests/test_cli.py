@@ -671,6 +671,8 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "nan"], "dt=nan"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--t-final", "inf"],
          "t_final=inf"),
+        (["verify", "--prototype", "damped", "--gamma", "0.3", "--k", "nan"], "argument --k:"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--k", "inf"], "argument --k:"),
         (["verify", "--prototype", "damped", "--gamma", "0.3", "--convention", "raw"],
          "unrecognized arguments: --convention"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
@@ -688,8 +690,8 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows",
          "classify-tol", "verify-tol", "campaign-radius", "campaign-radius-nan", "campaign-tol-inf",
          "cmt-omega-nan", "cmt-omega-min-inf", "cmt-omega-max-inf", "evolve-dt-nan",
-         "evolve-t-final-inf", "verify-convention", "cmt-omega", "evolve-frames-above-steps",
-         "sweep-file-center-gamma", "sweep-file-center-v"],
+         "evolve-t-final-inf", "verify-k-nan", "evolve-k-inf", "verify-convention", "cmt-omega",
+         "evolve-frames-above-steps", "sweep-file-center-gamma", "sweep-file-center-v"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from nhscatter import (
-    DimensionTooLargeError,
     GeometryTooSmallError,
     PacketOutOfBoundsError,
     ScatteringSystem,
@@ -157,6 +156,14 @@ def test_packet_out_of_bounds():
         gaussian_packet(geom, -60.0, 20.0, 1.2)  # support reaches the center
     with pytest.raises(PacketOutOfBoundsError):
         gaussian_packet(geom, -100.0, 10.0, 1.2)  # support reaches the open end
+    # the core n0 -/+ 5 sigma may end exactly at -(left_len + 1) and at 0
+    gaussian_packet(geom, -50.0, 10.0, 1.2)
+    gaussian_packet(geom, -71.0, 10.0, 1.2)
+    # just past each end, and the message tells the core apart from an admissible one
+    with pytest.raises(PacketOutOfBoundsError, match=r"\[-99\.999, 0\.000999\d*\] leaves"):
+        gaussian_packet(geom, -49.999, 10.0, 1.2)
+    with pytest.raises(PacketOutOfBoundsError, match=r"\[-121\.001, -21\.001\d*\] leaves"):
+        gaussian_packet(geom, -71.001, 10.0, 1.2)
     # the reference experiment geometry is exactly admissible
     geom300, _ = build_chain(np.zeros((2, 2)), 300, 300)
     gaussian_packet(geom300, -50.0, 10.0, math.pi / 2.0)
@@ -237,25 +244,6 @@ def test_rk4_is_fourth_order():
         errs.append(np.abs(traj.states[-1] - exact).max())
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
-
-
-def test_expm_propagator_identity_and_phase():
-    rng = np.random.default_rng(2)
-    psi0 = _random_state(rng, 6)
-    np.testing.assert_allclose(propagate_expm(np.diag(np.arange(6.0)), psi0, 0.0), psi0, atol=1e-14)
-    out = propagate_expm(np.diag([2.0] * 6), psi0, 0.5)
-    np.testing.assert_allclose(out, np.exp(-1j) * psi0, atol=1e-12)
-
-
-def test_expm_propagator_accepts_sparse_and_caps_dimension():
-    rng = np.random.default_rng(3)
-    geom, h = build_chain(_lossy_center(rng, 2), 10, 10)
-    psi0 = _random_state(rng, geom.total)
-    dense_result = propagate_expm(h.toarray(), psi0, 1.0)
-    sparse_result = propagate_expm(h, psi0, 1.0)
-    np.testing.assert_allclose(sparse_result, dense_result, atol=1e-14)
-    with pytest.raises(DimensionTooLargeError):
-        propagate_expm(sp.eye(70, dtype=complex, format="csr"), np.ones(70), 1.0)
 
 
 def test_scipy_expm_cross_check():

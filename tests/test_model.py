@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhscatter
 from nhscatter import (
     BandEdgeError,
     ScatteringSystem,
@@ -166,3 +168,12 @@ def test_daggered_system_conjugates_center_only():
     np.testing.assert_array_equal(conj.center, dagger(system.center))
     assert conj.ports == system.ports
     assert conj.coupling == system.coupling
+
+
+def test_export_list_is_the_public_imports():
+    names = nhscatter.__all__
+    assert len(set(names)) == len(names)
+    assert not any(isinstance(getattr(nhscatter, name), types.ModuleType) for name in names)
+    namespace = {}
+    exec("from nhscatter import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)

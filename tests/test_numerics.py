@@ -13,6 +13,7 @@ from nhscatter import (
     ScatteringMatrix,
     ScatteringSystem,
     SingularMatrixError,
+    build_chain,
     determinant,
     invert,
     matrix_from_json,
@@ -130,13 +131,19 @@ def test_invert_roundtrip_random_well_conditioned(seed, n):
 
 
 def test_expm_zero_is_identity():
+    # a zero exponent -i H t, from H = 0 or from t = 0
     psi0 = _rng(4).normal(size=3) + 1j * _rng(5).normal(size=3)
     np.testing.assert_array_equal(propagate_expm(np.zeros((3, 3)), psi0, 2.0), psi0)
+    psi0 = _rng(2).normal(size=6) + 1j * _rng(3).normal(size=6)
+    np.testing.assert_allclose(propagate_expm(np.diag(np.arange(6.0)), psi0, 0.0), psi0, atol=1e-14)
 
 
 def test_expm_diagonal_phase():
     out = propagate_expm(np.diag([math.pi / 2.0]), np.ones(1), 1.0)
     np.testing.assert_allclose(out, [-1j], atol=1e-15)
+    psi0 = _rng(6).normal(size=6) + 1j * _rng(7).normal(size=6)
+    out = propagate_expm(np.diag([2.0] * 6), psi0, 0.5)
+    np.testing.assert_allclose(out, np.exp(-1j) * psi0, atol=1e-12)
 
 
 def _expm_taylor_mpmath(a: np.ndarray, terms: int = 200) -> np.ndarray:
@@ -170,9 +177,18 @@ def test_expm_matches_long_taylor_series():
 
 
 def test_expm_dimension_cap():
+    # the cap counts sites, of a dense matrix and of a ChainOperator alike
     np.testing.assert_array_equal(propagate_expm(np.zeros((64, 64)), np.ones(64), 1.0), 1.0)
     with pytest.raises(DimensionTooLargeError):
         propagate_expm(np.zeros((65, 65)), np.ones(65), 1.0)
+    rng = _rng(3)
+    geom, h = build_chain(0.2 * random_center(rng, 2) - 0.2j * np.eye(2), 10, 10)
+    psi0 = rng.normal(size=geom.total) + 1j * rng.normal(size=geom.total)
+    np.testing.assert_allclose(propagate_expm(h, psi0, 1.0), propagate_expm(h.toarray(), psi0, 1.0),
+                               atol=1e-14)
+    geom, h = build_chain(np.zeros((2, 2)), 31, 32)
+    with pytest.raises(DimensionTooLargeError):
+        propagate_expm(h, np.ones(geom.total), 1.0)
 
 
 @given(seed=st.integers(0, 10_000))

@@ -12,8 +12,6 @@ from nhscatter import (
     Convention,
     ScatteringSingularityError,
     ScatteringSystem,
-    closed_form_damped,
-    closed_form_undamped,
     cmt_smatrix,
     invert,
     lead_smatrices,
@@ -24,7 +22,7 @@ from nhscatter import (
     two_port_coupling,
 )
 from nhscatter.cli import run
-from helpers import random_k, random_system
+from helpers import closed_form_damped, closed_form_undamped, random_k, random_system
 
 GAMMA = 1.0 / 3.0
 
