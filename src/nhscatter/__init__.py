@@ -20,7 +20,6 @@ from .conservation import (
 )
 from .cmt import CmtCoupling, cmt_smatrix, two_port_coupling
 from .dynamics import (
-    ChainGeometry,
     WaveTrajectory,
     block_intensities,
     build_chain,

@@ -32,6 +32,8 @@ from .conservation import conservation_defect, flux_deviations, verify_conservat
 from .dynamics import (
     DEFAULT_FRAMES,
     DEFAULT_LEAD_LEN,
+    DEFAULT_N0,
+    DEFAULT_SIGMA,
     EDGE_TOL,
     block_intensities,
     packet_experiment,
@@ -138,13 +140,13 @@ class _Subcommand:
 # the scattering center and its port sites
 _CENTER_OPTIONS = (
     _Option("--prototype", choices=PROTOTYPE_KINDS, help="built-in dimer center"),
-    _Option("--v", 0.0, float, help="prototype detuning (units of J)"),
-    _Option("--gamma", None, float, help="prototype imaginary coupling (units of J)"),
+    _Option("--v", 0.0, _finite, help="prototype detuning (units of J)"),
+    _Option("--gamma", None, _finite, help="prototype imaginary coupling (units of J)"),
     _Option("--center-file", None, _path, help="matrix JSON file with the center"),
     _Option("--dagger", False, bool, help="use the Hermitian conjugate of the center"),
     _Option("--ports", None, int, nargs="+", help="attachment sites (default 0 1)"),
 )
-_COUPLING = _Option("--coupling", 1.0, float, help="lead hopping J > 0 (default 1)")
+_COUPLING = _Option("--coupling", 1.0, _finite, help="lead hopping J > 0 (default 1)")
 
 
 def _config_argv(args: argparse.Namespace) -> list[str]:
@@ -475,8 +477,8 @@ _SUBCOMMANDS = {
     "sweep": _Subcommand("scattering coefficients over a momentum grid", _cmd_sweep, (
         *_CENTER_OPTIONS,
         _COUPLING,
-        _Option("--k-min", 0.05, float),
-        _Option("--k-max", math.pi - 0.05, float),
+        _Option("--k-min", 0.05, _finite),
+        _Option("--k-max", math.pi - 0.05, _finite),
         _Option("--k-count", 200, int),
         _Option("--convention", "shifted", choices=tuple(c.value for c in Convention)),
         _Option("--out", "sweep.csv", _path),
@@ -485,12 +487,12 @@ _SUBCOMMANDS = {
         *_CENTER_OPTIONS,
         _COUPLING,
         _Option("--k", math.pi / 2.0, _finite),
-        _Option("--n0", -50.0, float, help="packet center, sites left of the center block"),
-        _Option("--sigma", 10.0, float),
+        _Option("--n0", DEFAULT_N0, _finite, help="packet center, sites left of the center block"),
+        _Option("--sigma", DEFAULT_SIGMA, _finite),
         _Option("--left-len", DEFAULT_LEAD_LEN, int),
         _Option("--right-len", DEFAULT_LEAD_LEN, int),
-        _Option("--dt", None, float),
-        _Option("--t-final", None, float),
+        _Option("--dt", None, _finite),
+        _Option("--t-final", None, _finite),
         _Option("--frames", DEFAULT_FRAMES, int),
         _Option("--out-frames", "frames.csv", _path),
         _Option("--out-summary", "summary.json", _path),
@@ -511,7 +513,7 @@ _SUBCOMMANDS = {
     "cmt": _Subcommand("coupled-mode scattering over frequency", _cmd_cmt, (
         *_CENTER_OPTIONS,
         _Option("--coupling-file", None, _path),
-        _Option("--kappa", None, float, nargs=2, help="aligned decay rates for both channels"),
+        _Option("--kappa", None, _finite, nargs=2, help="aligned decay rates for both channels"),
         _Option("--omega-min", None, _finite),
         _Option("--omega-max", None, _finite),
         _Option("--omega-count", 61, int),

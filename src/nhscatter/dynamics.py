@@ -42,6 +42,8 @@ DEFAULT_LEAD_LEN = 300
 MIN_EXPERIMENT_LEAD = 50
 DEFAULT_DT = 0.02
 DEFAULT_FRAMES = 50
+DEFAULT_N0 = -50.0  # with DEFAULT_SIGMA, the packet core ends at the center's first site
+DEFAULT_SIGMA = 10.0
 PACKET_SUPPORT_SIGMAS = 5.0
 # A packet's squared norm on the lattice must be 1 within this: a packet much
 # narrower than a site is mostly one site of amplitude (sqrt(pi) sigma)^(-1/2).
@@ -65,42 +67,13 @@ MAX_PROPAGATION_STEPS = 10 ** 6
 MAX_STEP_COUNT = 2.0 ** 63  # the step counts of a frame schedule are int64
 
 
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Index bookkeeping for the left lead / center / right lead blocks."""
-
-    left_len: int
-    right_len: int
-    center_dim: int
-
-    @property
-    def total(self) -> int:
-        return self.left_len + self.center_dim + self.right_len
-
-    @property
-    def left_slice(self) -> slice:
-        return slice(0, self.left_len)
-
-    @property
-    def center_slice(self) -> slice:
-        return slice(self.left_len, self.left_len + self.center_dim)
-
-    @property
-    def right_slice(self) -> slice:
-        return slice(self.left_len + self.center_dim, self.total)
-
-    def left_offsets(self) -> np.ndarray:
-        """Signed lead coordinates of the left-lead sites, -left_len .. -1."""
-        return np.arange(-self.left_len, 0)
-
-
 @dataclass
 class WaveTrajectory:
-    """Sampled chain states with the geometry and packet metadata."""
+    """Sampled chain states with their chain and packet metadata."""
 
     times: np.ndarray
     states: np.ndarray
-    geometry: ChainGeometry | None = None
+    geometry: ChainOperator | None = None
     k: float | None = None
     n0: float | None = None
     sigma: float | None = None
@@ -166,14 +139,32 @@ class ChainOperator:
             sums[self.cols] = np.add.accumulate(column, axis=0)[-1]
         return float(sums.max())
 
+    # The window rows run from the last left-lead site to the first
+    # right-lead site, so they fix where the three blocks of the chain sit.
+    @property
+    def left_slice(self) -> slice:
+        return slice(0, self.rows.start + 1)
+
+    @property
+    def center_slice(self) -> slice:
+        return slice(self.rows.start + 1, self.rows.stop - 1)
+
+    @property
+    def right_slice(self) -> slice:
+        return slice(self.rows.stop - 1, self.size)
+
 
 def build_chain(
     system_or_center,
     left_len: int,
     right_len: int,
     coupling: float | None = None,
-) -> tuple[ChainGeometry, ChainOperator]:
+) -> ChainOperator:
     """Finite chain Hamiltonian embedding a scattering center.
+
+    The chain carries its own layout: ``left_slice``, ``center_slice`` and
+    ``right_slice`` are the ``left_len`` lead sites, the center's sites and
+    the ``right_len`` lead sites, in that order along the chain.
 
     Accepts either a two-port :class:`ScatteringSystem`, whose first port
     takes the left lead and second the right lead (the order of the S-matrix
@@ -207,7 +198,7 @@ def build_chain(
         )
 
     n = center.shape[0]
-    geom = ChainGeometry(left_len=left_len, right_len=right_len, center_dim=n)
+    size = left_len + n + right_len
     # The rows of the last left-lead site, the center and the first right-lead
     # site, over the columns left_len - 2 .. left_len + n + 1.
     block = np.zeros((n + 2, n + 4), dtype=np.complex128)
@@ -219,13 +210,13 @@ def build_chain(
     block[1 + right_site, n + 2] = block[-1, 2 + right_site] = -j
     # a lead of one site has no bond beyond the block
     origin = left_len - 2
-    cols = slice(max(origin, 0), min(origin + n + 4, geom.total))
+    cols = slice(max(origin, 0), min(origin + n + 4, size))
     window = block[:, cols.start - origin:cols.stop - origin]
     rows = slice(left_len - 1, left_len + n + 1)
-    return geom, ChainOperator(geom.total, complex(-j), rows, cols, frozen_matrix(window))
+    return ChainOperator(size, complex(-j), rows, cols, frozen_matrix(window))
 
 
-def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> np.ndarray:
+def gaussian_packet(geom: ChainOperator, n0: float, sigma: float, k: float) -> np.ndarray:
     """Normalized Gaussian packet in the left lead.
 
     ``psi(j) = Omega^{-1/2} exp(-(j - n0)^2 / (2 sigma^2)) exp(i k j)`` on
@@ -247,14 +238,15 @@ def gaussian_packet(geom: ChainGeometry, n0: float, sigma: float, k: float) -> n
     if sigma <= 0.0:
         raise ValueError(f"packet width sigma must be positive, got {sigma}")
     half_width = PACKET_SUPPORT_SIGMAS * sigma
-    if n0 + half_width > 0.0 or n0 - half_width < -(geom.left_len + 1):
+    left_len = geom.left_slice.stop
+    if n0 + half_width > 0.0 or n0 - half_width < -(left_len + 1):
         raise PacketOutOfBoundsError(
             f"packet core [{n0 - half_width!r}, {n0 + half_width!r}] leaves "
-            f"[-{geom.left_len + 1}, 0], the left lead [-{geom.left_len}, -1] and one site "
+            f"[-{left_len + 1}, 0], the left lead [-{left_len}, -1] and one site "
             f"past each end"
         )
-    offsets = geom.left_offsets()
-    psi = np.zeros(geom.total, dtype=np.complex128)
+    offsets = np.arange(-left_len, 0)
+    psi = np.zeros(geom.size, dtype=np.complex128)
     # a NaN, or a sigma whose square underflows, gives a packet refused below
     with np.errstate(all="ignore"):
         envelope = np.exp(-((offsets - n0) ** 2) / (2.0 * sigma ** 2))
@@ -371,7 +363,7 @@ def propagate_rk4(
     dt: float,
     t_final: float,
     frames: int = DEFAULT_FRAMES,
-    geometry: ChainGeometry | None = None,
+    geometry: ChainOperator | None = None,
     k: float | None = None,
     n0: float | None = None,
     sigma: float | None = None,
@@ -415,20 +407,17 @@ def block_intensities(traj: WaveTrajectory, frame: int = -1) -> tuple[float, flo
         raise ValueError("trajectory carries no chain geometry")
     geom = traj.geometry
     density = np.abs(traj.states[frame]) ** 2
-    r = float(density[geom.left_slice].sum())
-    t = float(density[geom.right_slice].sum())
+    left, right = density[geom.left_slice], density[geom.right_slice]
     leak = float(density[geom.center_slice].sum())
-    w_left = min(EDGE_WINDOW, geom.left_len)
-    w_right = min(EDGE_WINDOW, geom.right_len)
-    edge = float(density[:w_left].sum() + density[-w_right:].sum())
-    return r, t, leak, edge
+    edge = float(left[:EDGE_WINDOW].sum() + right[-EDGE_WINDOW:].sum())
+    return float(left.sum()), float(right.sum()), leak, edge
 
 
 def packet_experiment(
     system: ScatteringSystem,
     k: float,
-    n0: float = -50.0,
-    sigma: float = 10.0,
+    n0: float = DEFAULT_N0,
+    sigma: float = DEFAULT_SIGMA,
     left_len: int = DEFAULT_LEAD_LEN,
     right_len: int = DEFAULT_LEAD_LEN,
     dt: float | None = None,
@@ -457,8 +446,8 @@ def packet_experiment(
             f"got ({left_len}, {right_len})"
         )
     mode = mode_params(k, system.coupling)
-    geom, h = build_chain(system, left_len, right_len)
-    psi0 = gaussian_packet(geom, n0, sigma, k)
+    h = build_chain(system, left_len, right_len)
+    psi0 = gaussian_packet(h, n0, sigma, k)
     if dt is None:
         dt = DEFAULT_DT / system.coupling
     if t_final is None:
@@ -478,7 +467,7 @@ def packet_experiment(
     return WaveTrajectory(
         times=times,
         states=states,
-        geometry=geom,
+        geometry=h,
         k=mode.k,
         n0=n0,
         sigma=sigma,

@@ -257,8 +257,8 @@ def test_criterion_8_propagation_oracles():
     with reported("8 propagation oracles"):
         rng = np.random.default_rng(11)
         center = 0.2 * random_center(rng, 4) - 0.2j * np.eye(4)
-        geom, h = build_chain(center, 18, 18)
-        assert geom.total == 40
+        h = build_chain(center, 18, 18)
+        assert h.size == 40
         psi0 = rng.normal(size=40) + 1j * rng.normal(size=40)
         psi0 /= np.linalg.norm(psi0)
         traj = propagate_rk4(h, psi0, dt=0.02, t_final=20.0)
@@ -269,7 +269,7 @@ def test_criterion_8_propagation_oracles():
         # biorthogonal overlap drift on random non-Hermitian chains
         for seed in (21, 22, 23):
             rng = np.random.default_rng(seed)
-            geom, h = build_chain(0.15 * random_center(rng, 3), 14, 13)
+            h = build_chain(0.15 * random_center(rng, 3), 14, 13)
             psi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
             phi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
             psi0 /= np.linalg.norm(psi0)

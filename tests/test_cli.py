@@ -212,9 +212,9 @@ def test_evolve_frame_grid_is_the_rk4_grid(tmp_path):
         "--right-len", "60", "--n0", "-30", "--sigma", "5", "--dt", "0.03", "--t-final", "20",
         "--frames", "7", "--out-frames", str(frames), "--out-summary", str(tmp_path / "s.json"),
     ]) == 0
-    geom, h = build_chain(prototype_system("undamped", 0.0, 0.3), 60, 60)
-    traj = propagate_rk4(h, gaussian_packet(geom, -30.0, 5.0, math.pi / 2), 0.03, 20.0, 7)
-    expected = [f"{t_now:.17g},{site}" for t_now in traj.times for site in range(geom.total)]
+    h = build_chain(prototype_system("undamped", 0.0, 0.3), 60, 60)
+    traj = propagate_rk4(h, gaussian_packet(h, -30.0, 5.0, math.pi / 2), 0.03, 20.0, 7)
+    expected = [f"{t_now:.17g},{site}" for t_now in traj.times for site in range(h.size)]
     lines = frames.read_text().splitlines()[1:]
     assert [line.rsplit(",", 3)[0] for line in lines] == expected
 
@@ -476,9 +476,10 @@ def test_config_file_with_flag_override(tmp_path):
         ("convention", "bogus"),
         ("coupling", "x"),
         ("dagger", "yes"),
+        ("coupling", math.nan),
     ],
     ids=["unknown", "k_count-text", "k_count-float", "ports-scalar", "convention-choice",
-         "coupling-text", "dagger-text"],
+         "coupling-text", "dagger-text", "coupling-nan"],
 )
 def test_config_unknown_field_rejected(tmp_path, capsys, field, value):
     # a config value goes through the same type, nargs and choices as its flag
@@ -649,7 +650,7 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
         (["cmt", "--center-file", "center.json", "--coupling-file", "center.json",
           "--ports", "0", "7"], "--ports"),
         (["sweep", "--prototype", "damped", "--gamma", "0.3", "--coupling", "inf"],
-         "lead coupling must"),
+         "argument --coupling:"),
         (["evolve", "--center-file", "center.json", "--ports", "0", "1", "2"], "2 ports"),
         (["classify", "--prototype", "damped", "--gamma", "0.3", "--coupling", "-1"],
          "unrecognized arguments: --coupling"),
@@ -668,11 +669,20 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
           "--omega-min=-inf"], "--omega-min"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
           "--omega-max", "inf"], "--omega-max"),
-        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "nan"], "dt=nan"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--dt", "nan"], "argument --dt:"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--t-final", "inf"],
-         "t_final=inf"),
+         "argument --t-final:"),
         (["verify", "--prototype", "damped", "--gamma", "0.3", "--k", "nan"], "argument --k:"),
         (["evolve", "--prototype", "damped", "--gamma", "0.3", "--k", "inf"], "argument --k:"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--n0", "inf"], "argument --n0:"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--sigma", "inf"],
+         "argument --sigma:"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--v", "inf"], "argument --v:"),
+        (["classify", "--prototype", "damped", "--gamma", "nan"], "argument --gamma:"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "nan", "1"],
+         "argument --kappa:"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-min", "nan"],
+         "argument --k-min:"),
         (["verify", "--prototype", "damped", "--gamma", "0.3", "--convention", "raw"],
          "unrecognized arguments: --convention"),
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
@@ -690,7 +700,9 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows",
          "classify-tol", "verify-tol", "campaign-radius", "campaign-radius-nan", "campaign-tol-inf",
          "cmt-omega-nan", "cmt-omega-min-inf", "cmt-omega-max-inf", "evolve-dt-nan",
-         "evolve-t-final-inf", "verify-k-nan", "evolve-k-inf", "verify-convention", "cmt-omega",
+         "evolve-t-final-inf", "verify-k-nan", "evolve-k-inf", "evolve-n0-inf", "evolve-sigma-inf",
+         "evolve-v-inf", "classify-gamma-nan", "cmt-kappa-nan", "sweep-k-min-nan",
+         "verify-convention", "cmt-omega",
          "evolve-frames-above-steps", "sweep-file-center-gamma", "sweep-file-center-v"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
@@ -862,7 +874,7 @@ print([
     (["--dt", "5e-324"], "t_final / dt = inf steps"),
     (["--sigma", "1e-300"], "sigma=1e-300"),
     (["--sigma", "1e-170"], "sigma=1e-170"),
-    (["--sigma", "nan"], "sigma=nan"),
+    pytest.param(["--sigma", "nan"], "argument --sigma:", id="argv4-sigma=nan"),
     (["--sigma", "1e-05", "--n0", "-50.5"], "sigma=1e-05 at n0=-50.5"),
     (["--sigma", "1e-160"], "sigma=1e-160 at n0=-50.0 has squared norm 5.6419e+159"),
 ])

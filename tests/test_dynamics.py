@@ -43,21 +43,21 @@ def _random_state(rng, size):
 
 
 def test_single_site_center_gives_uniform_chain():
-    geom, h = build_chain(np.zeros((1, 1)), 2, 2)
+    h = build_chain(np.zeros((1, 1)), 2, 2)
     dense = h.toarray()
     expected = np.zeros((5, 5), dtype=complex)
     for i in range(4):
         expected[i, i + 1] = expected[i + 1, i] = -1.0
     np.testing.assert_array_equal(dense, expected)
-    assert geom.total == 5
-    assert geom.center_slice == slice(2, 3)
+    assert h.size == 5
+    assert h.center_slice == slice(2, 3)
 
 
 def test_undamped_embedding_places_imaginary_coupling():
     system = prototype_system("undamped", 0.0, GAMMA)
-    geom, h = build_chain(system, 3, 3)
+    h = build_chain(system, 3, 3)
     dense = h.toarray()
-    c0 = geom.left_len
+    c0 = h.center_slice.start
     assert dense[c0, c0 + 1] == -1j * GAMMA
     assert dense[c0 + 1, c0] == -1j * GAMMA
     # lead-center bonds are -J
@@ -68,7 +68,7 @@ def test_undamped_embedding_places_imaginary_coupling():
 def test_hermitian_center_gives_hermitian_chain():
     rng = np.random.default_rng(4)
     a = random_center(rng, 3)
-    _, h = build_chain(a + a.conj().T, 5, 5)
+    h = build_chain(a + a.conj().T, 5, 5)
     dense = h.toarray()
     assert np.abs(dense - dense.conj().T).max() == 0.0
 
@@ -106,19 +106,24 @@ def _chain_cases():
 
 @pytest.mark.parametrize("system, left_len, right_len", _chain_cases())
 def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
-    geom, h = build_chain(system, left_len, right_len)
+    h = build_chain(system, left_len, right_len)
     if isinstance(system, ScatteringSystem):
+        n = len(system.center)
         ref = _csr_chain(system.center, system.ports, left_len, right_len, system.coupling)
     else:
-        ref = _csr_chain(system, (0, len(system) - 1), left_len, right_len, 1.0)
+        n = len(system)
+        ref = _csr_chain(system, (0, n - 1), left_len, right_len, 1.0)
+    assert (h.left_slice, h.center_slice, h.right_slice) == (
+        slice(0, left_len), slice(left_len, left_len + n),
+        slice(left_len + n, left_len + n + right_len))
     dense = h.toarray()
     np.testing.assert_array_equal(dense, ref.toarray())
     # the same float as the sparse column sums, so the same Taylor substeps
     assert h.norm1 == float(np.abs(dense).sum(axis=0).max()) == float(abs(ref).sum(axis=0).max())
-    rng = np.random.default_rng(geom.total)
-    x = rng.normal(size=geom.total) + 1j * rng.normal(size=geom.total)
+    rng = np.random.default_rng(h.size)
+    x = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     want = ref @ x
-    if geom.center_dim == 2:
+    if n == 2:
         np.testing.assert_array_equal(h @ x, want)
     else:
         assert np.abs(h @ x - want).max() <= 1e-15 * np.abs(want).max()
@@ -134,24 +139,24 @@ def test_build_chain_rejects_empty_leads():
 
 
 def test_packet_norm_close_to_one():
-    geom, _ = build_chain(np.zeros((2, 2)), 300, 300)
+    geom = build_chain(np.zeros((2, 2)), 300, 300)
     psi = gaussian_packet(geom, -50.0, 10.0, math.pi / 2.0)
     # Riemann sum of the squared envelope vs the sqrt(pi)*sigma normalizer
-    offsets = geom.left_offsets()
+    offsets = np.arange(-300, 0)
     riemann = float(np.exp(-((offsets + 50.0) ** 2) / 100.0).sum())
     assert abs(riemann / (math.sqrt(math.pi) * 10.0) - 1.0) < 1e-6
     assert abs(np.linalg.norm(psi) ** 2 - 1.0) < 1e-6
 
 
 def test_packet_lives_only_in_left_lead():
-    geom, _ = build_chain(np.zeros((2, 2)), 120, 80)
+    geom = build_chain(np.zeros((2, 2)), 120, 80)
     psi = gaussian_packet(geom, -60.0, 10.0, 1.2)
     assert np.abs(psi[geom.center_slice]).max() == 0.0
     assert np.abs(psi[geom.right_slice]).max() == 0.0
 
 
 def test_packet_out_of_bounds():
-    geom, _ = build_chain(np.zeros((2, 2)), 120, 80)
+    geom = build_chain(np.zeros((2, 2)), 120, 80)
     with pytest.raises(PacketOutOfBoundsError):
         gaussian_packet(geom, -60.0, 20.0, 1.2)  # support reaches the center
     with pytest.raises(PacketOutOfBoundsError):
@@ -165,7 +170,7 @@ def test_packet_out_of_bounds():
     with pytest.raises(PacketOutOfBoundsError, match=r"\[-121\.001, -21\.001\d*\] leaves"):
         gaussian_packet(geom, -71.001, 10.0, 1.2)
     # the reference experiment geometry is exactly admissible
-    geom300, _ = build_chain(np.zeros((2, 2)), 300, 300)
+    geom300 = build_chain(np.zeros((2, 2)), 300, 300)
     gaussian_packet(geom300, -50.0, 10.0, math.pi / 2.0)
 
 
@@ -214,8 +219,8 @@ def test_frame_schedule_lands_within_half_a_step_of_t_final():
 
 def test_hermitian_chain_preserves_norm():
     # band-center packet on a uniform chain, long evolution with edge bounces
-    geom, h = build_chain(np.zeros((1, 1)), 120, 120)
-    psi0 = gaussian_packet(geom, -60.0, 10.0, math.pi / 2.0)
+    h = build_chain(np.zeros((1, 1)), 120, 120)
+    psi0 = gaussian_packet(h, -60.0, 10.0, math.pi / 2.0)
     psi0 = psi0 / np.linalg.norm(psi0)
     traj = propagate_rk4(h, psi0, dt=0.02, t_final=100.0, frames=20)
     norms = np.linalg.norm(traj.states, axis=1)
@@ -224,8 +229,8 @@ def test_hermitian_chain_preserves_norm():
 
 def test_rk4_matches_expm_oracle_on_random_chain():
     rng = np.random.default_rng(11)
-    geom, h = build_chain(_lossy_center(rng, 4), 18, 18)
-    assert geom.total == 40
+    h = build_chain(_lossy_center(rng, 4), 18, 18)
+    assert h.size == 40
     psi0 = _random_state(rng, 40)
     traj = propagate_rk4(h, psi0, dt=0.02, t_final=10.0)
     exact = propagate_expm(h, psi0, float(traj.times[-1]))
@@ -234,8 +239,8 @@ def test_rk4_matches_expm_oracle_on_random_chain():
 
 def test_rk4_is_fourth_order():
     rng = np.random.default_rng(11)
-    geom, h = build_chain(_lossy_center(rng, 4), 8, 8)
-    psi0 = _random_state(rng, geom.total)
+    h = build_chain(_lossy_center(rng, 4), 8, 8)
+    psi0 = _random_state(rng, h.size)
     exact = propagate_expm(h, psi0, 5.0)
     errs = []
     for dt in (0.04, 0.02):
@@ -249,8 +254,8 @@ def test_rk4_is_fourth_order():
 def test_scipy_expm_cross_check():
     # the scipy.linalg.expm propagator against an eigendecomposition of H
     rng = np.random.default_rng(9)
-    geom, h = build_chain(random_center(rng, 4), 13, 13)
-    psi0 = _random_state(rng, geom.total)
+    h = build_chain(random_center(rng, 4), 13, 13)
+    psi0 = _random_state(rng, h.size)
     mine = propagate_expm(h, psi0, 3.0)
     w, v = np.linalg.eig(h.toarray())
     ref = v @ (np.exp(-3j * w) * np.linalg.solve(v, psi0))
@@ -260,9 +265,9 @@ def test_scipy_expm_cross_check():
 def test_norm_cap_reported_not_raised():
     # strong gain on a small chain
     center = np.array([[1j]], dtype=complex)
-    geom, h = build_chain(center, 5, 5)
-    psi0 = np.zeros(geom.total, dtype=complex)
-    psi0[geom.center_slice] = 1.0
+    h = build_chain(center, 5, 5)
+    psi0 = np.zeros(h.size, dtype=complex)
+    psi0[h.center_slice] = 1.0
     with pytest.warns(RuntimeWarning, match="amplifying"):
         traj = propagate_rk4(h, psi0, dt=0.02, t_final=40.0, frames=10, norm_cap=1e3)
     assert traj.norm_cap_exceeded
@@ -277,9 +282,9 @@ def test_taylor_frames_match_expm_oracle(center):
         "undamped": prototype_system("undamped", 0.0, GAMMA),
         "random": random_center(rng, 4),  # strongly non-Hermitian: the norm grows 1e8-fold
     }
-    geom, h = build_chain(centers[center], 20, 20)
-    assert geom.total <= 64
-    psi0 = _random_state(rng, geom.total)
+    h = build_chain(centers[center], 20, 20)
+    assert h.size <= 64
+    psi0 = _random_state(rng, h.size)
     _, times = _frame_schedule(0.02, 20.0, 10)
     states, _ = _taylor_frames(h, psi0, times)
     # Each substep stops at the unit roundoff 2**-53 of its partial sum, and
@@ -310,7 +315,7 @@ def test_default_packet_takes_one_taylor_substep_per_frame():
                    prototype_system("damped", 0.0, GAMMA).daggered(),
                    prototype_system("undamped", 0.0, GAMMA)):
         traj = packet_experiment(system, k=math.pi / 2.0)
-        _, h = build_chain(system, 300, 300)
+        h = build_chain(system, 300, 300)
         assert _taylor_substeps(h, traj.times).tolist() == [1.0] * 50
         counting = _CountingChain(h)
         states, matvecs = _taylor_frames(counting, traj.states[0], traj.times)
@@ -325,8 +330,8 @@ def test_taylor_substeps_at_theta_match_expm_oracle(center, side, substeps):
     rng = np.random.default_rng(11)
     system = (prototype_system("damped", 0.0, GAMMA).daggered() if center == "gain"
               else random_center(rng, 4))
-    geom, h = build_chain(system, 20, 20)
-    psi0 = _random_state(rng, geom.total)
+    h = build_chain(system, 20, 20)
+    psi0 = _random_state(rng, h.size)
     times = np.arange(6) * (side * TAYLOR_THETA / h.norm1)
     assert _taylor_substeps(h, times).tolist() == [substeps] * 5
     states, _ = _taylor_frames(h, psi0, times)
@@ -341,9 +346,9 @@ def test_packet_experiment_agrees_with_rk4_on_bench_dimers():
                    prototype_system("damped", 0.0, GAMMA).daggered(),
                    prototype_system("undamped", 0.0, GAMMA)):
         traj = packet_experiment(system, k=math.pi / 2.0)
-        geom, h = build_chain(system, 300, 300)
-        psi0 = gaussian_packet(geom, -50.0, 10.0, math.pi / 2.0)
-        rk4 = propagate_rk4(h, psi0, dt=0.02, t_final=float(traj.times[-1]), geometry=geom)
+        h = build_chain(system, 300, 300)
+        psi0 = gaussian_packet(h, -50.0, 10.0, math.pi / 2.0)
+        rk4 = propagate_rk4(h, psi0, dt=0.02, t_final=float(traj.times[-1]), geometry=h)
         np.testing.assert_array_equal(traj.times, rk4.times)
         np.testing.assert_allclose(block_intensities(traj)[:3], block_intensities(rk4)[:3],
                                    rtol=1e-9, atol=1e-9)
@@ -416,9 +421,9 @@ def test_gain_packet_within_three_percent_of_plane_wave():
 
 def test_measure_rt_trivial_center_transmits_everything():
     system_center = np.zeros((1, 1))
-    geom, h = build_chain(system_center, 150, 150)
-    psi0 = gaussian_packet(geom, -50.0, 10.0, math.pi / 2.0)
-    traj = propagate_rk4(h, psi0, dt=0.02, t_final=55.0, geometry=geom)
+    h = build_chain(system_center, 150, 150)
+    psi0 = gaussian_packet(h, -50.0, 10.0, math.pi / 2.0)
+    traj = propagate_rk4(h, psi0, dt=0.02, t_final=55.0, geometry=h)
     r, t, leak = final_rt(traj)
     assert abs((r + t) - 1.0) < 1e-6
     assert t > 0.999
@@ -426,9 +431,9 @@ def test_measure_rt_trivial_center_transmits_everything():
 
 def test_measure_rt_boundary_contamination():
     # a packet run past the open ends fails the edge rule of the R/T readout
-    geom, h = build_chain(np.zeros((1, 1)), 60, 60)
-    psi0 = gaussian_packet(geom, -50.0, 2.0, math.pi / 2.0)
-    traj = propagate_rk4(h, psi0, dt=0.02, t_final=120.0, geometry=geom)
+    h = build_chain(np.zeros((1, 1)), 60, 60)
+    psi0 = gaussian_packet(h, -50.0, 2.0, math.pi / 2.0)
+    traj = propagate_rk4(h, psi0, dt=0.02, t_final=120.0, geometry=h)
     r, t, _, edge = block_intensities(traj)
     assert edge >= EDGE_TOL * (r + t)
 
@@ -469,17 +474,17 @@ def test_rt_series_hermitian_center_conserves_total():
 
 def test_overlap_constant_under_rk4():
     rng = np.random.default_rng(21)
-    geom, h = build_chain(0.15 * random_center(rng, 3), 14, 13)
-    psi0 = _random_state(rng, geom.total)
-    phi0 = _random_state(rng, geom.total)
+    h = build_chain(0.15 * random_center(rng, 3), 14, 13)
+    psi0 = _random_state(rng, h.size)
+    phi0 = _random_state(rng, h.size)
     series = overlap_series(h, psi0, phi0, dt=0.01, t_final=10.0)
     assert np.abs(series - series[0]).max() < 1e-7
 
 
 def test_overlap_constant_under_expm_oracle():
     rng = np.random.default_rng(22)
-    geom, h = build_chain(random_center(rng, 3), 14, 13)  # strongly non-Hermitian
-    assert geom.total == 30
+    h = build_chain(random_center(rng, 3), 14, 13)  # strongly non-Hermitian
+    assert h.size == 30
     dense = h.toarray()
     psi0 = _random_state(rng, 30)
     phi0 = _random_state(rng, 30)
@@ -491,18 +496,18 @@ def test_overlap_constant_under_expm_oracle():
 
 
 def test_overlap_hermitian_self_is_unit_norm():
-    geom, h = build_chain(np.zeros((2, 2)), 12, 12)
+    h = build_chain(np.zeros((2, 2)), 12, 12)
     rng = np.random.default_rng(5)
-    psi0 = _random_state(rng, geom.total)
+    psi0 = _random_state(rng, h.size)
     series = overlap_series(h, psi0, psi0, dt=0.01, t_final=5.0, frames=10)
     assert np.abs(series - 1.0).max() < 1e-7
 
 
 def test_orthogonal_states_stay_orthogonal():
     rng = np.random.default_rng(6)
-    geom, h = build_chain(0.3 * random_center(rng, 2), 12, 12)
-    psi0 = _random_state(rng, geom.total)
-    phi0 = _random_state(rng, geom.total)
+    h = build_chain(0.3 * random_center(rng, 2), 12, 12)
+    psi0 = _random_state(rng, h.size)
+    phi0 = _random_state(rng, h.size)
     phi0 -= np.vdot(phi0, psi0).conjugate() * psi0 / np.linalg.norm(psi0) ** 2
     phi0 = phi0 / np.linalg.norm(phi0)
     psi0_perp = psi0 - np.vdot(phi0, psi0) * phi0
@@ -526,6 +531,6 @@ def test_packet_experiment_records_metadata():
     assert traj.k == math.pi / 2.0
     assert traj.n0 == -50.0
     assert traj.sigma == 10.0
-    assert traj.geometry.total == 242
+    assert traj.geometry.size == 242
     assert len(traj.times) == 11
     assert abs(traj.initial_norm - 1.0) < 1e-6

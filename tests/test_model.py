@@ -153,7 +153,7 @@ def test_system_lead_coupling_is_not_overridden(j):
     system = prototype_system("damped", 0.0, 0.3)
     with pytest.raises(ValueError, match="carries its lead coupling"):
         build_chain(system, 3, 3, coupling=j)
-    assert build_chain(system, 3, 3)[1].hop == -system.coupling
+    assert build_chain(system, 3, 3).hop == -system.coupling
 
 
 def test_system_center_is_readonly():

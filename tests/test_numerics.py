@@ -182,13 +182,13 @@ def test_expm_dimension_cap():
     with pytest.raises(DimensionTooLargeError):
         propagate_expm(np.zeros((65, 65)), np.ones(65), 1.0)
     rng = _rng(3)
-    geom, h = build_chain(0.2 * random_center(rng, 2) - 0.2j * np.eye(2), 10, 10)
-    psi0 = rng.normal(size=geom.total) + 1j * rng.normal(size=geom.total)
+    h = build_chain(0.2 * random_center(rng, 2) - 0.2j * np.eye(2), 10, 10)
+    psi0 = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     np.testing.assert_allclose(propagate_expm(h, psi0, 1.0), propagate_expm(h.toarray(), psi0, 1.0),
                                atol=1e-14)
-    geom, h = build_chain(np.zeros((2, 2)), 31, 32)
+    h = build_chain(np.zeros((2, 2)), 31, 32)
     with pytest.raises(DimensionTooLargeError):
-        propagate_expm(h, np.ones(geom.total), 1.0)
+        propagate_expm(h, np.ones(h.size), 1.0)
 
 
 @given(seed=st.integers(0, 10_000))

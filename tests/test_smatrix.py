@@ -143,20 +143,6 @@ def test_closed_form_undamped_gamma_sign_flip():
 # numeric scattering matrix
 
 
-def test_numeric_matches_closed_forms_on_grid():
-    ks = np.linspace(0.05, math.pi - 0.05, 200)
-    damped = prototype_system("damped", 0.0, GAMMA)
-    undamped = prototype_system("undamped", 0.0, GAMMA)
-    for k in ks:
-        k = float(k)
-        s1 = scattering_matrix(damped, k).entries
-        r1, t1 = closed_form_damped(k, GAMMA)
-        assert np.abs(s1 - np.array([[r1, t1], [t1, r1]])).max() < 1e-12
-        s2 = scattering_matrix(undamped, k).entries
-        r2, t2 = closed_form_undamped(k, GAMMA)
-        assert np.abs(s2 - np.array([[r2, t2], [t2, r2]])).max() < 1e-12
-
-
 def test_raw_convention_differs_by_reference_plane_phase():
     system = prototype_system("undamped", 0.0, GAMMA)
     for k in (0.4, 1.1, 2.6):

@@ -8,11 +8,12 @@ Each ``REV`` is a git revision of this repository; its ``src`` directory is
 extracted with ``git archive`` into a temporary directory.  Every run is a
 fresh ``python -m nhscatter ...`` process in an empty temporary directory
 with ``PYTHONPATH`` at that ``src`` and one BLAS/OpenMP thread, as in
-``bench/run.py``.  The runs alternate between the revisions, so that drift
-of the machine hits them alike.  The wall time is taken around the process,
-start-up and exit included; the peak RSS is the process's own ``ru_maxrss``
-from ``wait4``.  The JSON report on stdout names each revision's commit and
-``src`` tree and holds the medians of ``RUNS`` runs and every run.
+``bench/run.py``.  The runs alternate between the revisions, in an order
+that reverses every round, so that drift of the machine hits them alike.
+The wall time is taken around the process, start-up and exit included; the
+peak RSS is the process's own ``ru_maxrss`` from ``wait4``.  The JSON report
+on stdout names each revision's commit and ``src`` tree and holds the
+medians of ``RUNS`` runs and every run.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ def main() -> None:
         results = {}
         for name, argv in COMMANDS.items():
             runs = {label: [] for label in srcs}
+            order = list(srcs.items())
             for _ in range(RUNS):
-                for label, src in srcs.items():
+                for label, src in order:
                     runs[label].append(run_once(src, argv))
+                order.reverse()  # each revision runs first in every other round
             results[name] = {
                 "argv": ["python", "-m", "nhscatter", *argv],
                 **{label: {
