@@ -47,8 +47,14 @@ from .model import (
     make_prototype,
     port_indicator,
 )
-from .numerics import csv_text, frob, invert, matrix_from_json, matrix_to_json
-from .smatrix import Convention, dressed_smatrix, lead_smatrices, scattering_matrix
+from .numerics import RepeatedColumn, csv_text, frob, invert, matrix_from_json, matrix_to_json
+from .smatrix import (
+    Convention,
+    dressed_smatrix,
+    lead_smatrices,
+    require_stack_fits,
+    scattering_matrix,
+)
 from .symmetry import is_anti_pt, metric_space, phase_of, port_metric, port_signature
 
 EXIT_OK = 0
@@ -62,10 +68,9 @@ CAMPAIGN_BLOCK = 1024
 
 
 def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -> None:
-    """One CSV row per row of the stacked columns: every number as ``'%.17g' %``
-    writes it, then the constant text column ``tail`` if given."""
-    table = np.column_stack(columns)
-    _write_text(path, itertools.chain([",".join(header) + "\n"], csv_text(table, tail)))
+    """One CSV row per row of the column blocks (see ``csv_text``): every number
+    as ``'%.17g' %`` writes it, then the constant text column ``tail`` if given."""
+    _write_text(path, itertools.chain([",".join(header) + "\n"], csv_text(columns, tail)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -248,6 +253,7 @@ def _cmd_sweep(cfg: dict) -> int:
         raise ConfigError("need 0 < k_min < k_max < pi")
     if cfg["k_count"] < 1:
         raise ConfigError("k_count must be at least 1")
+    require_stack_fits(cfg["k_count"], system.center.shape[0], "k")
     ks = np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"])
     s, s_bar = (lead_smatrices(center, system.ports, ks, system.coupling, convention)
                 for center in (system.center, dagger(system.center)))
@@ -277,9 +283,10 @@ def _cmd_evolve(cfg: dict) -> int:
     params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
     traj = packet_experiment(system, **{name: cfg[name] for name in params})
 
-    n_frames, n_sites = traj.states.shape
+    n_sites = traj.states.shape[1]
     psi = traj.states.ravel()
-    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
+    frame, site = np.divmod(np.arange(psi.size), n_sites)
+    columns = [RepeatedColumn(traj.times, frame), RepeatedColumn(np.arange(n_sites), site),
                psi.real, psi.imag, np.abs(psi) ** 2]
     frames = Path(cfg["out_frames"])
     _write_table(frames, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
@@ -402,6 +409,7 @@ def _cmd_cmt(cfg: dict) -> int:
         raise ConfigError("need omega_min < omega_max")
     if cfg["omega_count"] < 1:
         raise ConfigError("omega_count must be at least 1")
+    require_stack_fits(cfg["omega_count"], center.shape[0], "omega")
     omegas = np.linspace(lo, hi, cfg["omega_count"])
 
     signs = cfg.get("port_signs")

@@ -96,7 +96,11 @@ class ChainOperator:
     does.  numpy may round a product of two complex numbers differently (by
     a fused multiply-add), so the two agree bit for bit where each entry is
     real or imaginary, as in the prototype dimers, and within rounding
-    elsewhere.
+    elsewhere.  One sign differs: CSR starts each row's sum at +0, and this
+    sum starts at the row's first product, so a real or imaginary part whose
+    products are all -0 (a hopping ``-J`` times an exact zero) is -0 here and
+    +0 there.  The two compare equal, and adding the step to a state whose
+    zeros are +0, as the propagators do, gives +0 either way.
     """
 
     size: int
@@ -106,10 +110,11 @@ class ChainOperator:
     window: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.size, dtype=np.complex128)
         p = self.hop * x
-        y[1:] += p[:-1]
-        y[:-1] += p[1:]
+        y = np.empty_like(p)
+        np.add(p[:-2], p[2:], out=y[1:-1])
+        y[0] = p[1]
+        y[-1] = p[-2]
         y[self.rows] = np.add.accumulate(self.window * x[self.cols], axis=1)[:, -1]
         return y
 

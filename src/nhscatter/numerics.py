@@ -16,7 +16,9 @@ Non-square matrices (channel-coupling blocks) carry explicit ``rows`` and
 entries.
 
 CSV text comes from :func:`csv_text`, which formats a float table in numpy
-with the same bytes as Python's ``'%.17g' % value`` for every cell.
+with the same bytes as Python's ``'%.17g' % value`` for every cell.  A
+column of a few distinct values repeated down the table, a
+:class:`RepeatedColumn`, has each of them formatted once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -156,17 +158,23 @@ _MIN_EXP10, _MAX_EXP10 = -325, 309
 _TIE_MARGIN = 2.0 ** -30
 
 
+# the powers of ten come in blocks of this many exponents, each built the
+# first time the exponents of a chunk of cells span it
+_POWER_BLOCK = 32
+
+
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(hi, lo, scale)`` for each decimal exponent X, indexed by ``X - _MIN_EXP10``.
+def _power_block(block: int) -> np.ndarray:
+    """Rows ``hi``, ``lo`` and ``scale`` of the exponents X of one block, the
+    ``_POWER_BLOCK`` from ``_MIN_EXP10 + block * _POWER_BLOCK`` up.
 
     ``|x| * scale`` is ``|x|`` times a power of two that keeps it and its
     Veltkamp split in the normal range, and ``hi + lo`` is
     ``10**(16 - X) / scale`` to about 2**-106, from integer arithmetic.
-    Built on first use (a few ms), not at import.
     """
-    his, los, scales = [], [], []
-    for x in range(_MIN_EXP10, _MAX_EXP10 + 1):
+    powers = []
+    first = _MIN_EXP10 + block * _POWER_BLOCK
+    for x in range(first, first + _POWER_BLOCK):
         b = 600 if x < -200 else -600 if x > 200 else 0
         q = 16 - x
         num = 10 ** max(q, 0) << max(-b, 0)
@@ -177,10 +185,20 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # num / den to 110 bits: the top 53 are hi, the rest rounded are lo
         shift = 110 - e
         a = (num << shift) // den if shift >= 0 else num // (den << -shift)
-        his.append(math.ldexp(a >> 57, e - 53))
-        los.append(math.ldexp(a & ((1 << 57) - 1), e - 110))
-        scales.append(math.ldexp(1.0, b))
-    return np.array(his), np.array(los), np.array(scales)
+        powers.append((math.ldexp(a >> 57, e - 53), math.ldexp(a & ((1 << 57) - 1), e - 110),
+                       math.ldexp(1.0, b)))
+    return np.array(powers).T
+
+
+def _powers_of_ten(exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``hi``, ``lo`` and ``scale`` (see :func:`_power_block`) of each
+    exponent, taken from the blocks that span the exponents."""
+    low, high = (int(exp10.min()), int(exp10.max())) if exp10.size else (0, 0)
+    first = (low - _MIN_EXP10) // _POWER_BLOCK
+    last = (high - _MIN_EXP10) // _POWER_BLOCK
+    table = np.concatenate([_power_block(block) for block in range(first, last + 1)], axis=1)
+    index = exp10 - (_MIN_EXP10 + first * _POWER_BLOCK)
+    return table[0].take(index), table[1].take(index), table[2].take(index)
 
 
 @functools.cache
@@ -192,18 +210,21 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     the mask of ``000d dddd dddd dddd dddd`` that keeps them, as one ``V20``;
     and the exponent ``e±dd`` or ``e±ddd`` of each X as one NUL-padded ``V5``.
     """
-    n = np.arange(10000)
-    digits = n[:, None] // np.array([1000, 100, 10, 1]) % 10
-    groups = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    zeros = sum(n % 10 ** k == 0 for k in range(1, 5))
+    # a group's four digits index the axes, from the thousands to the units
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.uint8)
+    for k in range(4):
+        groups[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+        zeros[(..., *[0] * (k + 1))] += 1  # the last k + 1 digits are 0
     masks = np.where(np.arange(-3, 17) < np.arange(18)[:, None], 0xFF, 0).astype(np.uint8)
     x = np.arange(_MIN_EXP10, _MAX_EXP10 + 1)
     size = np.abs(x)
     exponents = np.stack([np.full_like(x, ord("e")), np.where(x < 0, ord("-"), ord("+")),
                           np.where(size >= 100, ord("0") + size // 100, 0),
                           ord("0") + size // 10 % 10, ord("0") + size % 10], axis=1)
-    return (groups, zeros, masks.view("V20").ravel(),
-            exponents.astype(np.uint8).view("V5"))
+    return (groups.view(np.uint32).ravel(), zeros.ravel().astype(np.int64),
+            masks.view("V20").ravel(), exponents.astype(np.uint8).view("V5"))
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +241,7 @@ def _scaled(mag: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parts plus the low part's, so the fraction is off by less than 2**-45
     while the floor is below 2**57, as it is once ``exp10`` is right.
     """
-    index = exp10 - _MIN_EXP10
-    hi, lo, scale = (t[index] for t in _powers_of_ten())
+    hi, lo, scale = _powers_of_ten(exp10)
     x = mag * scale
     p = x * hi
     xh, xl = _split(x)
@@ -331,20 +351,51 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return unsorted
 
 
-def csv_text(table: np.ndarray, tail: str = "") -> Iterator[str]:
-    """The CSV rows of a 2-D float table, in chunks of about ``CSV_CHUNK_CELLS`` cells.
+class RepeatedColumn(NamedTuple):
+    """A table column ``values[rows]`` whose few distinct ``values`` repeat
+    down it: :func:`csv_text` formats each of them once."""
 
-    Every cell reads as Python's ``'%.17g' % value``, byte for byte; a row
-    ends with ``,tail`` when ``tail`` is given, then a newline.
+    values: np.ndarray
+    rows: np.ndarray
+
+
+def csv_text(columns: np.ndarray | list, tail: str = "") -> Iterator[str]:
+    """The CSV rows of a float table, in chunks of about ``CSV_CHUNK_CELLS`` cells.
+
+    ``columns`` is a 2-D table or its column blocks in order, all of one
+    length: 1-D columns, 2-D blocks of columns and :class:`RepeatedColumn`
+    columns.  Every cell reads as Python's ``'%.17g' % value``, byte for
+    byte; a row ends with ``,tail`` when ``tail`` is given, then a newline.
     """
-    rows, cols = table.shape
+    blocks = [columns] if isinstance(columns, np.ndarray) else list(columns)
+    # the pieces of a row: each run of plain blocks as a slice of the bytes of
+    # their cells, each repeated column as the texts of its values and its rows
+    parts, plain, width = [], [], 0
+    for i, block in enumerate(blocks):
+        if isinstance(block, RepeatedColumn):
+            texts = _g17_cells(np.asarray(block.values, dtype=np.float64))
+            texts[:, -1] = ord(",") if i < len(blocks) - 1 else 0
+            # only the bytes that some text takes, then the separator
+            used = np.flatnonzero(texts[:, :-1].any(axis=0)).max(initial=-1) + 1
+            parts.append((texts[:, [*range(used), -1]], np.asarray(block.rows)))
+            continue
+        plain.append(block)
+        if not parts or not isinstance(parts[-1], slice):  # a new run of plain blocks
+            parts.append(slice(width * _CELL_WIDTH, None))
+        width += 1 if np.ndim(block) == 1 else np.shape(block)[1]
+        parts[-1] = slice(parts[-1].start, width * _CELL_WIDTH)
+    table = np.column_stack(plain) if plain else np.empty((len(blocks[0].rows), 0))
     end = np.frombuffer(f",{tail}\n".encode() if tail else b"\n", dtype=np.uint8)
-    step = max(1, CSV_CHUNK_CELLS // cols)
-    for start in range(0, rows, step):
+    step = max(1, CSV_CHUNK_CELLS // (width + len(blocks) - len(plain)))
+    for start in range(0, len(table), step):
         block = np.ascontiguousarray(table[start:start + step], dtype=np.float64)
-        cells = _g17_cells(block.ravel()).reshape(len(block), cols, _CELL_WIDTH)
+        n = len(block)
+        cells = _g17_cells(block.ravel()).reshape(n, width, _CELL_WIDTH)
         cells[:, :, -1] = ord(",")
-        cells[:, -1, -1] = 0  # the row's end follows its last cell
-        text = np.concatenate([cells.reshape(len(block), -1),
-                               np.broadcast_to(end, (len(block), len(end)))], axis=1)
+        if not isinstance(blocks[-1], RepeatedColumn):
+            cells[:, -1, -1] = 0  # the row's end follows its last cell
+        cells = cells.reshape(n, -1)
+        pieces = [cells[:, part] if isinstance(part, slice)
+                  else part[0].take(part[1][start:start + n], axis=0) for part in parts]
+        text = np.concatenate([*pieces, np.broadcast_to(end, (n, len(end)))], axis=1)
         yield text.tobytes().translate(None, b"\0").decode()

@@ -30,9 +30,26 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ScatteringSingularityError, SingularMatrixError
+from .errors import ScatteringSingularityError, SingularMatrixError, WorkLimitError
 from .model import ScatteringSystem, port_indicator, require_in_band
 from .numerics import frozen_matrix, invert
+
+
+# A grid of K points is refused above this many bytes in one (K, N, N) complex
+# stack, before any is built.  The kernel holds a few such stacks at once and
+# a sweep its CSV columns too: a dimer's sweep peaks near 13 stacks' bytes.
+# 2**25 bytes are 524,288 k of a dimer and 58,254 of a 6-site center.
+MAX_STACK_BYTES = 2 ** 25
+
+
+def require_stack_fits(points: int, n: int, grid: str) -> None:
+    """Raise :class:`WorkLimitError` when ``points`` grid points of an
+    ``n``-site center need (K, N, N) complex stacks above
+    :data:`MAX_STACK_BYTES`."""
+    size = 16 * points * n * n
+    if size > MAX_STACK_BYTES:
+        raise WorkLimitError(f"{points} {grid} points of a {n}-site center take {size:.3g} bytes "
+                             f"in each (K, N, N) stack, more than {MAX_STACK_BYTES:.3g}")
 
 
 class Convention(str, Enum):

@@ -23,6 +23,8 @@ from nhscatter import (
 )
 from nhscatter.cli import _resolve, build_parser, run
 from nhscatter.dynamics import EDGE_TOL
+from nhscatter.errors import WorkLimitError
+from nhscatter.smatrix import require_stack_fits
 from helpers import percent_csv, port_metric_center, random_center
 
 
@@ -820,6 +822,25 @@ def test_sweep_exit_code_names_the_singular_k(tmp_path, capsys):
     ]) == 3
     assert "k=1.5708" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "1000000000000"],
+    ["cmt", "--prototype", "damped", "--gamma", "0.3", "--kappa", "1", "1",
+     "--omega-count", "1000000000000"],
+])
+def test_grid_beyond_the_stack_cap_is_refused_before_allocating(tmp_path, capsys, argv):
+    # both exited 1 with a numpy MemoryError traceback from the grid itself
+    out = tmp_path / "o.csv"
+    assert run([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert "2-site center take 6.4e+13 bytes in each (K, N, N) stack, more than 3.36e+07" in err
+    assert not out.exists()
+    # the cap in points of a 6-site center, 29 times the benchmark's largest grid
+    require_stack_fits(58_254, 6, "k")
+    with pytest.raises(WorkLimitError):
+        require_stack_fits(58_255, 6, "k")
 
 
 def test_exit_code_numerical_on_band_edge(tmp_path):

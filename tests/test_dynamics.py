@@ -122,11 +122,35 @@ def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
     assert h.norm1 == float(np.abs(dense).sum(axis=0).max()) == float(abs(ref).sum(axis=0).max())
     rng = np.random.default_rng(h.size)
     x = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
-    want = ref @ x
-    if n == 2:
-        np.testing.assert_array_equal(h @ x, want)
-    else:
+    if n != 2:
+        want = ref @ x
         assert np.abs(h @ x - want).max() <= 1e-15 * np.abs(want).max()
+        return
+    # bit for bit, signed zeros included, also on a state whose center and
+    # right lead are exact zeros, as a packet's are at launch
+    empty_right = x.copy()
+    empty_right[h.center_slice.start:] = 0.0
+    for x in (x, empty_right):
+        np.testing.assert_array_equal((h @ x).view(np.uint64),
+                                      _first_product_sums(ref, h, x).view(np.uint64))
+    # past the window rows, the empty right lead's real parts are -0
+    assert np.signbit((h @ empty_right).real[h.right_slice][1:]).all()
+
+
+def _first_product_sums(ref, h, x):
+    """``ref @ x`` with the zero sign of ``ChainOperator``'s sums, which start
+    at a row's first product, not at +0 as CSR's do: a real or imaginary part
+    is -0 where all the products of its row are -0.  A row's products are
+    those of its hopping neighbours, or of its whole window row."""
+    want = (ref @ x).view(np.float64).reshape(-1, 2).copy()
+    dense = h.toarray()
+    taken = dense != 0
+    taken[h.rows, h.cols] = True
+    products = (dense * x).view(np.float64).reshape(h.size, h.size, 2)
+    negative_zero = (products == 0) & np.signbit(products)
+    all_negative_zero = np.where(taken[:, :, None], negative_zero, True).all(axis=1)
+    want[all_negative_zero] = -0.0
+    return want.view(np.complex128).ravel()
 
 
 def test_build_chain_rejects_empty_leads():

@@ -318,3 +318,33 @@ def test_csv_table_equals_the_percent_writer(rows, cols, tail):
     header = [f"c{j}" for j in range(cols)] + (["convention"] if tail else [])
     text = ",".join(header) + "\n" + "".join(numerics.csv_text(table, tail))
     assert text == percent_csv(header, list(table.T), tail)
+
+
+@pytest.mark.parametrize("rows, layout, tail", [
+    (3 * (numerics.CSV_CHUNK_CELLS // 6) + 7, "rprpPr", ""),
+    (2 * numerics.CSV_CHUNK_CELLS + 3, "rr", ""),
+    (5, "prP", "shifted"),
+    (0, "rp", ""),
+])
+def test_csv_repeated_columns_equal_the_percent_writer(rows, layout, tail):
+    # repeated columns (r) first, between plain columns (p) and 2-D blocks (P)
+    # and last, their values with signed zeros, infinities, nan and integers,
+    # across chunk boundaries
+    rng = _rng(rows + len(layout))
+    values = [np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 1 / 3, -2.5e-300, 1e22]),
+              np.arange(-3, 600)]
+    columns, flat = [], []
+    for i, kind in enumerate(layout):
+        if kind == "r":
+            distinct = values[i % 2]
+            picks = rng.integers(0, len(distinct), rows)
+            columns.append(numerics.RepeatedColumn(distinct, picks))
+            flat.append(distinct[picks])
+        else:
+            block = rng.standard_normal((rows, 1 if kind == "p" else 3))
+            block *= 10.0 ** rng.integers(-30, 30, block.shape)
+            columns.append(block[:, 0] if kind == "p" else block)
+            flat += list(block.T)
+    header = [f"c{j}" for j in range(len(flat))] + (["convention"] if tail else [])
+    text = ",".join(header) + "\n" + "".join(numerics.csv_text(columns, tail))
+    assert text == percent_csv(header, flat, tail)
