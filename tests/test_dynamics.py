@@ -130,9 +130,9 @@ def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
     # right lead are exact zeros, as a packet's are at launch
     empty_right = x.copy()
     empty_right[h.center_slice.start:] = 0.0
-    for x in (x, empty_right):
-        np.testing.assert_array_equal((h @ x).view(np.uint64),
-                                      _first_product_sums(ref, h, x).view(np.uint64))
+    for state in (x, empty_right):
+        np.testing.assert_array_equal((h @ state).view(np.uint64),
+                                      _first_product_sums(ref, h, state).view(np.uint64))
     # past the window rows, the empty right lead's real parts are -0
     assert np.signbit((h @ empty_right).real[h.right_slice][1:]).all()
 
