@@ -9,11 +9,15 @@ N x P indicator of attachment sites, the dressed Green function
 
 whose entry (p, q) is the outgoing amplitude at port p for a unit input at
 port q.  For two ports the layout is ``[[r_L, t_R], [t_L, r_R]]``.
+``W^T G W`` is the port block of ``G``: :func:`lead_smatrices` adds the
+self-energy to the port diagonal, inverts, and reads that block off.
 
-The same resolvent with the self-energy split into real and imaginary parts
-is the temporal coupled-mode S-matrix (Fan, Suh and Joannopoulos, JOSA A 20,
-569, 2003), so one batched kernel, :func:`dressed_smatrix`, serves both the
-lead and the coupled-mode forms over k or omega grids and center stacks.
+The temporal coupled-mode S-matrix (Fan, Suh and Joannopoulos, JOSA A 20,
+569, 2003) has its own batched kernel, :func:`dressed_smatrix`, over
+omega grids with a general coupling matrix.  With the self-energy split into
+a real shift and a decay rate, the lead matrix is the coupled-mode one with
+a k-dependent center and coupling; the tests check the two kernels against
+each other through that identity.
 
 Phase conventions.  ``S_raw`` references the in/out amplitudes through the
 continuity value at the attachment site; the ``shifted`` convention applies
@@ -31,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ScatteringSingularityError, SingularMatrixError, WorkLimitError
-from .model import ScatteringSystem, port_indicator, require_in_band
+from .model import ScatteringSystem, port_indicator, require_coupling, require_in_band
 from .numerics import frozen_matrix, invert
 
 
@@ -50,6 +54,21 @@ def require_stack_fits(points: int, n: int, grid: str) -> None:
     if size > MAX_STACK_BYTES:
         raise WorkLimitError(f"{points} {grid} points of a {n}-site center take {size:.3g} bytes "
                              f"in each (K, N, N) stack, more than {MAX_STACK_BYTES:.3g}")
+
+
+def _grid(points, name: str, **inputs) -> np.ndarray:
+    """``points`` as a 1-D float grid of K points, else ``ValueError`` naming the shapes.
+
+    Each of ``inputs`` is ``(array, axes)``: an array of ``axes`` axes serves
+    every point, and one with an extra leading axis is a stack of K, one per
+    point.
+    """
+    grid = np.asarray(points, dtype=np.float64)
+    if grid.ndim != 1 or any(np.ndim(a) > axes and (np.ndim(a) > axes + 1 or len(a) != len(grid))
+                             for a, axes in inputs.values()):
+        shapes = ", ".join(f"{key} {np.shape(a)}" for key, (a, _) in inputs.items())
+        raise ValueError(f"a grid must be 1-D and every stack as long: {name} {grid.shape}, {shapes}")
+    return grid
 
 
 class Convention(str, Enum):
@@ -86,9 +105,10 @@ def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float
     inverted in one batched LAPACK call; the result is ``(K, P, P)``.  A
     singular resolvent raises :class:`SingularMatrixError` naming the first
     offending frequency, with its grid position as ``index``.  A ``d`` whose
-    mode rows do not match the modes of ``h`` raises ``ValueError``.
+    mode rows do not match the modes of ``h``, a grid that is not 1-D, or a
+    stack whose length is not the grid's raises ``ValueError``.
     """
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = _grid(omega, "omega", h=(h, 2), d=(d, 2))
     n, p = d.shape[-2:]
     if n != h.shape[-1]:
         raise ValueError(f"coupling has {n} mode rows, center has {h.shape[-1]} modes")
@@ -113,32 +133,38 @@ def lead_smatrices(
     """``(K, P, P)`` scattering amplitudes over K wave vectors.
 
     ``center`` (N x N) and port ``sites`` (P) serve every k, or come per k as
-    ``(K, N, N)`` and ``(K, P)`` stacks.  The self-energy ``-J e^{ik}`` splits
-    into a real shift and a decay rate, which makes the lead matrix the
-    coupled-mode one with a k-dependent center and coupling:
+    ``(K, N, N)`` and ``(K, P)`` stacks.  Each k adds the self-energy
+    ``-J e^{ik}`` to the port diagonal of ``E I - H_c``; all K dressed
+    matrices are inverted in one batched LAPACK call, and ``S_raw`` is read
+    off the port block of each inverse.
 
-        S_raw(k) = -S_cmt(H_c - J cos k W W^T, D = sqrt(J sin k) W, omega = E).
-
-    Raises :class:`BandEdgeError` for a k outside ``(0, pi)`` and
+    Raises :class:`BandEdgeError` for a k outside ``(0, pi)``,
     :class:`ScatteringSingularityError` naming the first k where the
-    lead-dressed center is singular (a lasing / perfect-absorption momentum).
+    lead-dressed center is singular (a lasing / perfect-absorption momentum),
+    and ``ValueError`` for a lead coupling that is not finite and positive, a
+    grid that is not 1-D, or a stack whose length is not the grid's.
     """
     convention = Convention(convention)
-    ks = np.asarray(ks, dtype=np.float64)
+    ks = _grid(ks, "ks", center=(center, 2), sites=(sites, 1))
     outside = ks[~((ks > 0.0) & (ks < math.pi))]
     if outside.size:
         require_in_band(outside[0])
-    j = float(coupling)
-    w = port_indicator(np.shape(center)[-1], sites)
-    cos_k = np.cos(ks)
-    h = center - (j * cos_k)[:, None, None] * (w @ np.swapaxes(w, -1, -2))
-    d = np.sqrt(j * np.sin(ks))[:, None, None] * w
+    j = require_coupling(coupling)
+    n = np.shape(center)[-1]
+    port_indicator(n, sites)  # the check of the sites against the center
+    sites = np.asarray(sites)
+    at_k = np.arange(len(ks))[:, None]
+    energy = -2.0 * j * np.cos(ks)
+    dressed = energy[:, None, None] * np.eye(n) - np.asarray(center, dtype=np.complex128)
+    dressed[at_k, sites, sites] += j * np.exp(1j * ks)[:, None]
     try:
-        s = -dressed_smatrix(h, d, -2.0 * j * cos_k)
+        g = invert(dressed)
     except SingularMatrixError as exc:
         raise ScatteringSingularityError(
             f"lead-dressed center is singular at k={ks[exc.index]:.6g}", index=exc.index
         ) from exc
+    port_block = g[at_k[..., None], sites[..., :, None], sites[..., None, :]]
+    s = (2j * j * np.sin(ks))[:, None, None] * port_block - np.eye(sites.shape[-1])
     if convention is Convention.SHIFTED:
         s *= np.exp(-2j * ks)[:, None, None]
     return s

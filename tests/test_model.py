@@ -141,6 +141,7 @@ def test_lead_coupling_has_one_check(j):
     assert "lead coupling must" in str(owner.value)
     for build in (lambda: ScatteringSystem(np.eye(2), (0, 1), j),
                   lambda: mode_params(1.0, j),
+                  lambda: lead_smatrices(np.eye(2), (0, 1), [1.0], j),
                   lambda: build_chain(np.eye(2), 3, 3, coupling=j)):
         with pytest.raises(ValueError) as exc:
             build()

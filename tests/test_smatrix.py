@@ -13,6 +13,7 @@ from nhscatter import (
     ScatteringSingularityError,
     ScatteringSystem,
     cmt_smatrix,
+    dressed_smatrix,
     invert,
     lead_smatrices,
     port_indicator,
@@ -286,6 +287,22 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
         assert np.abs(s + phase * s_cmt).max() <= 1e-12 * scale
         assert np.abs(s - phase * s_lead).max() <= 1e-12 * scale
 
+    # a stack of K centers and port layouts over a k grid, against the same
+    # identity through the coupled-mode kernel with (K, N, N) and (K, N, P) stacks
+    count, n, p = int(rng.integers(2, 13)), system.dim, system.n_ports
+    stack = [random_system(rng, n=n, p=p) for _ in range(count)]
+    centers = np.array([one.center for one in stack])
+    sites = np.array([one.ports for one in stack])
+    ks = rng.uniform(0.05, math.pi - 0.05, count)
+    w = port_indicator(n, sites)
+    cos_k, sin_k = np.cos(ks)[:, None, None], np.sin(ks)[:, None, None]
+    s_cmt = -dressed_smatrix(centers - j * cos_k * (w @ np.swapaxes(w, -1, -2)), np.sqrt(j * sin_k) * w,
+                             -2.0 * j * np.cos(ks))
+    for convention, phase in ((Convention.RAW, 1.0), (Convention.SHIFTED, np.exp(-2j * ks))):
+        s = lead_smatrices(centers, sites, ks, j, convention)
+        scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+        assert (np.abs(s - np.reshape(phase, (-1, 1, 1)) * s_cmt).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
 
 def test_batched_singularity_names_first_singular_k():
     # undamped dimer at gamma = J: k = pi/2 is a lasing point
@@ -296,6 +313,28 @@ def test_batched_singularity_names_first_singular_k():
     assert info.value.index == 1
     with pytest.raises(BandEdgeError):
         lead_smatrices(system.center, system.ports, [0.4, math.pi])
+
+
+_D = np.ones((2, 1))
+_BAD_GRIDS = {  # the shapes that the error names, and a call that passes them
+    "ks ()": lambda: lead_smatrices(np.eye(2), (0, 1), 1.0),
+    "ks (1, 2)": lambda: lead_smatrices(np.eye(2), (0, 1), [[1.0, 1.2]]),
+    "ks (2,), center (3, 2, 2)": lambda: lead_smatrices(np.stack([np.eye(2)] * 3), (0, 1), [1.0, 1.2]),
+    "sites (3, 2)": lambda: lead_smatrices(np.eye(2), [[0, 1]] * 3, [1.0, 1.2]),
+    "center (1, 1, 2, 2)": lambda: lead_smatrices(np.eye(2)[None, None], (0, 1), [1.0]),
+    "omega ()": lambda: dressed_smatrix(np.eye(2), _D, 0.5),
+    "omega (2, 1)": lambda: dressed_smatrix(np.eye(2), _D, [[0.5], [0.6]]),
+    "omega (2,), h (3, 2, 2)": lambda: dressed_smatrix(np.stack([np.eye(2)] * 3), _D, [0.5, 0.6]),
+    "d (3, 2, 1)": lambda: dressed_smatrix(np.eye(2), np.stack([_D] * 3), [0.5, 0.6]),
+}
+
+
+@pytest.mark.parametrize("shapes", _BAD_GRIDS)
+def test_bad_grid_is_refused_with_its_shapes(shapes):
+    # one grid check for both kernels: a 1-D grid, and every stacked input as long
+    with pytest.raises(ValueError, match=r"a grid must be 1-D and every stack as long: ") as info:
+        _BAD_GRIDS[shapes]()
+    assert shapes in str(info.value)
 
 
 @pytest.mark.parametrize("sites", [(0, 0), (-1, 0), (0, 2), [[0, 1], [1, 1]]])
