@@ -30,10 +30,8 @@ from .dynamics import (
 from .errors import (
     BandEdgeError,
     ConfigError,
-    ConventionMismatchError,
     DimensionTooLargeError,
     GeometryTooSmallError,
-    KMismatchError,
     NotTwoPortError,
     PacketOutOfBoundsError,
     PortConditionError,
@@ -50,7 +48,6 @@ from .model import (
     dagger,
     make_prototype,
     mode_params,
-    port_indicator,
     prototype_system,
 )
 from .numerics import (
@@ -62,7 +59,6 @@ from .numerics import (
 )
 from .smatrix import (
     Convention,
-    ScatteringMatrix,
     dressed_smatrix,
     lead_smatrices,
     scattering_matrix,

@@ -45,7 +45,7 @@ from .model import (
     ScatteringSystem,
     dagger,
     make_prototype,
-    port_indicator,
+    require_ports,
 )
 from .numerics import RepeatedColumn, csv_text, frob, invert, matrix_from_json, matrix_to_json
 from .smatrix import (
@@ -316,7 +316,7 @@ def _cmd_evolve(cfg: dict) -> int:
 def _cmd_classify(cfg: dict) -> int:
     center = _build_center(cfg)
     ports = tuple(cfg["ports"] or DEFAULT_PORTS)
-    port_indicator(center.shape[0], ports)  # the check of the sites against the center
+    require_ports(center.shape[0], ports)
     if len(ports) != 2:
         raise ConfigError("classify needs exactly two port sites")
     tol = cfg["tol"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import port_indicator
+from .model import require_ports
 from .numerics import as_complex_matrix, frozen_matrix
 from .smatrix import dressed_smatrix
 
@@ -53,7 +53,9 @@ def two_port_coupling(
     """
     if kappa_m < 0.0 or kappa_n < 0.0:
         raise ValueError(f"coupling rates kappa must be non-negative, got ({kappa_m}, {kappa_n})")
-    return CmtCoupling(port_indicator(n_modes, (m, n)) * np.sqrt([kappa_m, kappa_n]), float(omega))
+    d = np.zeros((n_modes, 2))
+    d[require_ports(n_modes, (m, n)), [0, 1]] = np.sqrt([kappa_m, kappa_n])
+    return CmtCoupling(d, float(omega))
 
 
 def cmt_smatrix(h_c: np.ndarray, coupling: CmtCoupling) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Verification of the universal scattering conservation law.
 
 For any center H with scattering matrix S and its Hermitian conjugate
-center H† with matrix S̄ (same k, same convention, same port order),
+center H† with matrix S̄ (plain P x P arrays, or (K, P, P) stacks, at the
+same k, in the same convention and port order),
 
     S̄† S = I
 
@@ -19,9 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConventionMismatchError, KMismatchError, NotTwoPortError
+from .errors import NotTwoPortError
 from .numerics import frob
-from .smatrix import ScatteringMatrix
 
 DEFAULT_FLUX_TOL = 1e-9
 
@@ -51,23 +51,23 @@ def conservation_defect(s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
     return np.swapaxes(s_bar, -1, -2).conj() @ s - np.eye(s.shape[-1])
 
 
-def flux_deviations(s: ScatteringMatrix | np.ndarray):
+def flux_deviations(s: np.ndarray):
     """Worst-port deviations (sum_dev, diff_dev) of the two intensity laws.
 
-    ``s`` is a scattering matrix or its 2 x 2 entries; a (K, 2, 2) stack of
-    entries gives two length-K arrays.
+    ``s`` is one 2 x 2 scattering matrix; a (K, 2, 2) stack gives two
+    length-K arrays.
     """
-    entries = s.entries if isinstance(s, ScatteringMatrix) else np.asarray(s)
-    if entries.shape[-2:] != (2, 2):
-        raise NotTwoPortError(f"flux classification needs 2 ports, got {entries.shape[-1]}")
-    r2 = np.abs(entries[..., [0, 1], [0, 1]]) ** 2  # input port q reflects into q
-    t2 = np.abs(entries[..., [1, 0], [0, 1]]) ** 2  # and transmits into 1 - q
+    s = np.asarray(s)
+    if s.shape[-2:] != (2, 2):
+        raise NotTwoPortError(f"flux classification needs 2 ports, got {s.shape[-1]}")
+    r2 = np.abs(s[..., [0, 1], [0, 1]]) ** 2  # input port q reflects into q
+    t2 = np.abs(s[..., [1, 0], [0, 1]]) ** 2  # and transmits into 1 - q
     sum_dev = np.abs(r2 + t2 - 1.0).max(axis=-1)
     diff_dev = np.abs(r2 - t2 - 1.0).max(axis=-1)
     return sum_dev, diff_dev
 
 
-def classify_flux(s: ScatteringMatrix, tol: float = DEFAULT_FLUX_TOL) -> tuple[FluxClass, float]:
+def classify_flux(s: np.ndarray, tol: float = DEFAULT_FLUX_TOL) -> tuple[FluxClass, float]:
     """Classify the two-port flux law and report the smaller deviation."""
     sum_dev, diff_dev = flux_deviations(s)
     if sum_dev < tol:
@@ -80,26 +80,22 @@ def classify_flux(s: ScatteringMatrix, tol: float = DEFAULT_FLUX_TOL) -> tuple[F
 
 
 def verify_conservation_law(
-    s: ScatteringMatrix,
-    s_bar: ScatteringMatrix,
+    s: np.ndarray,
+    s_bar: np.ndarray,
     tol: float = DEFAULT_FLUX_TOL,
 ) -> ConservationReport:
-    """Residuals of S̄† S = I for matrices of a center and its conjugate.
+    """Residuals of S̄† S = I for the P x P matrices of a center and its
+    conjugate, taken at one k in one convention with one port order.
 
-    Both matrices must share the wave vector, the convention, and the port
-    order; violations raise :class:`KMismatchError` or
-    :class:`ConventionMismatchError`.
+    Anything but two square matrices of one shape raises ``ValueError``.
     """
-    if s.convention != s_bar.convention:
-        raise ConventionMismatchError(
-            f"conventions differ: {s.convention.value} vs {s_bar.convention.value}"
-        )
-    if s.k != s_bar.k:
-        raise KMismatchError(f"wave vectors differ: {s.k} vs {s_bar.k}")
-    if s.entries.shape != s_bar.entries.shape:
-        raise ValueError(f"port counts differ: {s.entries.shape} vs {s_bar.entries.shape}")
-    product = conservation_defect(s.entries, s_bar.entries)
+    s, s_bar = np.asarray(s), np.asarray(s_bar)
+    if s.shape != s_bar.shape or s.ndim != 2 or len(s) != s.shape[1]:
+        raise ValueError(f"S and S̄ must be P x P matrices of one port count, "
+                         f"got {s.shape} and {s_bar.shape}")
+    product = conservation_defect(s, s_bar)
+    n_ports = len(s)
     diag = tuple(map(complex, product.diagonal()))
-    offdiag = tuple(map(complex, product[~np.eye(s.n_ports, dtype=bool)]))  # row-major, i != j
-    flux_class, flux_residual = classify_flux(s, tol) if s.n_ports == 2 else (None, None)
+    offdiag = tuple(map(complex, product[~np.eye(n_ports, dtype=bool)]))  # row-major, i != j
+    flux_class, flux_residual = classify_flux(s, tol) if n_ports == 2 else (None, None)
     return ConservationReport(frob(product), diag, offdiag, flux_class, flux_residual)

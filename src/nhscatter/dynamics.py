@@ -65,6 +65,10 @@ TAYLOR_THETA = 2.43
 # the documented defaults take about 105 (50 substeps and 55 RK4 steps).
 MAX_PROPAGATION_STEPS = 10 ** 6
 MAX_STEP_COUNT = 2.0 ** 63  # the step counts of a frame schedule are int64
+# A packet experiment refuses to start when its (frames + 1, L) complex states
+# take more bytes: 137 times the 0.49 MB of the defaults (a 602-site chain).
+# A chain has at least 101 sites, so it refuses more than 41,526 frames too.
+MAX_FRAME_BYTES = 2 ** 26
 
 
 @dataclass
@@ -443,13 +447,19 @@ def packet_experiment(
     ``taylor_matvecs`` counts the chain matvecs of the exact frames.
     A norm above :data:`NORM_CAP` warns and sets ``norm_cap_exceeded``.
     Above :data:`MAX_PROPAGATION_STEPS` Taylor substeps and RK4 steps in
-    all, it raises :class:`WorkLimitError` before propagating.
+    all, it raises :class:`WorkLimitError` before propagating, and above
+    :data:`MAX_FRAME_BYTES` of frames before building the chain.
     """
     if left_len < MIN_EXPERIMENT_LEAD or right_len < MIN_EXPERIMENT_LEAD:
         raise GeometryTooSmallError(
             f"packet experiments need leads of at least {MIN_EXPERIMENT_LEAD} sites, "
             f"got ({left_len}, {right_len})"
         )
+    sites = left_len + system.dim + right_len
+    size = 16 * (frames + 1) * sites
+    if size > MAX_FRAME_BYTES:
+        raise WorkLimitError(f"the initial state and {frames} frames of a {sites}-site chain take "
+                             f"{size:.3g} bytes, more than {MAX_FRAME_BYTES:.3g}")
     mode = mode_params(k, system.coupling)
     h = build_chain(system, left_len, right_len)
     psi0 = gaussian_packet(h, n0, sigma, k)

@@ -34,14 +34,6 @@ class BandEdgeError(ScatterError):
     """Wave vector outside the open interval (0, pi) where the lead group velocity vanishes."""
 
 
-class ConventionMismatchError(ScatterError):
-    """Scattering matrices use different phase conventions."""
-
-
-class KMismatchError(ScatterError):
-    """Scattering matrices were computed at different momenta."""
-
-
 class NotTwoPortError(ScatterError, ValueError):
     """Operation is defined for two ports (or two channels) only; a caller
     error, so also a ``ValueError`` (the command line's configuration error)."""

@@ -7,7 +7,7 @@ group velocity ``v_g = 2 J sin k``; both vanish usefully only inside the
 open band ``0 < k < pi``.
 
 Site indexing is 0-based everywhere.  A port layout is a tuple of distinct
-center sites in port order, checked by :func:`port_indicator` alone.
+center sites in port order, checked by :func:`require_ports` alone.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ def require_coupling(j: float) -> float:
     return j
 
 
-def port_indicator(n: int, sites) -> np.ndarray:
-    """N x P indicator W with W[sites[p], p] = 1; a (K, P) stack of sites gives (K, N, P)."""
+def require_ports(n: int, sites) -> np.ndarray:
+    """The one check of port sites, returned as an array: distinct integer sites
+    of the ``n``-site center, else ``ValueError``; a (K, P) stack row by row."""
     sites = np.asarray(sites)
     ordered = np.sort(sites, axis=-1)
     if (sites.dtype.kind not in "iu" or (ordered < 0).any() or (ordered >= n).any()
             or (ordered[..., 1:] == ordered[..., :-1]).any()):
         raise ValueError(f"port sites must be distinct sites of the {n}-site center")
-    return np.swapaxes(np.eye(n, dtype=np.complex128)[sites], -1, -2)
+    return sites
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ScatteringSystem:
         object.__setattr__(self, "ports", tuple(self.ports))
         if not self.ports:
             raise ValueError("a scattering system needs at least one port")
-        port_indicator(self.dim, self.ports)
+        require_ports(self.dim, self.ports)
         object.__setattr__(self, "coupling", require_coupling(self.coupling))
 
     @property

@@ -10,7 +10,9 @@ N x P indicator of attachment sites, the dressed Green function
 whose entry (p, q) is the outgoing amplitude at port p for a unit input at
 port q.  For two ports the layout is ``[[r_L, t_R], [t_L, r_R]]``.
 ``W^T G W`` is the port block of ``G``: :func:`lead_smatrices` adds the
-self-energy to the port diagonal, inverts, and reads that block off.
+self-energy to the port diagonal, inverts, and reads that block off.  Every
+S-matrix is a plain complex array, a (K, P, P) stack from either kernel and
+one P x P matrix from :func:`scattering_matrix`.
 
 The temporal coupled-mode S-matrix (Fan, Suh and Joannopoulos, JOSA A 20,
 569, 2003) has its own batched kernel, :func:`dressed_smatrix`, over
@@ -29,14 +31,13 @@ and every conservation quantity are convention independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ScatteringSingularityError, SingularMatrixError, WorkLimitError
-from .model import ScatteringSystem, port_indicator, require_coupling, require_in_band
-from .numerics import frozen_matrix, invert
+from .model import ScatteringSystem, require_coupling, require_in_band, require_ports
+from .numerics import invert
 
 
 # A grid of K points is refused above this many bytes in one (K, N, N) complex
@@ -76,23 +77,6 @@ class Convention(str, Enum):
 
     RAW = "raw"
     SHIFTED = "shifted"
-
-
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """P x P scattering amplitudes at a fixed wave vector and convention."""
-
-    k: float
-    entries: np.ndarray
-    convention: Convention
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", frozen_matrix(self.entries, square=True, name="entries"))
-        object.__setattr__(self, "convention", Convention(self.convention))
-
-    @property
-    def n_ports(self) -> int:
-        return self.entries.shape[0]
 
 
 def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float]) -> np.ndarray:
@@ -151,8 +135,7 @@ def lead_smatrices(
         require_in_band(outside[0])
     j = require_coupling(coupling)
     n = np.shape(center)[-1]
-    port_indicator(n, sites)  # the check of the sites against the center
-    sites = np.asarray(sites)
+    sites = require_ports(n, sites)
     at_k = np.arange(len(ks))[:, None]
     energy = -2.0 * j * np.cos(ks)
     dressed = energy[:, None, None] * np.eye(n) - np.asarray(center, dtype=np.complex128)
@@ -174,11 +157,9 @@ def scattering_matrix(
     system: ScatteringSystem,
     k: float,
     convention: Convention | str = Convention.SHIFTED,
-) -> ScatteringMatrix:
-    """Scattering matrix of ``system`` at wave vector ``k``: the K = 1 case of
-    :func:`lead_smatrices`.
+) -> np.ndarray:
+    """P x P scattering matrix of ``system`` at wave vector ``k``: the K = 1
+    case of :func:`lead_smatrices`.
     """
-    k = float(k)
-    entries = lead_smatrices(system.center, system.ports, [k], system.coupling, convention)
-    return ScatteringMatrix(k, entries[0], convention)
+    return lead_smatrices(system.center, system.ports, [k], system.coupling, convention)[0]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, PortConditionError
 from .numerics import as_complex_matrix, determinant, frob, frozen_matrix, invert
-from .model import port_indicator
+from .model import require_ports
 
 METRIC_MAX_DIM = 8
 NULLSPACE_RTOL = 1e-9
@@ -163,7 +163,7 @@ def port_signature(q: MetricOperator | np.ndarray, m: int, n: int,
     site n); s_m is forced to +1.
     """
     mat = q.matrix if isinstance(q, MetricOperator) else as_complex_matrix(q, square=True, name="q")
-    port_indicator(mat.shape[0], (m, n))
+    require_ports(mat.shape[0], (m, n))
     diag = complex(mat[n, n])
     s_n = next((s for s in (1, -1) if abs(diag - s) <= tol), None)
     for site, sign in ((m, 1), (n, s_n)):
@@ -197,7 +197,7 @@ def port_metric(basis: list[MetricOperator], m: int, n: int,
         return None
     qs = np.stack([op.matrix for op in basis])
     dim = qs.shape[-1]
-    rows = (port_indicator(dim, (m, n)).T @ qs).reshape(len(qs), 2 * dim)  # rows m and n
+    rows = qs[:, require_ports(dim, (m, n))].reshape(len(qs), 2 * dim)  # rows m and n
     a = np.concatenate([rows.real, rows.imag], axis=1).T
     homogeneous = _nullspace(a)
     weights = np.random.default_rng(0).standard_normal(homogeneous.shape[1])  # fixed, generic

@@ -80,12 +80,12 @@ def test_criterion_1_closed_form_match():
             k = float(k)
             r, t = closed_form_damped(k, GAMMA)
             dev = np.abs(
-                scattering_matrix(damped, k).entries - np.array([[r, t], [t, r]])
+                scattering_matrix(damped, k) - np.array([[r, t], [t, r]])
             ).max()
             worst = max(worst, float(dev))
             r, t = closed_form_undamped(k, GAMMA)
             dev = np.abs(
-                scattering_matrix(undamped, k).entries - np.array([[r, t], [t, r]])
+                scattering_matrix(undamped, k) - np.array([[r, t], [t, r]])
             ).max()
             worst = max(worst, float(dev))
         elapsed = time.perf_counter() - start
@@ -131,7 +131,7 @@ def test_criterion_3_energy_difference_conservation():
 
         # steady state: |r|^2 - |t|^2 = 1 at every grid momentum
         for k in np.linspace(0.05, math.pi - 0.05, 200):
-            s = scattering_matrix(system, float(k)).entries
+            s = scattering_matrix(system, float(k))
             diff = abs(s[0, 0]) ** 2 - abs(s[1, 0]) ** 2
             assert abs(diff - 1.0) < 1e-12
 
@@ -161,12 +161,12 @@ def test_criterion_5_smatrix_identities():
     with reported("5 S-matrix identities"):
         worst_t = worst_c = worst_d = 0.0
         for system, k in _ensemble():
-            s = scattering_matrix(system, k).entries
+            s = scattering_matrix(system, k)
 
             def variant(mat):
                 return scattering_matrix(
                     ScatteringSystem(mat, system.ports, system.coupling), k
-                ).entries
+                )
 
             worst_t = max(worst_t, float(np.linalg.norm(variant(system.center.T) - s.T, "fro")))
             worst_c = max(

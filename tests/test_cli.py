@@ -425,7 +425,7 @@ def test_campaign_equals_reference_loop(tmp_path, monkeypatch):
         sites = sorted(int(s) for s in rng.permutation(n)[:p])
         k = float(rng.uniform(0.05, math.pi - 0.05))
         center = random_center(rng, n)
-        s, s_bar, s_t, s_c = (scattering_matrix(ScatteringSystem(h, sites), k).entries
+        s, s_bar, s_t, s_c = (scattering_matrix(ScatteringSystem(h, sites), k)
                               for h in (center, center.conj().T, center.T, center.conj()))
         defects = (s_bar.conj().T @ s - np.eye(p), s_t - s.T,
                    s_c - np.linalg.inv(s.conj()), s_bar - np.linalg.inv(s.conj().T))
@@ -740,6 +740,13 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
     assert run(argv) == 0
 
 
+def test_readme_library_example_runs():
+    # the block asserts its own result
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_exit_code_config_error_on_double_center(tmp_path):
     assert run([
         "sweep", "--prototype", "undamped", "--gamma", "0.3",
@@ -933,6 +940,36 @@ print(code, time.perf_counter() - start)
     assert code == "3" and float(seconds) < 1.0
     assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1
     assert "RK4 steps, more than 1e+06 in all" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--left-len", "1000000000000000"],
+     "50 frames of a 1000000000000302-site chain take 8.16e+17 bytes, more than 6.71e+07"),
+    (["--frames", "1000000000000000", "--dt", "1e-14"],
+     "1000000000000000 frames of a 602-site chain take 9.63e+18 bytes, more than 6.71e+07"),
+    (["--left-len", "50", "--right-len", "50", "--n0", "-25", "--sigma", "4", "--frames", "41527"],
+     "41527 frames of a 102-site chain take 6.78e+07 bytes"),
+])
+def test_evolve_refuses_frames_beyond_the_caps_before_allocating(tmp_path, argv, names):
+    # the first two exited 1 with a numpy MemoryError traceback: the packet's
+    # lead offsets and the frame schedule asked for 7 PiB; the third is the
+    # fewest frames over the cap on the shortest dimer chain
+    frames, summary = tmp_path / "f.csv", tmp_path / "e.json"
+    script = f"""
+import time
+from nhscatter.cli import run
+start = time.perf_counter()
+code = run(["evolve", "--prototype", "damped", "--gamma", "0.3", *{argv!r},
+            "--out-frames", {str(frames)!r}, "--out-summary", {str(summary)!r}])
+print(code, time.perf_counter() - start)
+"""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    code, seconds = proc.stdout.split()
+    assert code == "3" and float(seconds) < 1.0
+    assert proc.stderr.startswith("numerical error: ") and proc.stderr.count("\n") == 1
+    assert names in proc.stderr
+    assert not frames.exists() and not summary.exists()
 
 
 def test_evolve_frames_equal_the_generic_table_writer(tmp_path):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from nhscatter import (
     Convention,
-    ConventionMismatchError,
     FluxClass,
-    KMismatchError,
     NotTwoPortError,
     ScatteringSystem,
     classify_flux,
@@ -45,7 +43,7 @@ def test_hermitian_center_reduces_to_unitarity():
         system.center + system.center.conj().T, system.ports, system.coupling
     )
     s, s_bar = _pair(hermitian, 1.2)
-    np.testing.assert_allclose(s.entries, s_bar.entries, atol=1e-12)
+    np.testing.assert_allclose(s, s_bar, atol=1e-12)
     assert verify_conservation_law(s, s_bar).law_residual < 1e-10
 
 
@@ -54,7 +52,7 @@ def test_three_port_entries_all_vanish():
     for _ in range(20):
         system = random_system(rng, p=3)
         s, s_bar = _pair(system, random_k(rng))
-        product = s_bar.entries.conj().T @ s.entries - np.eye(3)
+        product = s_bar.conj().T @ s - np.eye(3)
         assert np.abs(product).max() < 1e-10
 
 
@@ -69,24 +67,15 @@ def test_report_is_convention_invariant():
         assert raw.flux_class == shifted.flux_class
 
 
-def test_mismatch_errors():
-    system = prototype_system("undamped", 0.0, GAMMA)
-    s_raw = scattering_matrix(system, 1.0, Convention.RAW)
-    s_shift = scattering_matrix(system.daggered(), 1.0, Convention.SHIFTED)
-    with pytest.raises(ConventionMismatchError):
-        verify_conservation_law(s_raw, s_shift)
-    s1 = scattering_matrix(system, 1.0)
-    s2 = scattering_matrix(system.daggered(), 1.1)
-    with pytest.raises(KMismatchError):
-        verify_conservation_law(s1, s2)
-
-
 def test_port_count_mismatch_rejected():
+    # a plain array carries no shape guarantee: a stack or a non-square
+    # matrix is refused like two port counts, not met by a raw TypeError
     rng = np.random.default_rng(5)
     s2 = scattering_matrix(random_system(rng, p=2), 1.0)
     s3 = scattering_matrix(random_system(rng, p=3), 1.0)
-    with pytest.raises(ValueError):
-        verify_conservation_law(s2, s3)
+    for pair in ((s2, s3), (np.stack([s2, s2]), np.stack([s2, s2])), (s3[:2], s3[:2])):
+        with pytest.raises(ValueError, match="must be P x P matrices of one port count"):
+            verify_conservation_law(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,7 @@ def test_energy_conserving_iff_unitary():
         )
         s = scattering_matrix(hermitian, random_k(rng))
         cls, _ = classify_flux(s, tol=1e-9)
-        unitarity = np.linalg.norm(s.entries.conj().T @ s.entries - np.eye(2), "fro")
+        unitarity = np.linalg.norm(s.conj().T @ s - np.eye(2), "fro")
         assert cls is FluxClass.ENERGY
         assert unitarity < 2e-9
 

@@ -416,7 +416,7 @@ def test_packet_follows_port_order_not_labels():
     # the first port takes the left lead, as in the S-matrix layout, even at the higher site
     center = np.array([[0.3 - 0.2j, -0.4j], [-0.4j, -0.1]])
     system = ScatteringSystem(center, (1, 0))
-    s = scattering_matrix(system, math.pi / 2.0).entries
+    s = scattering_matrix(system, math.pi / 2.0)
     r, t, _ = final_rt(packet_experiment(system, k=math.pi / 2.0))
     assert abs(r - abs(s[0, 0]) ** 2) < 0.02
     assert abs(t - abs(s[1, 0]) ** 2) < 0.02

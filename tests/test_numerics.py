@@ -10,7 +10,6 @@ from nhscatter import (
     CmtCoupling,
     DimensionTooLargeError,
     MetricOperator,
-    ScatteringMatrix,
     ScatteringSystem,
     SingularMatrixError,
     build_chain,
@@ -241,8 +240,8 @@ def test_matrix_json_rejects_nonfinite():
 
 def test_matrix_fields_are_readonly_copies():
     source = np.eye(2, dtype=complex)
-    fields = [ScatteringSystem(source, (0, 1)).center, ScatteringMatrix(1.0, source, "raw").entries,
-              CmtCoupling(source, 0.0).matrix, MetricOperator(source, True, 0.0).matrix]
+    fields = [ScatteringSystem(source, (0, 1)).center, CmtCoupling(source, 0.0).matrix,
+              MetricOperator(source, True, 0.0).matrix]
     source[0, 0] = 5.0
     for field in fields:
         assert field[0, 0] == 1.0

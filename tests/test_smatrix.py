@@ -16,11 +16,13 @@ from nhscatter import (
     dressed_smatrix,
     invert,
     lead_smatrices,
-    port_indicator,
+    metric_space,
+    port_metric,
     port_signature,
     prototype_system,
     scattering_matrix,
     two_port_coupling,
+    verify_conservation_law,
 )
 from nhscatter.cli import run
 from helpers import closed_form_damped, closed_form_undamped, random_k, random_system
@@ -147,8 +149,8 @@ def test_closed_form_undamped_gamma_sign_flip():
 def test_raw_convention_differs_by_reference_plane_phase():
     system = prototype_system("undamped", 0.0, GAMMA)
     for k in (0.4, 1.1, 2.6):
-        raw = scattering_matrix(system, k, Convention.RAW).entries
-        shifted = scattering_matrix(system, k, Convention.SHIFTED).entries
+        raw = scattering_matrix(system, k, Convention.RAW)
+        shifted = scattering_matrix(system, k, Convention.SHIFTED)
         np.testing.assert_allclose(shifted, cmath.exp(-2j * k) * raw, atol=1e-14)
         # intensities are convention independent
         np.testing.assert_allclose(np.abs(shifted), np.abs(raw), atol=1e-14)
@@ -157,7 +159,7 @@ def test_raw_convention_differs_by_reference_plane_phase():
 def test_decoupled_undamped_center_fully_reflects():
     system = prototype_system("undamped", 0.0, 0.0)
     for k in np.linspace(0.1, math.pi - 0.1, 7):
-        s = scattering_matrix(system, float(k)).entries
+        s = scattering_matrix(system, float(k))
         assert abs(s[1, 0]) < 1e-14
         assert abs(abs(s[0, 0]) - 1.0) < 1e-14
 
@@ -181,7 +183,7 @@ def test_two_port_entry_layout():
     a, b = -0.3, -0.8
     system = ScatteringSystem(np.array([[0.0, a], [b, 0.0]]), (0, 1))
     for k in (0.5, 1.0, 2.4):
-        s = scattering_matrix(system, k).entries
+        s = scattering_matrix(system, k)
         assert abs(s[1, 0] / s[0, 1] - b / a) < 1e-13
         assert abs(s[0, 0] - s[1, 1]) < 1e-13
 
@@ -190,7 +192,7 @@ def test_symmetric_s_for_zero_detuning_prototypes():
     for kind in ("damped", "undamped"):
         system = prototype_system(kind, 0.0, GAMMA)
         for k in (0.5, 1.3, 2.4):
-            s = scattering_matrix(system, k).entries
+            s = scattering_matrix(system, k)
             assert abs(s[0, 1] - s[1, 0]) < 1e-13
             assert abs(s[0, 0] - s[1, 1]) < 1e-13
 
@@ -203,7 +205,7 @@ def test_hermitian_center_gives_unitary_s(seed):
     hermitian = ScatteringSystem(
         system.center + system.center.conj().T, system.ports, system.coupling
     )
-    s = scattering_matrix(hermitian, random_k(rng)).entries
+    s = scattering_matrix(hermitian, random_k(rng))
     p = s.shape[0]
     assert np.linalg.norm(s.conj().T @ s - np.eye(p), "fro") < 1e-10
 
@@ -214,10 +216,10 @@ def test_transpose_identity(seed):
     rng = np.random.default_rng(seed)
     system = random_system(rng)
     k = random_k(rng)
-    s = scattering_matrix(system, k).entries
+    s = scattering_matrix(system, k)
     s_t = scattering_matrix(
         ScatteringSystem(system.center.T, system.ports, system.coupling), k
-    ).entries
+    )
     assert np.linalg.norm(s_t - s.T, "fro") < 1e-10
 
 
@@ -227,10 +229,10 @@ def test_conjugate_identity(seed):
     rng = np.random.default_rng(seed)
     system = random_system(rng)
     k = random_k(rng)
-    s = scattering_matrix(system, k).entries
+    s = scattering_matrix(system, k)
     s_c = scattering_matrix(
         ScatteringSystem(system.center.conj(), system.ports, system.coupling), k
-    ).entries
+    )
     assert np.linalg.norm(s_c - invert(s.conj()), "fro") < 1e-10
 
 
@@ -246,7 +248,9 @@ def test_conjugate_identity(seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_batched_grid_equals_pointwise(seed, n, p, count):
-    # one system over a k-grid, and a different system (center and sites) per k
+    # one system over a k-grid, and a different system (center and sites) per
+    # k; a pointwise matrix is a plain writable array, and the conservation
+    # law is checked on the rows of a stack as they come
     rng = np.random.default_rng(seed)
     p = min(p, n)
     systems = [random_system(rng, n=n, p=p) for _ in range(count)]
@@ -259,8 +263,16 @@ def test_batched_grid_equals_pointwise(seed, n, p, count):
         assert grid.shape == stacked.shape == (count, p, p)
         for k, system, s_grid, s_stacked in zip(ks, systems, grid, stacked):
             for one, s_k in ((systems[0], s_grid), (system, s_stacked)):
-                pointwise = scattering_matrix(one, float(k), convention).entries
+                pointwise = scattering_matrix(one, float(k), convention)
+                assert type(pointwise) is np.ndarray and pointwise.shape == (p, p)
+                assert pointwise.flags.writeable
                 assert np.abs(s_k - pointwise).max() <= 1e-13 * max(1.0, np.abs(pointwise).max())
+        daggered = lead_smatrices(np.swapaxes(centers, -1, -2).conj(), sites, ks, 1.0, convention)
+        defects = np.swapaxes(daggered, -1, -2).conj() @ stacked - np.eye(p)
+        for s_k, s_bar, defect in zip(stacked, daggered, defects):
+            report = verify_conservation_law(s_k, s_bar)
+            assert report.law_residual == pytest.approx(np.linalg.norm(defect), rel=1e-12, abs=1e-15)
+            assert len(report.diag_residuals) == p and (report.flux_class is None) == (p != 2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -271,7 +283,7 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     drawn = random_system(rng, n=int(rng.integers(2, 7)))
     system = ScatteringSystem(drawn.center, drawn.ports, 1.0 + rng.random())
     k, j = random_k(rng), system.coupling
-    w = port_indicator(system.dim, system.ports)
+    w = np.eye(system.dim)[:, list(system.ports)]  # the N x P port indicator
     energy = -2.0 * j * math.cos(k)
     coupling = CmtCoupling(math.sqrt(j * math.sin(k)) * w, energy)
     s_cmt = cmt_smatrix(system.center - j * math.cos(k) * (w @ w.T), coupling)
@@ -282,7 +294,7 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     s_lead = -np.eye(system.n_ports) + 2j * j * math.sin(k) * (w.T @ np.linalg.solve(dressed, w))
 
     for convention, phase in ((Convention.RAW, 1.0), (Convention.SHIFTED, cmath.exp(-2j * k))):
-        s = scattering_matrix(system, k, convention).entries
+        s = scattering_matrix(system, k, convention)
         scale = max(1.0, np.abs(s).max())
         assert np.abs(s + phase * s_cmt).max() <= 1e-12 * scale
         assert np.abs(s - phase * s_lead).max() <= 1e-12 * scale
@@ -294,7 +306,7 @@ def test_lead_smatrix_is_coupled_mode_smatrix(seed):
     centers = np.array([one.center for one in stack])
     sites = np.array([one.ports for one in stack])
     ks = rng.uniform(0.05, math.pi - 0.05, count)
-    w = port_indicator(n, sites)
+    w = np.swapaxes(np.eye(n)[sites], -1, -2)  # (K, N, P) port indicators
     cos_k, sin_k = np.cos(ks)[:, None, None], np.sin(ks)[:, None, None]
     s_cmt = -dressed_smatrix(centers - j * cos_k * (w @ np.swapaxes(w, -1, -2)), np.sqrt(j * sin_k) * w,
                              -2.0 * j * np.cos(ks))
@@ -346,7 +358,8 @@ def test_lead_smatrices_rejects_bad_port_sites(sites, tmp_path, capsys):
     m, n = map(int, np.atleast_2d(sites)[-1])  # the bad layout of a stack is its last
     for build in (lambda: ScatteringSystem(np.eye(2), (m, n)),
                   lambda: two_port_coupling(2, m, n, 1.0, 1.0),
-                  lambda: port_signature(np.eye(2), m, n)):
+                  lambda: port_signature(np.eye(2), m, n),
+                  lambda: port_metric(metric_space(np.eye(2)), m, n)):
         with pytest.raises(ValueError, match=message):
             build()
     assert run(["classify", "--prototype", "damped", "--gamma", "0.3", "--ports", str(m), str(n),

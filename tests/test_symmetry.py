@@ -286,19 +286,19 @@ def test_prediction_matches_direct_computation_for_undamped():
     for k in (0.5, math.pi / 2.0, 2.3):
         s = scattering_matrix(system, k)
         direct = scattering_matrix(system.daggered(), k)
-        assert np.abs(conjugation_defect(s.entries, direct.entries, (1, -1))).max() < 1e-10
+        assert np.abs(conjugation_defect(s, direct, (1, -1))).max() < 1e-10
 
 
 def test_prediction_value_at_band_center():
     system = prototype_system("undamped", 0.0, GAMMA)
-    s = scattering_matrix(system, math.pi / 2.0).entries
-    direct = scattering_matrix(system.daggered(), math.pi / 2.0).entries
+    s = scattering_matrix(system, math.pi / 2.0)
+    direct = scattering_matrix(system.daggered(), math.pi / 2.0)
     assert abs(direct[1, 0] - (-0.75)) < 1e-12
     assert abs(direct[0, 0] - s[0, 0]) < 1e-15
 
 
 def test_trivial_signature_is_identity_map():
-    s = scattering_matrix(prototype_system("damped", 0.0, GAMMA), 1.0).entries
+    s = scattering_matrix(prototype_system("damped", 0.0, GAMMA), 1.0)
     np.testing.assert_array_equal(conjugation_defect(s, s, (1, 1)), 0.0)
 
 
@@ -321,8 +321,8 @@ def test_sign_product_rule_on_constructed_centers(seed, n):
     cls, residual = classify_flux(scattering_matrix(system, k))
     assert cls is FluxClass.ENERGY_DIFFERENCE
     assert residual < 1e-10
-    s = scattering_matrix(system, k).entries
-    direct = scattering_matrix(system.daggered(), k).entries
+    s = scattering_matrix(system, k)
+    direct = scattering_matrix(system.daggered(), k)
     assert np.abs(conjugation_defect(s, direct, (1, -1))).max() < 1e-10
 
 
