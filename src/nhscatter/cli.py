@@ -249,12 +249,16 @@ def _smatrix_columns(s: np.ndarray, prefix: str) -> tuple[list[str], list[np.nda
 def _cmd_sweep(cfg: dict) -> int:
     system = _build_system(cfg)
     convention = Convention(cfg["convention"])
-    if not 0.0 < cfg["k_min"] < cfg["k_max"] < math.pi:
-        raise ConfigError("need 0 < k_min < k_max < pi")
-    if cfg["k_count"] < 1:
+    k_min, k_max, count = cfg["k_min"], cfg["k_max"], cfg["k_count"]
+    if count < 1:
         raise ConfigError("k_count must be at least 1")
-    require_stack_fits(cfg["k_count"], system.center.shape[0], "k")
-    ks = np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"])
+    if not 0.0 < k_min < math.pi:
+        raise ConfigError(f"need 0 < k_min < pi, got k_min={k_min}")
+    # one point is the grid's minimum: k_max is not read
+    if count > 1 and not k_min < k_max < math.pi:
+        raise ConfigError(f"need k_min < k_max < pi, got k_min={k_min}, k_max={k_max}")
+    require_stack_fits(count, system.center.shape[0], "k")
+    ks = np.linspace(k_min, k_max, count)
     s, s_bar = (lead_smatrices(center, system.ports, ks, system.coupling, convention)
                 for center in (system.center, dagger(system.center)))
     defect = conservation_defect(s, s_bar)
@@ -279,6 +283,9 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_evolve(cfg: dict) -> int:
+    frames, summary_path = Path(cfg["out_frames"]), Path(cfg["out_summary"])
+    if frames.resolve() == summary_path.resolve():
+        raise ConfigError(f"--out-frames and --out-summary name one file, {frames}")
     system = _build_system(cfg)
     params = ("k", "n0", "sigma", "left_len", "right_len", "dt", "t_final", "frames")
     traj = packet_experiment(system, **{name: cfg[name] for name in params})
@@ -288,7 +295,6 @@ def _cmd_evolve(cfg: dict) -> int:
     frame, site = np.divmod(np.arange(psi.size), n_sites)
     columns = [RepeatedColumn(traj.times, frame), RepeatedColumn(np.arange(n_sites), site),
                psi.real, psi.imag, np.abs(psi) ** 2]
-    frames = Path(cfg["out_frames"])
     _write_table(frames, ["t", "site", "re_psi", "im_psi", "abs2"], columns)
 
     r, t, leak, edge = block_intensities(traj, frame=-1)
@@ -306,7 +312,7 @@ def _cmd_evolve(cfg: dict) -> int:
         "config": cfg,
     }
     try:
-        _write_json(Path(cfg["out_summary"]), summary)
+        _write_json(summary_path, summary)
     except ConfigError:
         frames.unlink()  # a run that fails leaves no output behind
         raise
@@ -405,12 +411,14 @@ def _cmd_cmt(cfg: dict) -> int:
     scale = float(np.abs(center).max()) or 1.0
     lo = cfg["omega_min"] if cfg["omega_min"] is not None else -3.0 * scale
     hi = cfg["omega_max"] if cfg["omega_max"] is not None else 3.0 * scale
-    if not lo < hi:
-        raise ConfigError("need omega_min < omega_max")
-    if cfg["omega_count"] < 1:
+    count = cfg["omega_count"]
+    if count < 1:
         raise ConfigError("omega_count must be at least 1")
-    require_stack_fits(cfg["omega_count"], center.shape[0], "omega")
-    omegas = np.linspace(lo, hi, cfg["omega_count"])
+    # one point is the grid's minimum: omega_max is not read
+    if count > 1 and not lo < hi:
+        raise ConfigError(f"need omega_min < omega_max, got omega_min={lo}, omega_max={hi}")
+    require_stack_fits(count, center.shape[0], "omega")
+    omegas = np.linspace(lo, hi, count)
 
     signs = cfg.get("port_signs")
     if signs is not None and any(s not in (-1, 1) for s in signs):
@@ -556,12 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in _SUBCOMMANDS.items():
         # no abbreviations: a flag that a subcommand lacks is refused, not taken for a longer one
         sub = subparsers.add_parser(name, help=spec.help, allow_abbrev=False)
-        options = sub._optionals  # as sub.add_argument, minus a per-flag help-format check
         for opt in spec.options:
             kind = ({"action": argparse.BooleanOptionalAction} if opt.type is bool
                     else {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices})
-            options.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
-        options.add_argument("--config", type=Path, help="JSON config; flags override its fields")
+            sub.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
+        sub.add_argument("--config", type=Path, help="JSON config; flags override its fields")
         sub.set_defaults(handler=spec.handler)
     return parser
 

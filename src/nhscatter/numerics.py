@@ -158,23 +158,16 @@ _MIN_EXP10, _MAX_EXP10 = -325, 309
 _TIE_MARGIN = 2.0 ** -30
 
 
-# the powers of ten come in blocks of this many exponents, each built the
-# first time the exponents of a chunk of cells span it
-_POWER_BLOCK = 32
-
-
 @functools.cache
-def _power_block(block: int) -> np.ndarray:
-    """Rows ``hi``, ``lo`` and ``scale`` of the exponents X of one block, the
-    ``_POWER_BLOCK`` from ``_MIN_EXP10 + block * _POWER_BLOCK`` up.
+def _powers_of_ten() -> np.ndarray:
+    """Rows ``hi``, ``lo`` and ``scale`` of every exponent X, from ``_MIN_EXP10`` up.
 
     ``|x| * scale`` is ``|x|`` times a power of two that keeps it and its
     Veltkamp split in the normal range, and ``hi + lo`` is
     ``10**(16 - X) / scale`` to about 2**-106, from integer arithmetic.
     """
     powers = []
-    first = _MIN_EXP10 + block * _POWER_BLOCK
-    for x in range(first, first + _POWER_BLOCK):
+    for x in range(_MIN_EXP10, _MAX_EXP10 + 1):
         b = 600 if x < -200 else -600 if x > 200 else 0
         q = 16 - x
         num = 10 ** max(q, 0) << max(-b, 0)
@@ -188,17 +181,6 @@ def _power_block(block: int) -> np.ndarray:
         powers.append((math.ldexp(a >> 57, e - 53), math.ldexp(a & ((1 << 57) - 1), e - 110),
                        math.ldexp(1.0, b)))
     return np.array(powers).T
-
-
-def _powers_of_ten(exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``hi``, ``lo`` and ``scale`` (see :func:`_power_block`) of each
-    exponent, taken from the blocks that span the exponents."""
-    low, high = (int(exp10.min()), int(exp10.max())) if exp10.size else (0, 0)
-    first = (low - _MIN_EXP10) // _POWER_BLOCK
-    last = (high - _MIN_EXP10) // _POWER_BLOCK
-    table = np.concatenate([_power_block(block) for block in range(first, last + 1)], axis=1)
-    index = exp10 - (_MIN_EXP10 + first * _POWER_BLOCK)
-    return table[0].take(index), table[1].take(index), table[2].take(index)
 
 
 @functools.cache
@@ -241,7 +223,7 @@ def _scaled(mag: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parts plus the low part's, so the fraction is off by less than 2**-45
     while the floor is below 2**57, as it is once ``exp10`` is right.
     """
-    hi, lo, scale = _powers_of_ten(exp10)
+    hi, lo, scale = _powers_of_ten().take(exp10 - _MIN_EXP10, axis=1)
     x = mag * scale
     p = x * hi
     xh, xl = _split(x)

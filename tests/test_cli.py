@@ -221,6 +221,19 @@ def test_evolve_frame_grid_is_the_rk4_grid(tmp_path):
     assert [line.rsplit(",", 3)[0] for line in lines] == expected
 
 
+@pytest.mark.parametrize("summary", ["./x", "ABSOLUTE"])
+def test_evolve_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys, summary):
+    # the summary would overwrite the frames CSV: refused before propagating
+    monkeypatch.chdir(tmp_path)
+    summary = str(tmp_path / "x") if summary == "ABSOLUTE" else summary
+    assert run(["evolve", "--prototype", "damped", "--gamma", "0.3",
+                "--out-frames", "x", "--out-summary", summary]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "--out-frames" in err and "--out-summary" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_file_center_hermitian_conserves_total(tmp_path):
     center = tmp_path / "center.json"
     rng = np.random.default_rng(14)
@@ -388,6 +401,29 @@ def test_cmt_single_omega_with_coupling_file(tmp_path):
     assert len(rows) == 1
     assert float(rows[0][header.index("omega")]) == 0.25
     assert float(rows[0][header.index("conservation_residual")]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, column, value, maximum",
+    [
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-min", "3.1"], "k", 3.1,
+         ["--k-max", "3.12"]),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega-min", "5"], "omega", 5.0, ["--omega-max", "6"]),
+    ],
+    ids=["sweep", "cmt"],
+)
+def test_one_point_grid_is_its_minimum(tmp_path, argv, column, value, maximum):
+    # the README's one-frequency recipe: the minimum lies above the default
+    # maximum (pi - 0.05 for k, 3 max|H_c| = 1.2 for omega), which one point never reads
+    count = "--k-count" if argv[0] == "sweep" else "--omega-count"
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run([*argv, count, "1", "--out", str(one)]) == 0
+    assert run([*argv, *maximum, count, "2", "--out", str(two)]) == 0
+    lines = one.read_text().splitlines()
+    header, row = lines[0].split(","), lines[1].split(",")
+    assert len(lines) == 2 and float(row[header.index(column)]) == value
+    assert lines == two.read_text().splitlines()[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +732,25 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "--v and --gamma"),
         (["sweep", "--center-file", "center.json", "--ports", "0", "2", "--v", "9"],
          "--v and --gamma"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", "0"], "k_count"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-min", "2", "--k-max", "1"],
+         "k_min=2.0, k_max=1.0"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--ports", "0"], "--ports"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega-count", "0"], "omega_count"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--omega-min", "1", "--omega-max", "0"], "omega_min=1.0, omega_max=0.0"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "1", "1",
+          "--port-signs", "2", "1"], "--port-signs"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3"], "coupling source"),
+        (["cmt", "--center-file", "center.json", "--kappa", "1", "1",
+          "--coupling-file", "center.json"], "coupling source"),
+        (["cmt", "--center-file", "center.json", "--coupling-file", "center.json",
+          "--port-signs", "1", "-1"], "two-channel"),
+        (["cmt", "--center-file", "center.json", "--kappa", "1", "1", "--ports", "0", "1", "2"],
+         "two port sites"),
+        (["classify", "--center-file", "center.json", "--ports", "0", "1", "2"], "two port sites"),
+        (["campaign", "--trials", "-1"], "trials"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
@@ -705,7 +760,11 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "evolve-t-final-inf", "verify-k-nan", "evolve-k-inf", "evolve-n0-inf", "evolve-sigma-inf",
          "evolve-v-inf", "classify-gamma-nan", "cmt-kappa-nan", "sweep-k-min-nan",
          "verify-convention", "cmt-omega",
-         "evolve-frames-above-steps", "sweep-file-center-gamma", "sweep-file-center-v"],
+         "evolve-frames-above-steps", "sweep-file-center-gamma", "sweep-file-center-v",
+         "sweep-k-count", "sweep-k-order", "sweep-one-port", "cmt-omega-count", "cmt-omega-order",
+         "cmt-port-signs-values", "cmt-no-coupling", "cmt-two-couplings",
+         "cmt-port-signs-three-channels", "cmt-kappa-three-ports", "classify-three-ports",
+         "campaign-negative-trials"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
