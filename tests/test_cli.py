@@ -414,8 +414,8 @@ def test_cmt_single_omega_with_coupling_file(tmp_path):
     ids=["sweep", "cmt"],
 )
 def test_one_point_grid_is_its_minimum(tmp_path, argv, column, value, maximum):
-    # the README's one-frequency recipe: the minimum lies above the default
-    # maximum (pi - 0.05 for k, 3 max|H_c| = 1.2 for omega), which one point never reads
+    # the README's one-point recipe: the minimum lies above the default maximum
+    # (pi - 0.05 for k, 3 max|H_c| = 0.9 for omega here), which one point never reads
     count = "--k-count" if argv[0] == "sweep" else "--omega-count"
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run([*argv, count, "1", "--out", str(one)]) == 0
