@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .cmt import conjugation_defect, two_port_coupling
-from .conservation import conservation_defect, flux_deviations, verify_conservation_law
+from .conservation import FluxClass, conservation_defect, flux_deviations, verify_conservation_law
 from .dynamics import (
     DEFAULT_FRAMES,
     DEFAULT_LEAD_LEN,
@@ -246,19 +246,24 @@ def _smatrix_columns(s: np.ndarray, prefix: str) -> tuple[list[str], list[np.nda
     return names, [flat.real, flat.imag, np.abs(flat) ** 2]
 
 
+def _grid_points(cfg: dict, name: str, lo: float, hi: float, n: int) -> np.ndarray:
+    """The ``{name}_count`` evenly spaced points from ``lo`` to ``hi`` of a grid
+    over an ``n``-site center; the kernel owns any check of where they lie."""
+    count = cfg[f"{name}_count"]
+    if count < 1:
+        raise ConfigError(f"{name}_count must be at least 1")
+    # one point is the grid's minimum: the maximum is not read
+    if count > 1 and not lo < hi:
+        raise ConfigError(f"need {name}_min < {name}_max, got {name}_min={lo}, {name}_max={hi}")
+    require_stack_fits(count, n, name)
+    return np.linspace(lo, hi, count)
+
+
 def _cmd_sweep(cfg: dict) -> int:
     system = _build_system(cfg)
     convention = Convention(cfg["convention"])
-    k_min, k_max, count = cfg["k_min"], cfg["k_max"], cfg["k_count"]
-    if count < 1:
-        raise ConfigError("k_count must be at least 1")
-    if not 0.0 < k_min < math.pi:
-        raise ConfigError(f"need 0 < k_min < pi, got k_min={k_min}")
-    # one point is the grid's minimum: k_max is not read
-    if count > 1 and not k_min < k_max < math.pi:
-        raise ConfigError(f"need k_min < k_max < pi, got k_min={k_min}, k_max={k_max}")
-    require_stack_fits(count, system.center.shape[0], "k")
-    ks = np.linspace(k_min, k_max, count)
+    # lead_smatrices refuses a k outside the band (0, pi) with BandEdgeError
+    ks = _grid_points(cfg, "k", cfg["k_min"], cfg["k_max"], system.center.shape[0])
     s, s_bar = (lead_smatrices(center, system.ports, ks, system.coupling, convention)
                 for center in (system.center, dagger(system.center)))
     defect = conservation_defect(s, s_bar)
@@ -337,11 +342,11 @@ def _cmd_classify(cfg: dict) -> int:
         basis_payload.append({"matrix": matrix_to_json(op.matrix), "invertible": op.invertible,
                               "residual": op.residual, "port_signature": signature})
     witness = port_metric(basis, *ports, tol)
-    port_metric_payload, flux_prediction = None, "neither"
+    port_metric_payload, flux_prediction = None, FluxClass.NEITHER
     if witness is not None:
         (s_m, s_n), q = witness
         port_metric_payload = {"signature": [s_m, s_n], "matrix": matrix_to_json(q)}
-        flux_prediction = "energy" if s_m * s_n == 1 else "energy-difference"
+        flux_prediction = FluxClass.ENERGY if s_m * s_n == 1 else FluxClass.ENERGY_DIFFERENCE
 
     if cfg.get("parity_file") is not None:
         parity = _load_center_file(cfg["parity_file"], "--parity-file")
@@ -362,7 +367,7 @@ def _cmd_classify(cfg: dict) -> int:
         "port_metric": port_metric_payload,
         "anti_pt": anti_pt,
         "anti_hermitian": anti_hermitian,
-        "predicted_flux_class": flux_prediction,
+        "predicted_flux_class": flux_prediction.value,
         "phase": phase,
         "config": cfg,
     }
@@ -411,14 +416,7 @@ def _cmd_cmt(cfg: dict) -> int:
     scale = float(np.abs(center).max()) or 1.0
     lo = cfg["omega_min"] if cfg["omega_min"] is not None else -3.0 * scale
     hi = cfg["omega_max"] if cfg["omega_max"] is not None else 3.0 * scale
-    count = cfg["omega_count"]
-    if count < 1:
-        raise ConfigError("omega_count must be at least 1")
-    # one point is the grid's minimum: omega_max is not read
-    if count > 1 and not lo < hi:
-        raise ConfigError(f"need omega_min < omega_max, got omega_min={lo}, omega_max={hi}")
-    require_stack_fits(count, center.shape[0], "omega")
-    omegas = np.linspace(lo, hi, count)
+    omegas = _grid_points(cfg, "omega", lo, hi, center.shape[0])
 
     signs = cfg.get("port_signs")
     if signs is not None and any(s not in (-1, 1) for s in signs):
@@ -445,7 +443,6 @@ def _cmd_campaign(cfg: dict) -> int:
         raise ConfigError("trials must be non-negative")
     rng = np.random.default_rng(cfg["seed"])
     maxima = {"law": 0.0, "transpose": 0.0, "conjugate": 0.0, "dagger": 0.0}
-    solved = 0  # trials whose four residuals entered the maxima
     for start in range(0, trials, CAMPAIGN_BLOCK):
         groups = defaultdict(list)  # (n, p) -> the block's trials of that shape, in draw order
         for _ in range(min(CAMPAIGN_BLOCK, trials - start)):
@@ -466,19 +463,18 @@ def _cmd_campaign(cfg: dict) -> int:
             residuals = np.stack([frob(defect) for defect in defects.values()])  # (4, trials)
             for key, worst in zip(defects, residuals.max(axis=1)):
                 maxima[key] = max(maxima[key], float(worst))
-            solved += residuals.shape[1]
 
+    # a singular trial raises ScatteringSingularityError, so a report has solved every trial
     tol = cfg["tol"]
-    worst = max(maxima.values()) if trials else 0.0
     payload = {
         "trials": trials,
         "max_law_residual": maxima["law"],
         "max_transpose_residual": maxima["transpose"],
         "max_conjugate_residual": maxima["conjugate"],
         "max_dagger_residual": maxima["dagger"],
-        "solved": solved,
+        "solved": trials,
         "tolerance": tol,
-        "passed": bool(worst <= tol and solved == trials),
+        "passed": max(maxima.values()) <= tol,
         "config": cfg,
     }
     _write_json(Path(cfg["out"]), payload)

@@ -113,8 +113,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
     a = as_complex_matrix(a)
     rows, cols = a.shape
     payload: dict[str, Any] = {"n": rows} if rows == cols else {"rows": rows, "cols": cols}
-    payload["re"] = [[float(v) for v in row] for row in a.real]
-    payload["im"] = [[float(v) for v in row] for row in a.imag]
+    payload["re"] = a.real.tolist()
+    payload["im"] = a.imag.tolist()
     return payload
 
 

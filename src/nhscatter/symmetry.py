@@ -18,12 +18,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionTooLargeError, PortConditionError
-from .numerics import as_complex_matrix, determinant, frob, frozen_matrix, invert
+from .numerics import RCOND_MIN, as_complex_matrix, frob, frozen_matrix, invert
+from .numerics import determinant  # noqa: F401  unused; bench/test_bench.py reads this binding
 from .model import require_ports
 
 METRIC_MAX_DIM = 8
 NULLSPACE_RTOL = 1e-9
-INVERTIBILITY_RTOL = 1e-9
 
 
 class PhaseClass(str, Enum):
@@ -39,8 +39,8 @@ class MetricOperator:
     """One Hermitian solution of q H† = H q, canonically scaled.
 
     ``residual`` is the Frobenius norm of q H† - H q against the source
-    center; ``invertible`` applies the determinant threshold
-    |det q| > 1e-9 * max|q|^N.
+    center; ``invertible`` is the singularity rule of :func:`numerics.invert`:
+    the 1-norm reciprocal condition of q is above ``RCOND_MIN``.
     """
 
     matrix: np.ndarray
@@ -115,9 +115,9 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
 
 
 def _invertible(q: np.ndarray):
-    """The rule of :attr:`MetricOperator.invertible` for one matrix or a stack."""
-    det_floor = INVERTIBILITY_RTOL * np.abs(q).max(axis=(-2, -1)) ** q.shape[-1]
-    return np.abs(determinant(q)) > det_floor
+    """The rule of :attr:`MetricOperator.invertible` for one matrix or a stack;
+    a singular matrix has condition ``inf``."""
+    return 1.0 / np.linalg.cond(q, 1) > RCOND_MIN
 
 
 def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOperator]:

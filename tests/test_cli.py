@@ -23,7 +23,7 @@ from nhscatter import (
 )
 from nhscatter.cli import _resolve, build_parser, run
 from nhscatter.dynamics import EDGE_TOL
-from nhscatter.errors import WorkLimitError
+from nhscatter.errors import ScatteringSingularityError, WorkLimitError
 from nhscatter.smatrix import require_stack_fits
 from helpers import percent_csv, port_metric_center, random_center
 
@@ -476,6 +476,18 @@ def test_campaign_equals_reference_loop(tmp_path, monkeypatch):
         assert payload["solved"] == trials
 
 
+def test_campaign_stops_on_a_singular_trial(tmp_path, monkeypatch, capsys):
+    # a singular trial leaves no report: every written report solved all its trials
+    def singular(*args, **kwargs):
+        raise ScatteringSingularityError("lead-dressed center is singular at k=1", index=0)
+
+    monkeypatch.setattr(cli, "lead_smatrices", singular)
+    out = tmp_path / "campaign.json"
+    assert run(["campaign", "--trials", "5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not out.exists()
+
+
 def test_campaign_zero_trials_succeeds(tmp_path):
     out = tmp_path / "c.json"
     assert run(["campaign", "--trials", "0", "--seed", "5", "--out", str(out)]) == 0
@@ -914,6 +926,20 @@ def test_exit_code_numerical_on_band_edge(tmp_path):
         "verify", "--prototype", "undamped", "--gamma", "0.3",
         "--k", "0.0", "--out", str(tmp_path / "o.json"),
     ]) == 3
+
+
+@pytest.mark.parametrize("grid", [["--k-min", "0"], ["--k-max", "3.2"],
+                                  ["--k-count", "1", "--k-min", "3.2"]],
+                         ids=["k-min-zero", "k-max-above-pi", "one-point-above-pi"])
+def test_sweep_grid_outside_the_band_is_a_band_edge(tmp_path, capsys, grid):
+    # the kernel's band check, as for verify: exit 3 naming the first k outside (0, pi)
+    out = tmp_path / "o.csv"
+    assert run(["sweep", "--prototype", "damped", "--gamma", "0.3", *grid,
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert "outside the open band (0, pi)" in err
+    assert not out.exists()
 
 
 def test_cli_entrypoint_via_module(tmp_path):

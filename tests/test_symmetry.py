@@ -25,6 +25,7 @@ from nhscatter import (
     scattering_matrix,
 )
 from nhscatter.cmt import conjugation_defect
+from nhscatter.numerics import RCOND_MIN
 from helpers import port_metric_center, random_center, random_k
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -80,6 +81,32 @@ def test_damped_metric_space_is_singular_line():
     # solutions are the multiples of (identity - swap)
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]]) / 1.0
     assert np.abs(op.matrix - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_metric_invertibility_is_the_inverse_singularity_rule(seed):
+    # pseudo-Hermitian A D A^-1 with distinct real D, drawn as the benchmark's
+    # random workload draws them: every metric is A X A† for a real diagonal X,
+    # and at these seeds each basis element is invertible, its 1-norm
+    # reciprocal condition far above RCOND_MIN.  At seed 0 one 8-site metric
+    # has rcond 3.5e-4 yet |det q| below 1e-9 max|q|^N, a determinant floor
+    # that called it singular.
+    rng = np.random.default_rng(seed)
+    for n in (6, 7, 8):
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = np.eye(n) + 0.3 * noise / math.sqrt(2.0)
+        center = a @ np.diag(rng.uniform(-1.0, 1.0, n)) @ np.linalg.inv(a)
+        basis = metric_space(center)
+        assert len(basis) == n
+        for op in basis:
+            assert op.invertible == (1.0 / np.linalg.cond(op.matrix, 1) > RCOND_MIN)
+            assert op.invertible
+
+
+def test_metric_invertibility_of_a_stack_with_singular_members():
+    # H = 0: every Hermitian q solves; the basis diag(1, 0), diag(0, 1),
+    # sigma_x, sigma_y is judged as one stack whose first two are singular
+    assert [op.invertible for op in metric_space(np.zeros((2, 2)))] == [False, False, True, True]
 
 
 def test_hermitian_center_metric_space_contains_identity():
