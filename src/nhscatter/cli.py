@@ -74,7 +74,7 @@ def _write_table(path: Path, header: list[str], columns: list, tail: str = "") -
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _write_text(path, [json.dumps(payload, sort_keys=True) + "\n"])
 
 
 def _write_text(path: Path, chunks: Iterable[str]) -> None:

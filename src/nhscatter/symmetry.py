@@ -12,6 +12,7 @@ conservation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,15 +67,25 @@ def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.nd
     """The nullspace basis of a real matrix that row reduction gives, one vector per row.
 
     Column c is free when it lies in the span of the columns before it, that
-    is when rank(null[c:]) > rank(null[c+1:]).  Each vector is 1 at its own
-    free column and 0 at the others.  Entries at most ``rtol`` times the
-    largest of their vector are rounding; they are set to exactly 0.
+    is when rank(null[c:]) > rank(null[c+1:]).  The ranks are taken from the
+    last row up and stop where they reach the nullity: no row above that can
+    be free.  Each vector is 1 at its own free column and 0 at the others.
+    Entries at most ``rtol`` times the largest of their vector are rounding;
+    they are set to exactly 0.
     """
     null = _nullspace(mat, rtol)
-    cols = len(null)
-    trailing = np.triu(np.ones((cols, cols)))[:, :, None] * null  # stack c: rows c, c+1, ...
-    rank = np.count_nonzero(np.linalg.svd(trailing, compute_uv=False) > rtol, axis=1)
-    basis = np.linalg.solve(null[rank > np.append(rank[1:], 0)].T, null.T)
+    rows, nullity = null.shape
+    rank = np.zeros(rows + 1, dtype=int)  # rank[c] of null[c:]; rank[rows] = 0
+    top = rows
+    while top and rank[top] < nullity:
+        # one row raises the rank by at most one, so the next rows are all needed
+        start = max(top - (nullity - rank[top]), 0)
+        # block c is null with its rows above c set to zero
+        blocks = (np.arange(rows) >= np.arange(start, top)[:, None])[:, :, None] * null
+        rank[start:top] = np.count_nonzero(np.linalg.svd(blocks, compute_uv=False) > rtol, axis=1)
+        top = start
+    free = top + np.flatnonzero(rank[top:-1] > rank[top + 1:])
+    basis = np.linalg.solve(null[free].T, null.T)
     basis[np.abs(basis) <= rtol * np.abs(basis).max(axis=1, keepdims=True)] = 0.0
     return basis
 
@@ -95,6 +106,14 @@ def _hermitian_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     q[..., rows, cols] = upper
     q[..., cols, rows] = upper.conj()
     return q
+
+
+@functools.cache
+def _unit_hermitians(n: int) -> np.ndarray:
+    """The N^2 Hermitian matrices of the unit parameter vectors, read-only."""
+    units = _hermitian_from_params(np.eye(n * n), n)
+    units.flags.writeable = False
+    return units
 
 
 def _canonicalize(q: np.ndarray) -> np.ndarray:
@@ -125,7 +144,8 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
 
     The condition is a homogeneous real-linear system in the N^2 real
     parameters of q, solved by singular value decompositions; ``tol`` is the
-    relative singular-value threshold.  Element i is the solution whose i-th
+    relative singular-value threshold and must be below 1, since no rank can
+    pass a threshold of 1 or more.  Element i is the solution whose i-th
     free parameter (as row reduction names them) is 1 and whose other free
     parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
     only q = 0 solves.
@@ -134,11 +154,13 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     n = h.shape[0]
     if n > METRIC_MAX_DIM:
         raise DimensionTooLargeError(f"metric search capped at {METRIC_MAX_DIM}, got {n}")
+    if not tol < 1.0:
+        raise ValueError(f"metric tol must be below 1, got {tol}")
     hd = h.conj().T
     n_params = n * n
     # column p holds the real and imaginary parts of the condition on the
     # p-th unit parameter vector
-    units = _hermitian_from_params(np.eye(n_params), n)
+    units = _unit_hermitians(n)
     commutators = (units @ hd - h @ units).reshape(n_params, n_params)
     coeff = np.concatenate([commutators.real.T, commutators.imag.T])
 

@@ -18,6 +18,7 @@ from nhscatter import (
 )
 from nhscatter.dynamics import DEFAULT_FRAMES, EDGE_TOL
 from nhscatter.model import require_in_band
+from nhscatter.symmetry import NULLSPACE_RTOL, _nullspace
 
 # Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
 EXPM_MAX_DIM = 64
@@ -141,6 +142,26 @@ def port_metric_center(rng: np.random.Generator, n: int, sign: int) -> np.ndarra
     q[0, 0], q[-1, -1] = 1.0, sign
     q[1:-1, 1:-1] = b + b.conj().T + np.diag(rng.choice([-2.0, 2.0], n - 2))
     return (a + a.conj().T) @ np.linalg.inv(q)
+
+
+# ---------------------------------------------------------------------------
+# every trailing rank of a nullspace basis (the oracle of the metric pivots)
+
+
+def trailing_rank_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """The row-reduction nullspace basis of ``symmetry._canonical_nullspace``,
+    from the ranks of all trailing blocks rather than the bottom rows alone.
+
+    Column c is free when rank(null[c:]) > rank(null[c+1:]); every block is
+    ranked, each zero-padded to the full height.
+    """
+    null = _nullspace(mat, rtol)
+    cols = len(null)
+    trailing = np.triu(np.ones((cols, cols)))[:, :, None] * null  # stack c: rows c, c+1, ...
+    rank = np.count_nonzero(np.linalg.svd(trailing, compute_uv=False) > rtol, axis=1)
+    basis = np.linalg.solve(null[rank > np.append(rank[1:], 0)].T, null.T)
+    basis[np.abs(basis) <= rtol * np.abs(basis).max(axis=1, keepdims=True)] = 0.0
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,36 @@ def test_config_block_of_an_output_reruns_it(tmp_path, monkeypatch, argv):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
+def _assert_keys_sorted(value) -> None:
+    if isinstance(value, dict):
+        assert list(value) == sorted(value)
+        value = list(value.values())
+    for item in value if isinstance(value, list) else ():
+        _assert_keys_sorted(item)
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["verify", "--prototype", "damped", "--gamma", "0.3", "--ports", "1", "0"], "verify.json"),
+        (["classify", "--prototype", "undamped", "--v", "0.2", "--gamma", "0.3"], "classify.json"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--left-len", "50", "--right-len",
+          "50", "--n0", "-25", "--sigma", "4", "--frames", "5"], "summary.json"),
+        (["campaign", "--trials", "5", "--seed", "3"], "campaign.json"),
+    ],
+    ids=["verify", "classify", "evolve", "campaign"],
+)
+def test_json_report_is_one_sorted_line(tmp_path, monkeypatch, argv, report):
+    # the C encoder's compact text: one line, keys sorted at every level
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    text = (tmp_path / report).read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    _assert_keys_sorted(payload)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+
+
 # The small input of each subcommand, and one alternative value for each of its
 # options but the output paths and --config.  The input files are in the test's
 # directory; FILE_CENTER replaces a base's six leading prototype tokens, and
@@ -709,6 +739,7 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
         (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file", "center.json"],
          "mode rows"),
         (["classify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "-1"], "--tol"),
+        (["classify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "1"], "metric tol"),
         (["verify", "--prototype", "undamped", "--gamma", "0.3", "--tol", "-1"], "--tol"),
         (["campaign", "--radius", "-1"], "--radius"),
         (["campaign", "--radius", "nan"], "--radius"),
@@ -767,7 +798,8 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
          "evolve-three-ports", "classify-coupling", "cmt-coupling", "cmt-coupling-rows",
-         "classify-tol", "verify-tol", "campaign-radius", "campaign-radius-nan", "campaign-tol-inf",
+         "classify-tol", "classify-tol-one", "verify-tol", "campaign-radius",
+         "campaign-radius-nan", "campaign-tol-inf",
          "cmt-omega-nan", "cmt-omega-min-inf", "cmt-omega-max-inf", "evolve-dt-nan",
          "evolve-t-final-inf", "verify-k-nan", "evolve-k-inf", "evolve-n0-inf", "evolve-sigma-inf",
          "evolve-v-inf", "classify-gamma-nan", "cmt-kappa-nan", "sweep-k-min-nan",
@@ -791,6 +823,7 @@ def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert names in err
+    assert [path.name for path in tmp_path.iterdir()] == ["center.json"]  # no output written
 
 
 def _readme_commands() -> list[list[str]]:

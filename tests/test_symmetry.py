@@ -24,9 +24,10 @@ from nhscatter import (
     prototype_system,
     scattering_matrix,
 )
+from nhscatter import symmetry
 from nhscatter.cmt import conjugation_defect
 from nhscatter.numerics import RCOND_MIN
-from helpers import port_metric_center, random_center, random_k
+from helpers import port_metric_center, random_center, random_k, trailing_rank_nullspace
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -175,6 +176,43 @@ def test_metric_space_is_the_row_echelon_basis_of_the_condition():
 def test_metric_space_rejects_large_dimension():
     with pytest.raises(DimensionTooLargeError):
         metric_space(np.eye(9))
+
+
+def _oracle_centers() -> list[np.ndarray]:
+    """Centers of every metric-space shape, n = 1..8: pseudo-Hermitian A D A^-1
+    (dimension n), generic (0), Hermitian, signed pseudo-Hermitian, sparse,
+    zero, and the two prototypes."""
+    rng = np.random.default_rng(23)
+    cases = [make_prototype(kind, 0.0, GAMMA) for kind in ("damped", "undamped")]
+    for n in range(1, 9):
+        a = np.eye(n) + 0.3 * random_center(rng, n)
+        pseudo = a @ np.diag(rng.uniform(-1.0, 1.0, n)) @ np.linalg.inv(a)
+        b = random_center(rng, n)
+        sign = np.diag(rng.choice([-1.0, 1.0], n))
+        sparse = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        cases += [pseudo, b, b + b.conj().T, b + sign @ b.conj().T @ sign, sparse, np.zeros((n, n))]
+    return cases
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 0.5])
+def test_metric_space_matches_the_trailing_rank_oracle(monkeypatch, tol):
+    # the pivots from bottom-up ranks that stop at the nullity give the basis
+    # that ranking every trailing block gives, bit for bit
+    def fields(h):
+        return [(op.matrix.tobytes(), op.invertible, op.residual) for op in metric_space(h, tol)]
+
+    for h in _oracle_centers():
+        got = fields(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(symmetry, "_canonical_nullspace", trailing_rank_nullspace)
+            assert got == fields(h)
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.5, math.inf, math.nan])
+def test_metric_space_rejects_tol_of_one_or_more(tol):
+    # no singular value of an orthonormal basis passes such a threshold
+    with pytest.raises(ValueError, match="tol"):
+        metric_space(make_prototype("undamped", 0.0, 0.3), tol)
 
 
 def test_every_basis_element_solves_the_metric_condition():
