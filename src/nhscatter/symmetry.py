@@ -85,6 +85,10 @@ def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.nd
         rank[start:top] = np.count_nonzero(np.linalg.svd(blocks, compute_uv=False) > rtol, axis=1)
         top = start
     free = top + np.flatnonzero(rank[top:-1] > rank[top + 1:])
+    # one pivot per basis vector, unless the threshold is at the basis's own
+    # singular values, which are 1
+    if len(free) != nullity:
+        raise ValueError(f"metric tol must be below 1 by more than rounding, got {rtol}")
     basis = np.linalg.solve(null[free].T, null.T)
     basis[np.abs(basis) <= rtol * np.abs(basis).max(axis=1, keepdims=True)] = 0.0
     return basis
@@ -144,8 +148,9 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
 
     The condition is a homogeneous real-linear system in the N^2 real
     parameters of q, solved by singular value decompositions; ``tol`` is the
-    relative singular-value threshold and must be below 1, since no rank can
-    pass a threshold of 1 or more.  Element i is the solution whose i-th
+    relative singular-value threshold and must be below 1 by more than
+    rounding, since the ranks are taken of orthonormal columns, whose
+    singular values are 1.  Element i is the solution whose i-th
     free parameter (as row reduction names them) is 1 and whose other free
     parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
     only q = 0 solves.
@@ -154,8 +159,6 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     n = h.shape[0]
     if n > METRIC_MAX_DIM:
         raise DimensionTooLargeError(f"metric search capped at {METRIC_MAX_DIM}, got {n}")
-    if not tol < 1.0:
-        raise ValueError(f"metric tol must be below 1, got {tol}")
     hd = h.conj().T
     n_params = n * n
     # column p holds the real and imaginary parts of the condition on the

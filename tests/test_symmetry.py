@@ -208,11 +208,13 @@ def test_metric_space_matches_the_trailing_rank_oracle(monkeypatch, tol):
             assert got == fields(h)
 
 
+@pytest.mark.parametrize("n", [2, 8])
 @pytest.mark.parametrize("tol", [1.0, 1.5, math.inf, math.nan])
-def test_metric_space_rejects_tol_of_one_or_more(tol):
-    # no singular value of an orthonormal basis passes such a threshold
-    with pytest.raises(ValueError, match="tol"):
-        metric_space(make_prototype("undamped", 0.0, 0.3), tol)
+def test_metric_space_rejects_tol_of_one_or_more(n, tol):
+    # the singular values of an orthonormal basis are 1, so no rank passes
+    h = make_prototype("undamped", 0.0, 0.3) if n == 2 else random_center(np.random.default_rng(8), n)
+    with pytest.raises(ValueError, match="metric tol must be below 1"):
+        metric_space(h, tol)
 
 
 def test_every_basis_element_solves_the_metric_condition():
