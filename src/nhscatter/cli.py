@@ -312,7 +312,7 @@ def _cmd_evolve(cfg: dict) -> int:
         "norm_cap_exceeded": traj.norm_cap_exceeded,
         "initial_norm": traj.initial_norm,
         "rk4_deviation": traj.rk4_deviation,
-        "taylor_matvecs": traj.taylor_matvecs,
+        "propagator_matvecs": traj.propagator_matvecs,
         "t_final": float(traj.times[-1]),
         "config": cfg,
     }

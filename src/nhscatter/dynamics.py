@@ -9,10 +9,11 @@ left, ``j = +1 .. right_len`` on the right, with the center block between.
 A Gaussian packet launched in the left lead scatters off the center; the
 intensity left of the center afterwards is the reflection, the intensity to
 the right the transmission.  ``packet_experiment`` propagates
-``i dpsi/dt = H psi`` exactly, frame by frame, with the truncated-Taylor
-action of the matrix exponential on the chain's matvec, and checks the
-first frame against classical fourth-order Runge-Kutta
-(:func:`propagate_rk4`), an independent integrator.  The chain is a
+``i dpsi/dt = H psi`` exactly with a Chebyshev expansion of
+``exp(-i H t)`` on the chain's matvec, one recurrence for a block of
+consecutive frames, and checks the first frame against classical
+fourth-order Runge-Kutta (:func:`propagate_rk4`), an independent
+integrator.  The chain is a
 :class:`ChainOperator` of numpy arrays, so a packet experiment needs no
 scipy.
 """
@@ -51,18 +52,22 @@ PACKET_NORM_TOL = 1e-3
 EDGE_WINDOW = 10
 EDGE_TOL = 1e-6  # R/T readouts need an edge occupancy below EDGE_TOL * (R + T)
 NORM_CAP = 1e12  # a state norm above this warns that the system is amplifying
-# Taylor terms of one substep stop at the unit roundoff of double precision;
-# the cap (the largest degree of Al-Mohy and Higham) is reached only by a
-# non-finite state, whose stopping test never passes.
-TAYLOR_TOL = 2.0 ** -53
-TAYLOR_MAX_TERMS = 55
-# The largest ||tau H||_1 of one substep: theta_25 of Al-Mohy and Higham
-# (Table 3.1), up to which a Taylor polynomial of degree 25 reaches the unit
-# roundoff.
-TAYLOR_THETA = 2.43
+# A Chebyshev block stops where its Bessel-weighted tail drops below the unit
+# roundoff of double precision.
+CHEBYSHEV_TOL = 2.0 ** -53
+# The largest e^(eta tau) of one block, which bounds the cancellation between
+# its terms, and the largest a tau, which bounds its stored vectors: at
+# a tau = 64 and any eta / a, a block takes at most 117 terms beyond the first,
+# within the CHEBYSHEV_ORDERS Bessel orders that the run tabulates.
+CHEBYSHEV_GROWTH = 256.0
+CHEBYSHEV_SPAN = 64.0
+CHEBYSHEV_ORDERS = 128
+# The most frames of one block, and of one Bessel table of a run, which keeps
+# the table's temporaries near 1 MB on runs of tens of thousands of frames.
+CHEBYSHEV_BATCH = 1024
 # A packet experiment refuses to start above this many exact-propagator
-# substeps and RK4 steps in all: minutes of work on a 600-site chain, where
-# the documented defaults take about 105 (50 substeps and 55 RK4 steps).
+# matvecs and RK4 steps in all: about ten seconds of work on a 600-site chain,
+# where the documented defaults take at most 454 (399 matvecs and 55 RK4 steps).
 MAX_PROPAGATION_STEPS = 10 ** 6
 MAX_STEP_COUNT = 2.0 ** 63  # the step counts of a frame schedule are int64
 # A packet experiment refuses to start when its (frames + 1, L) complex states
@@ -83,7 +88,7 @@ class WaveTrajectory:
     sigma: float | None = None
     norm_cap_exceeded: bool = False
     rk4_deviation: float | None = None
-    taylor_matvecs: int | None = None
+    propagator_matvecs: int | None = None
 
     @property
     def initial_norm(self) -> float:
@@ -123,30 +128,47 @@ class ChainOperator:
         return y
 
     def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.size, self.size), dtype=np.complex128)
-        sites = np.arange(self.size - 1)
+        return self._block(0, self.size)
+
+    def _block(self, start: int, stop: int) -> np.ndarray:
+        """The dense block ``H[start:stop, start:stop]`` of sites that hold
+        all of the window's rows and columns."""
+        dense = np.zeros((stop - start, stop - start), dtype=np.complex128)
+        sites = np.arange(stop - start - 1)
         dense[sites, sites + 1] = dense[sites + 1, sites] = self.hop
-        dense[self.rows] = 0.0
-        dense[self.rows, self.cols] = self.window
+        rows = slice(self.rows.start - start, self.rows.stop - start)
+        dense[rows] = 0.0
+        dense[rows, self.cols.start - start:self.cols.stop - start] = self.window
         return dense
 
     @functools.cached_property
-    def norm1(self) -> float:
-        """``||H||_1``, the largest column sum of ``|H|``, each summed down its
-        column as CSR sums it, without the dense matrix; ``inf`` if a sum
-        overflows."""
-        hop = abs(self.hop)
-        sums = np.full(self.size, 2.0 * hop)  # two hopping neighbours, one at each end
-        sums[[0, -1]] = hop
-        # a window column sums the hopping row above the window that reaches
-        # it, the window's rows, then the hopping row below that reaches it
-        c = np.arange(self.cols.start, self.cols.stop)
-        above = np.where((c >= 1) & (c <= self.rows.start), hop, 0.0)
-        below = np.where((c >= self.rows.stop - 1) & (c < self.size - 1), hop, 0.0)
-        column = np.vstack([above, np.abs(self.window), below])
-        with np.errstate(over="ignore"):
-            sums[self.cols] = np.add.accumulate(column, axis=0)[-1]
-        return float(sums.max())
+    def gershgorin(self) -> tuple[float, float, float, float]:
+        """Gershgorin bounds ``(lo, hi, lo_b, hi_b)``, without the dense
+        chain: the spectrum of the Hermitian part ``(H + H†) / 2`` lies in
+        ``[lo, hi]`` and that of the anti-Hermitian part ``(H - H†) / 2i`` in
+        ``[lo_b, hi_b]``; a bound that overflows is infinite.
+
+        A row off the window's columns, which reach one site past its rows,
+        holds only the hopping; the block of ``H`` on those columns and one
+        site beyond holds every entry of both parts in their rows.
+        """
+        start, stop = max(self.cols.start - 1, 0), min(self.cols.stop + 1, self.size)
+        cols = slice(self.cols.start - start, self.cols.stop - start)
+        block = self._block(start, stop)
+        neighbours = np.full(self.size, 2.0)
+        neighbours[[0, -1]] = 1.0
+        bounds = []
+        with np.errstate(all="ignore"):
+            # halves first, so that a finite entry gives a finite part
+            for part, hop in ((block / 2 + block.conj().T / 2, self.hop.real),
+                              ((block / 2 - block.conj().T / 2) / 1j, self.hop.imag)):
+                centre, radius = np.zeros(self.size), neighbours * abs(hop)
+                off_diagonal = np.abs(part)
+                np.fill_diagonal(off_diagonal, 0.0)
+                centre[self.cols] = part.diagonal().real[cols]
+                radius[self.cols] = off_diagonal.sum(axis=1)[cols]
+                bounds += [float((centre - radius).min()), float((centre + radius).max())]
+        return tuple(bounds)
 
     # The window rows run from the last left-lead site to the first
     # right-lead site, so they fix where the three blocks of the chain sit.
@@ -317,52 +339,165 @@ def _warn_norm_cap(times: np.ndarray, states: np.ndarray, norm_cap: float) -> bo
     return bool(over.size)
 
 
-def _taylor_substeps(h: ChainOperator, times: np.ndarray) -> np.ndarray:
-    """Substeps ``s = ceil(||H||_1 dt / theta)`` of each frame interval
-    ``dt``, at least one, so that ``||tau H||_1 <= theta`` at ``tau = dt / s``
-    with ``theta =`` :data:`TAYLOR_THETA`; floats, so that a count too large
-    for an integer is ``inf``."""
-    with np.errstate(over="ignore"):
-        return np.maximum(1.0, np.ceil(h.norm1 * np.diff(times) / TAYLOR_THETA))
+def _bessel_j(z: np.ndarray, orders: int) -> np.ndarray:
+    """``J_0(z) .. J_{orders-1}(z)`` at each ``z >= 0``, shape ``(z.size, orders)``.
+
+    Miller's backward recurrence ``J_{k-1} = (2k / z) J_k - J_{k+1}``, started
+    from ``J_{N+1} = 0`` and ``J_N = 1`` at an even order ``N`` more than 32
+    above the table and ``z``, and normalized by ``J_0 + 2 (J_2 + J_4 + ...)
+    = 1``.  One step grows the values by at most ``2N / z + 1``; before that
+    growth could pass ``2**1020``, the values above ``2**500`` and every
+    higher order of their argument scale by ``2**-500``.  Below ``z = 2**-60``
+    the series ``(z / 2)^k / k!`` is exact in double precision and takes the
+    recurrence's place.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    small = z < 2.0 ** -60
+    x = np.where(small, 1.0, z)
+    top = 2 * ((max(orders, math.ceil(x.max())) + 34) // 2)
+    factors = np.arange(top + 1)[:, None] * (2.0 / x)
+    j = np.empty((top + 2, z.size))
+    j[top + 1], j[top] = 0.0, 1.0
+    growth = math.log2(2.0 * top / x.min() + 1.0)
+    bits = 0.0  # the growth since the last check, in bits
+    for k in range(top, 0, -1):
+        np.multiply(factors[k], j[k], out=j[k - 1])
+        j[k - 1] -= j[k + 1]
+        bits += growth
+        if bits + growth > 520.0:
+            bits = 0.0
+            big = np.abs(j[k - 1:k + 1]).max(axis=0) > 2.0 ** 500
+            j[k - 1:, big] *= 2.0 ** -500
+    table = (j[:orders] / (j[0] + 2.0 * j[2:top + 1:2].sum(axis=0))).T
+    series = np.hstack([np.ones((z.size, 1)), z[:, None] / (2.0 * np.arange(1, orders))])
+    table[small] = np.cumprod(series[small], axis=1)
+    return table
 
 
-def _taylor_frames(h: ChainOperator, psi0: np.ndarray,
-                   times: np.ndarray) -> tuple[np.ndarray, int]:
+@dataclass(frozen=True)
+class _ChebyshevPlan:
+    """The blocks of a Chebyshev propagation and the matvecs they take.
+
+    ``centre`` and ``half_width`` scale the chain to ``X = (H - centre) /
+    half_width``, and ``span`` is the longest time of one block.  Each block
+    ``(first, stop, substeps, coefficients)`` advances frame ``first`` by
+    ``substeps`` equal steps (one unless a frame interval is split); its
+    coefficients, one row per frame ``first + 1 .. stop``, weigh the
+    Chebyshev vectors of the state at the start of each step.  ``matvecs`` is
+    a float, ``inf`` when the count overflows; a plan with infinite substeps
+    has no blocks.
+    """
+
+    centre: float
+    half_width: float
+    span: float
+    blocks: tuple
+    matvecs: float
+
+
+def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
+    """Blocks of consecutive frames at ``times``, and the coefficients of
+    ``exp(-i H tau)`` on each, for :func:`_chebyshev_frames`.
+
+    With the bounds of :attr:`ChainOperator.gershgorin`, ``b = (hi + lo) / 2``,
+    ``eta = max(|lo_b|, |hi_b|)`` and ``a`` the larger of ``(hi - lo) / 2`` and
+    ``eta``, ``X = (H - b) / a`` has its spectrum in ``[-1, 1] x [-i, i] eta /
+    a``, and ``exp(-i H tau) = sum_k c_k(tau) T_k(X)`` with ``c_k = (2 -
+    delta_k0) (-i)^k e^(-i b tau) J_k(a tau)`` (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967, 1984).  A block spans frames up to ``tau = span``, where
+    ``e^(eta tau)`` reaches :data:`CHEBYSHEV_GROWTH` or ``a tau`` reaches
+    :data:`CHEBYSHEV_SPAN`; a longer frame interval splits into the fewest
+    equal substeps within ``span``.  A block's series stops at the first
+    ``K`` where ``sum_(k > K) max|c_k| rho^k``, with the maximum over its
+    frames and ``rho = eta / a + sqrt(1 + (eta / a)^2)``, falls below
+    :data:`CHEBYSHEV_TOL`.  ``a`` rises to ``eta`` on a strongly
+    non-Hermitian chain so that ``rho <= 1 + sqrt(2)``: the Chebyshev vectors
+    grow as ``rho^k`` at most, and cannot overflow before the frames do.
+    """
+    lo, hi, lo_b, hi_b = h.gershgorin
+    eta = max(abs(lo_b), abs(hi_b))
+    centre, half_width = hi / 2 + lo / 2, max(hi / 2 - lo / 2, eta)
+    with np.errstate(all="ignore"):  # overflow gives inf, a zero eta an infinite span
+        span = min(np.log(CHEBYSHEV_GROWTH) / np.float64(eta),
+                   CHEBYSHEV_SPAN / np.float64(half_width))
+        substeps = np.maximum(1.0, np.ceil(np.diff(times) / span))
+    if not np.isfinite(substeps).all():
+        return _ChebyshevPlan(centre, half_width, span, (), math.inf)
+    steps, first = [], 0
+    for stop, count in enumerate(substeps.tolist(), start=1):
+        if count > 1.0 or times[stop] - times[first] > span or stop - first > CHEBYSHEV_BATCH:
+            if stop - 1 > first:
+                steps.append((first, stop - 1, 1.0))
+            first = stop - 1
+        if count > 1.0:
+            steps.append((first, stop, count))
+            first = stop
+    if first < len(times) - 1:
+        steps.append((first, len(times) - 1, 1.0))
+
+    # the blocks in batches of at most CHEBYSHEV_BATCH frames, each with one
+    # Bessel table: one for the whole run at the defaults
+    batches, rows = [], math.inf
+    for first, stop, count in steps:
+        if rows + stop - first > CHEBYSHEV_BATCH:
+            batches.append([])
+            rows = 0
+        batches[-1].append((first, stop, count))
+        rows += stop - first
+    orders = np.arange(CHEBYSHEV_ORDERS)
+    weight = 2.0 - (orders == 0)
+    ratio = eta / half_width
+    tail_weights = weight * (ratio + math.sqrt(1.0 + ratio ** 2)) ** orders
+    phases = weight * np.array([1.0, -1j, -1.0, 1j])[orders % 4]
+    blocks, matvecs = [], 0.0
+    for batch in batches:
+        taus = [(times[first + 1:stop + 1] - times[first]) / count for first, stop, count in batch]
+        tau = np.concatenate(taus)
+        bessel = _bessel_j(half_width * tau, CHEBYSHEV_ORDERS)
+        coefficients = np.exp(-1j * centre * tau)[:, None] * phases * bessel
+        row = 0
+        for (first, stop, count), block_tau in zip(batch, taus):
+            rows = slice(row, row + block_tau.size)
+            row = rows.stop
+            weights = np.abs(bessel[rows]).max(axis=0) * tail_weights
+            beyond = np.append(np.cumsum(weights[::-1])[-2::-1], 0.0)  # sum over k > K
+            terms = int(np.argmax(beyond < CHEBYSHEV_TOL)) + 1
+            blocks.append((first, stop, count, coefficients[rows, :terms].copy()))
+            matvecs += count * (terms - 1)
+    return _ChebyshevPlan(centre, half_width, span, tuple(blocks), matvecs)
+
+
+def _chebyshev_frames(h, psi0: np.ndarray, times: np.ndarray,
+                      plan: _ChebyshevPlan) -> tuple[np.ndarray, int]:
     """The states ``exp(-i H t) psi0`` at ``times``, which start at 0, and
-    the number of chain matvecs they took.
+    the number of chain matvecs they took, by the blocks of ``plan``.
 
-    The truncated-Taylor action of the matrix exponential (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33, 488, 2011) on the chain's matvec alone.
-    Each frame interval splits into the :func:`_taylor_substeps` of length
-    ``tau``, with ``||tau H||_1`` at most Al-Mohy and Higham's ``theta_25``.
-    Each substep sums the Taylor terms of ``exp(-i tau H) psi`` until two
-    consecutive terms add up to at most :data:`TAYLOR_TOL` times the partial
-    sum (infinity norms), which takes about 25 terms at ``theta_25``.
+    Each step of a block runs the three-term recurrence ``v_0 = psi``,
+    ``v_1 = X v_0``, ``v_(k+1) = 2 X v_k - v_(k-1)`` on the chain's matvec and
+    takes all the block's frames as one product ``coefficients @ v``.
     """
     states = np.empty((len(times), psi0.size), dtype=np.complex128)
     states[0] = psi0
+    vectors = np.empty((max(block[3].shape[1] for block in plan.blocks), psi0.size),
+                       dtype=np.complex128)
+    scale, shift = 2.0 / plan.half_width, 2.0 * plan.centre / plan.half_width
     matvecs = 0
-    intervals = np.diff(times).tolist()
-    substep_counts = _taylor_substeps(h, times).astype(int).tolist()
-    for frame, (interval, substeps) in enumerate(zip(intervals, substep_counts), start=1):
-        scale = -1j * interval / substeps
-        psi = states[frame - 1]
-        for _ in range(substeps):
-            term, psi = psi, psi.copy()
-            # bound >= ||psi||_inf, so that norm is taken only near convergence
-            bound = previous = np.abs(term).max()
-            for j in range(1, TAYLOR_MAX_TERMS + 1):
-                term = h @ term
-                term *= scale / j
-                current = np.abs(term).max()
-                psi += term
-                bound += current
-                tail = previous + current
-                if tail <= TAYLOR_TOL * bound and tail <= TAYLOR_TOL * np.abs(psi).max():
-                    break
-                previous = current
-            matvecs += j
-        states[frame] = psi
+    for first, stop, substeps, coefficients in plan.blocks:
+        frames = states[first + 1:stop + 1]
+        v = vectors[:coefficients.shape[1]]
+        v[0] = states[first]
+        for _ in range(int(substeps)):
+            for k in range(1, len(v)):
+                np.multiply(h @ v[k - 1], scale, out=v[k])
+                if shift:
+                    v[k] -= shift * v[k - 1]
+                if k == 1:
+                    v[1] *= 0.5
+                else:
+                    v[k] -= v[k - 2]
+            np.matmul(coefficients, v, out=frames)
+            v[0] = frames[-1]
+        matvecs += int(substeps) * (len(v) - 1)
     return states, matvecs
 
 
@@ -440,15 +575,17 @@ def packet_experiment(
     ``0.02 / J``, and final time ``(|n0| + 60) / v_g`` so the packet clears
     the center before any readout.
 
-    The frames are exact (:func:`_taylor_frames`); ``dt`` only sets their
-    grid, as in :func:`propagate_rk4`.  RK4 at step ``dt`` over the first
-    frame cross-checks them: ``rk4_deviation`` is the largest deviation of
-    its state from frame 1, relative to the largest amplitude of frame 1.
-    ``taylor_matvecs`` counts the chain matvecs of the exact frames.
+    The frames are exact, from the Chebyshev blocks of
+    :func:`_chebyshev_plan`; ``dt`` only sets their grid, as in
+    :func:`propagate_rk4`.  RK4 at step ``dt`` over the first frame
+    cross-checks them: ``rk4_deviation`` is the largest deviation of its
+    state from frame 1, relative to the largest amplitude of frame 1.
+    ``propagator_matvecs`` counts the chain matvecs of the exact frames.
     A norm above :data:`NORM_CAP` warns and sets ``norm_cap_exceeded``.
-    Above :data:`MAX_PROPAGATION_STEPS` Taylor substeps and RK4 steps in
-    all, it raises :class:`WorkLimitError` before propagating, and above
-    :data:`MAX_FRAME_BYTES` of frames before building the chain.
+    Above :data:`MAX_PROPAGATION_STEPS` planned matvecs, substeps included,
+    and RK4 steps in all, it raises :class:`WorkLimitError` before
+    propagating, and above :data:`MAX_FRAME_BYTES` of frames before building
+    the chain.
     """
     if left_len < MIN_EXPERIMENT_LEAD or right_len < MIN_EXPERIMENT_LEAD:
         raise GeometryTooSmallError(
@@ -468,14 +605,14 @@ def packet_experiment(
     if t_final is None:
         t_final = (abs(n0) + 60.0) / mode.group_velocity
     frame_steps, times = _frame_schedule(dt, t_final, frames)
-    substeps = sum(_taylor_substeps(h, times).tolist())  # inf, not a warning, on overflow
-    if not substeps + frame_steps[0] <= MAX_PROPAGATION_STEPS:
+    plan = _chebyshev_plan(h, times)
+    if not plan.matvecs + frame_steps[0] <= MAX_PROPAGATION_STEPS:
         raise WorkLimitError(
-            f"the packet experiment would take {substeps:.3g} exact-propagator substeps "
-            f"(||H||_1 = {h.norm1:.3g}) and {frame_steps[0]} RK4 steps, more than "
-            f"{MAX_PROPAGATION_STEPS:.0e} in all"
+            f"the packet experiment would take {plan.matvecs:.3g} exact-propagator matvecs "
+            f"(Chebyshev blocks of at most t = {plan.span:.3g}) "
+            f"and {frame_steps[0]} RK4 steps, more than {MAX_PROPAGATION_STEPS:.0e} in all"
         )
-    states, matvecs = _taylor_frames(h, psi0, times)
+    states, matvecs = _chebyshev_frames(h, psi0, times, plan)
     # the frames below report a norm-cap crossing; the check stays silent
     check = propagate_rk4(h, psi0, dt=dt, t_final=float(times[1]), frames=1, norm_cap=math.inf)
     deviation = np.abs(check.states[1] - states[1]).max() / np.abs(states[1]).max()
@@ -488,5 +625,5 @@ def packet_experiment(
         sigma=sigma,
         norm_cap_exceeded=_warn_norm_cap(times, states, NORM_CAP),
         rk4_deviation=float(deviation),
-        taylor_matvecs=matvecs,
+        propagator_matvecs=matvecs,
     )

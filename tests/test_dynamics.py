@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 
 from nhscatter import (
     GeometryTooSmallError,
@@ -17,11 +18,14 @@ from nhscatter import (
     scattering_matrix,
 )
 from nhscatter.dynamics import (
+    CHEBYSHEV_GROWTH,
+    CHEBYSHEV_ORDERS,
+    CHEBYSHEV_SPAN,
     EDGE_TOL,
-    TAYLOR_THETA,
+    _bessel_j,
+    _chebyshev_frames,
+    _chebyshev_plan,
     _frame_schedule,
-    _taylor_frames,
-    _taylor_substeps,
 )
 from helpers import final_rt, overlap_series, propagate_expm, random_center
 
@@ -118,8 +122,14 @@ def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
         slice(left_len + n, left_len + n + right_len))
     dense = h.toarray()
     np.testing.assert_array_equal(dense, ref.toarray())
-    # the same float as the sparse column sums, so the same Taylor substeps
-    assert h.norm1 == float(np.abs(dense).sum(axis=0).max()) == float(abs(ref).sum(axis=0).max())
+    # the Gershgorin bounds of the dense chain's Hermitian and anti-Hermitian
+    # parts, up to the order of the row sums
+    want = []
+    for part in ((dense + dense.conj().T) / 2, (dense - dense.conj().T) / 2j):
+        centre = part.diagonal().real
+        radius = np.abs(part).sum(axis=1) - np.abs(part.diagonal())
+        want += [(centre - radius).min(), (centre + radius).max()]
+    np.testing.assert_allclose(h.gershgorin, want, rtol=1e-15, atol=0.0)
     rng = np.random.default_rng(h.size)
     x = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
     if n != 2:
@@ -310,11 +320,10 @@ def test_taylor_frames_match_expm_oracle(center):
     assert h.size <= 64
     psi0 = _random_state(rng, h.size)
     _, times = _frame_schedule(0.02, 20.0, 10)
-    states, _ = _taylor_frames(h, psi0, times)
-    # Each substep stops at the unit roundoff 2**-53 of its partial sum, and
-    # rounding over at most 40 substeps of up to ~25 terms reaches ~1e-14
-    # (4e-15 seen, the dense expm oracle included); 1e-12 leaves a hundredfold
-    # margin.
+    states, _ = _chebyshev_frames(h, psi0, times, _chebyshev_plan(h, times))
+    # Each block stops where its tail drops to the unit roundoff 2**-53, and
+    # its terms cancel by at most e^(eta tau) <= 256; the frames reach ~1e-14
+    # (4.5e-15 seen, the dense expm oracle included); 1e-12 leaves a wide margin.
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -324,44 +333,92 @@ class _CountingChain:
     """A chain operator that counts its matvecs."""
 
     def __init__(self, h):
-        self.h, self.norm1, self.matvecs = h, h.norm1, 0
+        self.h, self.matvecs = h, 0
 
     def __matmul__(self, x):
         self.matvecs += 1
         return self.h @ x
 
 
-def test_default_packet_takes_one_taylor_substep_per_frame():
-    # ||H||_1 = 2 over frame intervals of 1.1 is below theta_25: one substep a
-    # frame of ~19 terms; three substeps a frame (||tau H||_1 <= 1) take about
-    # 1,900 matvecs, which the bound of 1,000 refuses
+def test_default_packet_counts_its_matvecs():
+    # a = 2 on each dimer chain; blocks end where e^(eta tau) reaches 256:
+    # seven blocks of 54 matvecs and one of 21 on the damped dimers
+    # (eta = 2/3), three of 78 and one of 40 on the undamped one (eta = 1/3),
+    # where the truncated-Taylor propagator took 950, 920 and 950
     for system in (prototype_system("damped", 0.0, GAMMA),
                    prototype_system("damped", 0.0, GAMMA).daggered(),
                    prototype_system("undamped", 0.0, GAMMA)):
         traj = packet_experiment(system, k=math.pi / 2.0)
         h = build_chain(system, 300, 300)
-        assert _taylor_substeps(h, traj.times).tolist() == [1.0] * 50
         counting = _CountingChain(h)
-        states, matvecs = _taylor_frames(counting, traj.states[0], traj.times)
+        plan = _chebyshev_plan(h, traj.times)
+        states, matvecs = _chebyshev_frames(counting, traj.states[0], traj.times, plan)
         np.testing.assert_array_equal(states, traj.states)
-        assert matvecs == counting.matvecs == traj.taylor_matvecs <= 1000
+        assert matvecs == counting.matvecs == traj.propagator_matvecs == plan.matvecs <= 450
 
 
-@pytest.mark.parametrize("center", ["gain", "random"])
+@pytest.mark.parametrize("center", ["gain", "random", "hermitian"])
 @pytest.mark.parametrize("side, substeps", [(1.0 - 1e-6, 1), (1.0 + 1e-6, 2)])
-def test_taylor_substeps_at_theta_match_expm_oracle(center, side, substeps):
-    # frame intervals with ||dt H||_1 just below and just above theta_25
+def test_frames_at_the_block_span_match_expm_oracle(center, side, substeps):
+    # frame intervals just below the span of a block take one block each,
+    # just above it two substeps each; e^(eta tau) sets the span of the gain
+    # dimer and the random center, a tau = CHEBYSHEV_SPAN that of the
+    # Hermitian one, over frames up to t = 89, where the oracle's own
+    # phase error reaches 4e-14 (2e-14 seen)
     rng = np.random.default_rng(11)
-    system = (prototype_system("damped", 0.0, GAMMA).daggered() if center == "gain"
-              else random_center(rng, 4))
+    a = random_center(rng, 4)
+    system = {"gain": prototype_system("damped", 0.0, GAMMA).daggered(), "random": a,
+              "hermitian": a + a.conj().T}[center]
     h = build_chain(system, 20, 20)
     psi0 = _random_state(rng, h.size)
-    times = np.arange(6) * (side * TAYLOR_THETA / h.norm1)
-    assert _taylor_substeps(h, times).tolist() == [substeps] * 5
-    states, _ = _taylor_frames(h, psi0, times)
+    span = _chebyshev_plan(h, np.array([0.0, 1.0])).span
+    lo, hi, lo_b, hi_b = h.gershgorin
+    eta = max(abs(lo_b), abs(hi_b))
+    half_width = max(hi / 2 - lo / 2, eta)
+    if center == "hermitian":
+        assert span == CHEBYSHEV_SPAN / half_width
+    else:
+        assert span == math.log(CHEBYSHEV_GROWTH) / eta
+    times = np.arange(6) * (side * span)
+    plan = _chebyshev_plan(h, times)
+    assert [block[:3] for block in plan.blocks] == [(i, i + 1, substeps) for i in range(5)]
+    states, _ = _chebyshev_frames(h, psi0, times, plan)
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+class _Bounds:
+    """Gershgorin bounds alone: all that a plan reads of a chain."""
+
+    def __init__(self, eta):
+        self.gershgorin = (-1.0, 1.0, -eta, eta)
+
+
+def test_a_block_takes_at_most_117_terms():
+    # a block that spans the longest time has the most terms; at every
+    # eta / a its series stops well inside the Bessel table
+    worst = 0
+    for eta in [0.0, *np.geomspace(1e-4, 1e4, 81)]:
+        span = _chebyshev_plan(_Bounds(eta), np.array([0.0, 1.0])).span
+        plan = _chebyshev_plan(_Bounds(eta), np.array([0.0, span]))
+        ((_, _, substeps, coefficients),) = plan.blocks
+        assert substeps == 1.0
+        worst = max(worst, coefficients.shape[1] - 1)
+    assert worst == 117 < CHEBYSHEV_ORDERS - 10
+
+
+def test_bessel_j_matches_scipy():
+    # orders 0 .. CHEBYSHEV_ORDERS - 1, arguments up to a block's largest
+    # a tau; from z = 1e-8 (up to 2**-60) the unscaled recurrence would pass
+    # 1e1000, so it must rescale, and below 2**-60 the series takes over
+    z = np.concatenate([[0.0, 5e-324, 2.0 ** -61, 2.0 ** -59, 1e-8, 1e-3],
+                        np.linspace(0.0, CHEBYSHEV_SPAN * (1 + 1e-15), 4097)])
+    table = _bessel_j(z, CHEBYSHEV_ORDERS)
+    want = scipy.special.jv(np.arange(CHEBYSHEV_ORDERS), z[:, None])
+    # 2.0e-15 seen here, 2.2e-15 on 40,001 points
+    assert np.abs(table - want).max() <= 4e-15
+    assert (table[0] == np.eye(1, CHEBYSHEV_ORDERS)).all()
 
 
 def test_packet_experiment_agrees_with_rk4_on_bench_dimers():
