@@ -13,9 +13,8 @@ the right the transmission.  ``packet_experiment`` propagates
 ``exp(-i H t)`` on the chain's matvec, one recurrence for a block of
 consecutive frames, and checks the first frame against classical
 fourth-order Runge-Kutta (:func:`propagate_rk4`), an independent
-integrator.  The chain is a
-:class:`ChainOperator` of numpy arrays, so a packet experiment needs no
-scipy.
+integrator.  The chain is a :class:`ChainOperator` of numpy arrays, so a
+packet experiment needs no scipy.
 """
 
 from __future__ import annotations
@@ -437,13 +436,13 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
 
     # the blocks in batches of at most CHEBYSHEV_BATCH frames, each with one
     # Bessel table: one for the whole run at the defaults
-    batches, rows = [], math.inf
+    batches, filled = [], math.inf
     for first, stop, count in steps:
-        if rows + stop - first > CHEBYSHEV_BATCH:
+        if filled + stop - first > CHEBYSHEV_BATCH:
             batches.append([])
-            rows = 0
+            filled = 0
         batches[-1].append((first, stop, count))
-        rows += stop - first
+        filled += stop - first
     orders = np.arange(CHEBYSHEV_ORDERS)
     weight = 2.0 - (orders == 0)
     ratio = eta / half_width
@@ -455,14 +454,13 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
         tau = np.concatenate(taus)
         bessel = _bessel_j(half_width * tau, CHEBYSHEV_ORDERS)
         coefficients = np.exp(-1j * centre * tau)[:, None] * phases * bessel
-        row = 0
-        for (first, stop, count), block_tau in zip(batch, taus):
-            rows = slice(row, row + block_tau.size)
-            row = rows.stop
-            weights = np.abs(bessel[rows]).max(axis=0) * tail_weights
+        ends = np.cumsum([block_tau.size for block_tau in taus])[:-1]
+        for (first, stop, count), block_bessel, block_coefficients in zip(
+                batch, np.split(bessel, ends), np.split(coefficients, ends)):
+            weights = np.abs(block_bessel).max(axis=0) * tail_weights
             beyond = np.append(np.cumsum(weights[::-1])[-2::-1], 0.0)  # sum over k > K
             terms = int(np.argmax(beyond < CHEBYSHEV_TOL)) + 1
-            blocks.append((first, stop, count, coefficients[rows, :terms].copy()))
+            blocks.append((first, stop, count, block_coefficients[:, :terms].copy()))
             matvecs += count * (terms - 1)
     return _ChebyshevPlan(centre, half_width, span, tuple(blocks), matvecs)
 
