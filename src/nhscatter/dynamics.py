@@ -465,16 +465,15 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
     return _ChebyshevPlan(centre, half_width, span, tuple(blocks), matvecs)
 
 
-def _chebyshev_frames(h, psi0: np.ndarray, times: np.ndarray,
-                      plan: _ChebyshevPlan) -> tuple[np.ndarray, int]:
-    """The states ``exp(-i H t) psi0`` at ``times``, which start at 0, and
-    the number of chain matvecs they took, by the blocks of ``plan``.
+def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> tuple[np.ndarray, int]:
+    """The states ``exp(-i H t) psi0`` at the frame times of ``plan``, which
+    start at 0, and the number of chain matvecs they took.
 
     Each step of a block runs the three-term recurrence ``v_0 = psi``,
     ``v_1 = X v_0``, ``v_(k+1) = 2 X v_k - v_(k-1)`` on the chain's matvec and
     takes all the block's frames as one product ``coefficients @ v``.
     """
-    states = np.empty((len(times), psi0.size), dtype=np.complex128)
+    states = np.empty((plan.blocks[-1][1] + 1, psi0.size), dtype=np.complex128)
     states[0] = psi0
     vectors = np.empty((max(block[3].shape[1] for block in plan.blocks), psi0.size),
                        dtype=np.complex128)
@@ -610,7 +609,7 @@ def packet_experiment(
             f"(Chebyshev blocks of at most t = {plan.span:.3g}) "
             f"and {frame_steps[0]} RK4 steps, more than {MAX_PROPAGATION_STEPS:.0e} in all"
         )
-    states, matvecs = _chebyshev_frames(h, psi0, times, plan)
+    states, matvecs = _chebyshev_frames(h, psi0, plan)
     # the frames below report a norm-cap crossing; the check stays silent
     check = propagate_rk4(h, psi0, dt=dt, t_final=float(times[1]), frames=1, norm_cap=math.inf)
     deviation = np.abs(check.states[1] - states[1]).max() / np.abs(states[1]).max()

@@ -320,7 +320,7 @@ def test_taylor_frames_match_expm_oracle(center):
     assert h.size <= 64
     psi0 = _random_state(rng, h.size)
     _, times = _frame_schedule(0.02, 20.0, 10)
-    states, _ = _chebyshev_frames(h, psi0, times, _chebyshev_plan(h, times))
+    states, _ = _chebyshev_frames(h, psi0, _chebyshev_plan(h, times))
     # Each block stops where its tail drops to the unit roundoff 2**-53, and
     # its terms cancel by at most e^(eta tau) <= 256; the frames reach ~1e-14
     # (4.5e-15 seen, the dense expm oracle included); 1e-12 leaves a wide margin.
@@ -352,7 +352,7 @@ def test_default_packet_counts_its_matvecs():
         h = build_chain(system, 300, 300)
         counting = _CountingChain(h)
         plan = _chebyshev_plan(h, traj.times)
-        states, matvecs = _chebyshev_frames(counting, traj.states[0], traj.times, plan)
+        states, matvecs = _chebyshev_frames(counting, traj.states[0], plan)
         np.testing.assert_array_equal(states, traj.states)
         assert matvecs == counting.matvecs == traj.propagator_matvecs == plan.matvecs <= 450
 
@@ -382,7 +382,7 @@ def test_frames_at_the_block_span_match_expm_oracle(center, side, substeps):
     times = np.arange(6) * (side * span)
     plan = _chebyshev_plan(h, times)
     assert [block[:3] for block in plan.blocks] == [(i, i + 1, substeps) for i in range(5)]
-    states, _ = _chebyshev_frames(h, psi0, times, plan)
+    states, _ = _chebyshev_frames(h, psi0, plan)
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
