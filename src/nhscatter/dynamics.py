@@ -405,8 +405,9 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
     delta_k0) (-i)^k e^(-i b tau) J_k(a tau)`` (Tal-Ezer and Kosloff, J. Chem.
     Phys. 81, 3967, 1984).  A block spans frames up to ``tau = span``, where
     ``e^(eta tau)`` reaches :data:`CHEBYSHEV_GROWTH` or ``a tau`` reaches
-    :data:`CHEBYSHEV_SPAN`; a longer frame interval splits into the fewest
-    equal substeps within ``span``.  A block's series stops at the first
+    :data:`CHEBYSHEV_SPAN`, and over at most :data:`CHEBYSHEV_BATCH` frames;
+    a longer frame interval splits into the fewest equal substeps within
+    ``span``.  A block's series stops at the first
     ``K`` where ``sum_(k > K) max|c_k| rho^k``, with the maximum over its
     frames and ``rho = eta / a + sqrt(1 + (eta / a)^2)``, falls below
     :data:`CHEBYSHEV_TOL`.  ``a`` rises to ``eta`` on a strongly
@@ -416,7 +417,7 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
     lo, hi, lo_b, hi_b = h.gershgorin
     eta = max(abs(lo_b), abs(hi_b))
     centre, half_width = hi / 2 + lo / 2, max(hi / 2 - lo / 2, eta)
-    with np.errstate(all="ignore"):  # overflow gives inf, a zero eta an infinite span
+    with np.errstate(all="ignore"):  # overflow gives inf; at eta = 0, a tau alone bounds a block
         span = min(np.log(CHEBYSHEV_GROWTH) / np.float64(eta),
                    CHEBYSHEV_SPAN / np.float64(half_width))
         substeps = np.maximum(1.0, np.ceil(np.diff(times) / span))

@@ -410,8 +410,9 @@ def test_a_block_takes_at_most_117_terms():
 
 def test_bessel_j_matches_scipy():
     # orders 0 .. CHEBYSHEV_ORDERS - 1, arguments up to a block's largest
-    # a tau; from z = 1e-8 (up to 2**-60) the unscaled recurrence would pass
-    # 1e1000, so it must rescale, and below 2**-60 the series takes over
+    # a tau; unscaled, the recurrence would reach about 1e800 at z = 1e-3 and
+    # 1e1600 at z = 1e-8, past the largest double, so it must rescale; below
+    # z = 2**-60 the series takes over
     z = np.concatenate([[0.0, 5e-324, 2.0 ** -61, 2.0 ** -59, 1e-8, 1e-3],
                         np.linspace(0.0, CHEBYSHEV_SPAN * (1 + 1e-15), 4097)])
     table = _bessel_j(z, CHEBYSHEV_ORDERS)
