@@ -190,11 +190,8 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The run's full configuration, each field as given or else its default."""
-    spec = _SUBCOMMANDS[args.command]
     cfg = {"subcommand": args.command}
-    for opt in spec.options:
-        value = getattr(args, opt.dest)
-        cfg[opt.dest] = opt.default if value is None else value
+    cfg.update((opt.dest, getattr(args, opt.dest)) for opt in _SUBCOMMANDS[args.command].options)
     if "prototype" not in cfg:
         return cfg
     has_proto = cfg["prototype"] is not None
@@ -563,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in spec.options:
             kind = ({"action": argparse.BooleanOptionalAction} if opt.type is bool
                     else {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices})
-            sub.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kind)
+            sub.add_argument(opt.flag, dest=opt.dest, default=opt.default, help=opt.help, **kind)
         sub.add_argument("--config", type=Path, help="JSON config; flags override its fields")
         sub.set_defaults(handler=spec.handler)
     return parser

@@ -20,6 +20,7 @@ packet experiment needs no scipy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ CHEBYSHEV_TOL = 2.0 ** -53
 CHEBYSHEV_GROWTH = 256.0
 CHEBYSHEV_SPAN = 64.0
 CHEBYSHEV_ORDERS = 128
-# The most frames of one block, and of one Bessel table of a run, which keeps
-# the table's temporaries near 1 MB on runs of tens of thousands of frames.
+# The most frames of one block; one Bessel table serves the blocks that start in
+# one window of this many frames: fewer than 2 x 1,024 rows, a few MB of temporaries.
 CHEBYSHEV_BATCH = 1024
 # A packet experiment refuses to start above this many exact-propagator
 # matvecs and RK4 steps in all: about ten seconds of work on a 600-site chain,
@@ -435,40 +436,32 @@ def _chebyshev_plan(h: ChainOperator, times: np.ndarray) -> _ChebyshevPlan:
     if first < len(times) - 1:
         steps.append((first, len(times) - 1, 1.0))
 
-    # the blocks in batches of at most CHEBYSHEV_BATCH frames, each with one
-    # Bessel table: one for the whole run at the defaults
-    batches, filled = [], math.inf
-    for first, stop, count in steps:
-        if filled + stop - first > CHEBYSHEV_BATCH:
-            batches.append([])
-            filled = 0
-        batches[-1].append((first, stop, count))
-        filled += stop - first
     orders = np.arange(CHEBYSHEV_ORDERS)
     weight = 2.0 - (orders == 0)
     ratio = eta / half_width
     tail_weights = weight * (ratio + math.sqrt(1.0 + ratio ** 2)) ** orders
     phases = weight * np.array([1.0, -1j, -1.0, 1j])[orders % 4]
     blocks, matvecs = [], 0.0
-    for batch in batches:
-        taus = [(times[first + 1:stop + 1] - times[first]) / count for first, stop, count in batch]
-        tau = np.concatenate(taus)
-        bessel = _bessel_j(half_width * tau, CHEBYSHEV_ORDERS)
-        coefficients = np.exp(-1j * centre * tau)[:, None] * phases * bessel
-        ends = np.cumsum([block_tau.size for block_tau in taus])[:-1]
-        for (first, stop, count), block_bessel, block_coefficients in zip(
-                batch, np.split(bessel, ends), np.split(coefficients, ends)):
+    # one Bessel table for the blocks that start in each window of
+    # CHEBYSHEV_BATCH frames: one for the whole run at the defaults
+    for _, group in itertools.groupby(steps, key=lambda step: step[0] // CHEBYSHEV_BATCH):
+        group = list(group)
+        taus = [(times[first + 1:stop + 1] - times[first]) / count for first, stop, count in group]
+        bessel = _bessel_j(half_width * np.concatenate(taus), CHEBYSHEV_ORDERS)
+        ends = np.cumsum([tau.size for tau in taus])[:-1]
+        for (first, stop, count), tau, block_bessel in zip(group, taus, np.split(bessel, ends)):
             weights = np.abs(block_bessel).max(axis=0) * tail_weights
             beyond = np.append(np.cumsum(weights[::-1])[-2::-1], 0.0)  # sum over k > K
             terms = int(np.argmax(beyond < CHEBYSHEV_TOL)) + 1
-            blocks.append((first, stop, count, block_coefficients[:, :terms].copy()))
+            coefficients = (np.exp(-1j * centre * tau)[:, None] * phases[:terms]
+                            * block_bessel[:, :terms])
+            blocks.append((first, stop, int(count), coefficients))
             matvecs += count * (terms - 1)
     return _ChebyshevPlan(centre, half_width, span, tuple(blocks), matvecs)
 
 
-def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> tuple[np.ndarray, int]:
-    """The states ``exp(-i H t) psi0`` at the frame times of ``plan``, which
-    start at 0, and the number of chain matvecs they took.
+def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> np.ndarray:
+    """The states ``exp(-i H t) psi0`` at the frame times of ``plan``, which start at 0.
 
     Each step of a block runs the three-term recurrence ``v_0 = psi``,
     ``v_1 = X v_0``, ``v_(k+1) = 2 X v_k - v_(k-1)`` on the chain's matvec and
@@ -479,12 +472,11 @@ def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> tuple[np.nda
     vectors = np.empty((max(block[3].shape[1] for block in plan.blocks), psi0.size),
                        dtype=np.complex128)
     scale, shift = 2.0 / plan.half_width, 2.0 * plan.centre / plan.half_width
-    matvecs = 0
     for first, stop, substeps, coefficients in plan.blocks:
         frames = states[first + 1:stop + 1]
         v = vectors[:coefficients.shape[1]]
         v[0] = states[first]
-        for _ in range(int(substeps)):
+        for _ in range(substeps):
             for k in range(1, len(v)):
                 np.multiply(h @ v[k - 1], scale, out=v[k])
                 if shift:
@@ -495,8 +487,7 @@ def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> tuple[np.nda
                     v[k] -= v[k - 2]
             np.matmul(coefficients, v, out=frames)
             v[0] = frames[-1]
-        matvecs += int(substeps) * (len(v) - 1)
-    return states, matvecs
+    return states
 
 
 def propagate_rk4(
@@ -578,7 +569,7 @@ def packet_experiment(
     :func:`propagate_rk4`.  RK4 at step ``dt`` over the first frame
     cross-checks them: ``rk4_deviation`` is the largest deviation of its
     state from frame 1, relative to the largest amplitude of frame 1.
-    ``propagator_matvecs`` counts the chain matvecs of the exact frames.
+    ``propagator_matvecs`` is the plan's count of the exact frames' chain matvecs.
     A norm above :data:`NORM_CAP` warns and sets ``norm_cap_exceeded``.
     Above :data:`MAX_PROPAGATION_STEPS` planned matvecs, substeps included,
     and RK4 steps in all, it raises :class:`WorkLimitError` before
@@ -610,7 +601,7 @@ def packet_experiment(
             f"(Chebyshev blocks of at most t = {plan.span:.3g}) "
             f"and {frame_steps[0]} RK4 steps, more than {MAX_PROPAGATION_STEPS:.0e} in all"
         )
-    states, matvecs = _chebyshev_frames(h, psi0, plan)
+    states = _chebyshev_frames(h, psi0, plan)
     # the frames below report a norm-cap crossing; the check stays silent
     check = propagate_rk4(h, psi0, dt=dt, t_final=float(times[1]), frames=1, norm_cap=math.inf)
     deviation = np.abs(check.states[1] - states[1]).max() / np.abs(states[1]).max()
@@ -623,5 +614,5 @@ def packet_experiment(
         sigma=sigma,
         norm_cap_exceeded=_warn_norm_cap(times, states, NORM_CAP),
         rk4_deviation=float(deviation),
-        propagator_matvecs=matvecs,
+        propagator_matvecs=int(plan.matvecs),
     )

@@ -163,8 +163,9 @@ def _powers_of_ten() -> np.ndarray:
     """Rows ``hi``, ``lo`` and ``scale`` of every exponent X, from ``_MIN_EXP10`` up.
 
     ``|x| * scale`` is ``|x|`` times a power of two that keeps it and its
-    Veltkamp split in the normal range, and ``hi + lo`` is
-    ``10**(16 - X) / scale`` to about 2**-106, from integer arithmetic.
+    Veltkamp split in the normal range.  ``hi`` is ``10**(16 - X) / scale``
+    and ``lo`` the rest, each rounded to the nearest double by Python's
+    integer division, so ``hi + lo`` is within 2**-107 of it.
     """
     powers = []
     for x in range(_MIN_EXP10, _MAX_EXP10 + 1):
@@ -172,14 +173,9 @@ def _powers_of_ten() -> np.ndarray:
         q = 16 - x
         num = 10 ** max(q, 0) << max(-b, 0)
         den = 10 ** max(-q, 0) << max(b, 0)
-        e = num.bit_length() - den.bit_length()  # 2**(e - 1) < num / den < 2**(e + 1)
-        if num << max(-e, 0) >= den << max(e, 0):
-            e += 1
-        # num / den to 110 bits: the top 53 are hi, the rest rounded are lo
-        shift = 110 - e
-        a = (num << shift) // den if shift >= 0 else num // (den << -shift)
-        powers.append((math.ldexp(a >> 57, e - 53), math.ldexp(a & ((1 << 57) - 1), e - 110),
-                       math.ldexp(1.0, b)))
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        powers.append((hi, (num * hi_den - hi_num * den) / (den * hi_den), math.ldexp(1.0, b)))
     return np.array(powers).T
 
 

@@ -543,6 +543,24 @@ def test_config_unknown_field_rejected(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [(None, "No such file or directory"), ("{not json", "Expecting property name"),
+     ("[1, 2]", "expected a JSON object")],
+    ids=["missing", "malformed", "array"],
+)
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --config {cfg}: ") and err.count("\n") == 1
+    assert reason in err
+    assert not out.exists()
+
+
 def test_config_null_means_unset(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"prototype": "undamped", "gamma": 0.3, "k_min": None}))
@@ -794,6 +812,9 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "two port sites"),
         (["classify", "--center-file", "center.json", "--ports", "0", "1", "2"], "two port sites"),
         (["campaign", "--trials", "-1"], "trials"),
+        # the 3x3 center as the parity of a dimer
+        (["classify", "--prototype", "damped", "--gamma", "0.3", "--parity-file", "center.json"],
+         "parity shape (3, 3) does not match H (2, 2)"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
@@ -808,7 +829,7 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "sweep-k-count", "sweep-k-order", "sweep-one-port", "cmt-omega-count", "cmt-omega-order",
          "cmt-port-signs-values", "cmt-no-coupling", "cmt-two-couplings",
          "cmt-port-signs-three-channels", "cmt-kappa-three-ports", "classify-three-ports",
-         "campaign-negative-trials"],
+         "campaign-negative-trials", "classify-parity-shape"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
@@ -921,6 +942,17 @@ def test_exit_code_numerical_on_scattering_singularity(tmp_path):
         "verify", "--prototype", "undamped", "--gamma", "1.0",
         "--k", str(math.pi / 2), "--out", str(tmp_path / "o.json"),
     ]) == 3
+
+
+def test_cmt_exit_code_names_the_singular_omega(tmp_path, capsys):
+    # a zero center with zero coupling: omega I is singular at the grid's omega = 0
+    center = tmp_path / "zero.json"
+    center.write_text(json.dumps(matrix_to_json(np.zeros((2, 2)))))
+    out = tmp_path / "o.csv"
+    assert run(["cmt", "--center-file", str(center), "--kappa", "0", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: dressed resolvent is singular at omega=0\n")
+    assert not out.exists()
 
 
 def test_sweep_exit_code_names_the_singular_k(tmp_path, capsys):

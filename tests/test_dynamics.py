@@ -307,8 +307,16 @@ def test_norm_cap_reported_not_raised():
     assert traj.norm_cap_exceeded
 
 
+def test_block_intensities_need_the_chain_geometry():
+    # propagate_rk4 keeps no geometry unless it is given one
+    h = build_chain(np.array([[0.0]], dtype=complex), 5, 5)
+    traj = propagate_rk4(h, np.ones(h.size, dtype=complex), dt=0.02, t_final=0.1, frames=1)
+    with pytest.raises(ValueError, match="no chain geometry"):
+        block_intensities(traj)
+
+
 @pytest.mark.parametrize("center", ["lossy", "gain", "undamped", "random"])
-def test_taylor_frames_match_expm_oracle(center):
+def test_chebyshev_frames_match_expm_oracle(center):
     rng = np.random.default_rng(7)
     centers = {
         "lossy": prototype_system("damped", 0.0, GAMMA),
@@ -320,7 +328,7 @@ def test_taylor_frames_match_expm_oracle(center):
     assert h.size <= 64
     psi0 = _random_state(rng, h.size)
     _, times = _frame_schedule(0.02, 20.0, 10)
-    states, _ = _chebyshev_frames(h, psi0, _chebyshev_plan(h, times))
+    states = _chebyshev_frames(h, psi0, _chebyshev_plan(h, times))
     # Each block stops where its tail drops to the unit roundoff 2**-53, and
     # its terms cancel by at most e^(eta tau) <= 256; the frames reach ~1e-14
     # (4.5e-15 seen, the dense expm oracle included); 1e-12 leaves a wide margin.
@@ -352,9 +360,9 @@ def test_default_packet_counts_its_matvecs():
         h = build_chain(system, 300, 300)
         counting = _CountingChain(h)
         plan = _chebyshev_plan(h, traj.times)
-        states, matvecs = _chebyshev_frames(counting, traj.states[0], plan)
+        states = _chebyshev_frames(counting, traj.states[0], plan)
         np.testing.assert_array_equal(states, traj.states)
-        assert matvecs == counting.matvecs == traj.propagator_matvecs == plan.matvecs <= 450
+        assert counting.matvecs == traj.propagator_matvecs == plan.matvecs <= 450
 
 
 @pytest.mark.parametrize("center", ["gain", "random", "hermitian"])
@@ -382,7 +390,7 @@ def test_frames_at_the_block_span_match_expm_oracle(center, side, substeps):
     times = np.arange(6) * (side * span)
     plan = _chebyshev_plan(h, times)
     assert [block[:3] for block in plan.blocks] == [(i, i + 1, substeps) for i in range(5)]
-    states, _ = _chebyshev_frames(h, psi0, plan)
+    states = _chebyshev_frames(h, psi0, plan)
     for state, t_now in zip(states, times):
         exact = propagate_expm(h, psi0, float(t_now))
         assert np.abs(state - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -403,7 +411,7 @@ def test_a_block_takes_at_most_117_terms():
         span = _chebyshev_plan(_Bounds(eta), np.array([0.0, 1.0])).span
         plan = _chebyshev_plan(_Bounds(eta), np.array([0.0, span]))
         ((_, _, substeps, coefficients),) = plan.blocks
-        assert substeps == 1.0
+        assert substeps == 1
         worst = max(worst, coefficients.shape[1] - 1)
     assert worst == 117 < CHEBYSHEV_ORDERS - 10
 
