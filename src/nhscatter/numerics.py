@@ -16,9 +16,12 @@ Non-square matrices (channel-coupling blocks) carry explicit ``rows`` and
 entries.
 
 CSV text comes from :func:`csv_text`, which formats a float table in numpy
-with the same bytes as Python's ``'%.17g' % value`` for every cell.  A
-column of a few distinct values repeated down the table, a
-:class:`RepeatedColumn`, has each of them formatted once.
+with the same bytes as Python's ``'%.17g' % value`` for every cell: finite
+nonzero cells are scaled to 17 digits by a double-double power of ten and
+spelled in 4-digit groups, a group's trailing zeros NUL once every later
+digit is 0; zeros are written directly.  A column of a few distinct values
+repeated down the table, a :class:`RepeatedColumn`, has each of them
+formatted once.
 """
 
 from __future__ import annotations
@@ -160,12 +163,13 @@ _TIE_MARGIN = 2.0 ** -30
 
 @functools.cache
 def _powers_of_ten() -> np.ndarray:
-    """Rows ``hi``, ``lo`` and ``scale`` of every exponent X, from ``_MIN_EXP10`` up.
+    """Rows ``hi``, ``lo``, ``scale``, ``hh``, ``hl`` of each exponent X from ``_MIN_EXP10`` up.
 
     ``|x| * scale`` is ``|x|`` times a power of two that keeps it and its
     Veltkamp split in the normal range.  ``hi`` is ``10**(16 - X) / scale``
     and ``lo`` the rest, each rounded to the nearest double by Python's
-    integer division, so ``hi + lo`` is within 2**-107 of it.
+    integer division, so ``hi + lo`` is within 2**-107 of it; ``hh`` and
+    ``hl`` are the Veltkamp halves of ``hi``.
     """
     powers = []
     for x in range(_MIN_EXP10, _MAX_EXP10 + 1):
@@ -176,33 +180,34 @@ def _powers_of_ten() -> np.ndarray:
         hi = num / den
         hi_num, hi_den = hi.as_integer_ratio()
         powers.append((hi, (num * hi_den - hi_num * den) / (den * hi_den), math.ldexp(1.0, b)))
-    return np.array(powers).T
+    hi, lo, scale = np.array(powers).T
+    return np.stack([hi, lo, scale, *_split(hi)])
 
 
 @functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
     """The text pieces of a cell, built with numpy on first use.
 
-    The 4-digit groups 0000 to 9999 as four ASCII bytes in one ``uint32``;
-    the trailing zeros of each group (4 for 0000); for 0 to 17 digits kept,
-    the mask of ``000d dddd dddd dddd dddd`` that keeps them, as one ``V20``;
-    and the exponent ``e±dd`` or ``e±ddd`` of each X as one NUL-padded ``V5``.
+    The 4-digit groups 0000 to 9999 as four ASCII bytes in one ``uint32``,
+    then the same groups again with their trailing zeros NUL (0000 all NUL),
+    so entry ``group + 10000`` is the group's text when every later digit
+    of the number is 0; and the exponent ``e±dd`` or ``e±ddd`` of each X as
+    one NUL-padded ``V5``.
     """
     # a group's four digits index the axes, from the thousands to the units
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    zeros = np.zeros((10, 10, 10, 10), dtype=np.uint8)
+    groups = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
     for k in range(4):
         groups[..., k] = digit.reshape((10,) + (1,) * (3 - k))
-        zeros[(..., *[0] * (k + 1))] += 1  # the last k + 1 digits are 0
-    masks = np.where(np.arange(-3, 17) < np.arange(18)[:, None], 0xFF, 0).astype(np.uint8)
+    # a digit is a trailing zero when it and every digit after it are 0
+    trailing = np.logical_and.accumulate(groups[1, ..., ::-1] == ord("0"), axis=-1)[..., ::-1]
+    groups[1][trailing] = 0
     x = np.arange(_MIN_EXP10, _MAX_EXP10 + 1)
     size = np.abs(x)
     exponents = np.stack([np.full_like(x, ord("e")), np.where(x < 0, ord("-"), ord("+")),
                           np.where(size >= 100, ord("0") + size // 100, 0),
                           ord("0") + size // 10 % 10, ord("0") + size % 10], axis=1)
-    return (groups.view(np.uint32).ravel(), zeros.ravel().astype(np.int64),
-            masks.view("V20").ravel(), exponents.astype(np.uint8).view("V5"))
+    return groups.view(np.uint32).ravel(), exponents.astype(np.uint8).view("V5")
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,11 +224,10 @@ def _scaled(mag: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     parts plus the low part's, so the fraction is off by less than 2**-45
     while the floor is below 2**57, as it is once ``exp10`` is right.
     """
-    hi, lo, scale = _powers_of_ten().take(exp10 - _MIN_EXP10, axis=1)
+    hi, lo, scale, hh, hl = _powers_of_ten().take(exp10 - _MIN_EXP10, axis=1)
     x = mag * scale
     p = x * hi
     xh, xl = _split(x)
-    hh, hl = _split(hi)
     err = ((xh * hh - p) + xh * hl + xl * hh) + xl * hl
     whole = np.floor(p)
     rest = (p - whole) + (err + x * lo)
@@ -249,14 +253,16 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     Each finite nonzero value is rounded to 17 significant digits ``N`` with
     decimal exponent ``X`` (``10**16 <= N < 10**17``), then laid out as
     ``%g`` does: trailing zeros stripped, fixed-point for ``-4 <= X < 17``,
-    else ``d.ddde±XX``.  Values that the fast path does not round with
-    certainty (decimal ties), inf and nan are formatted by Python instead.
-    The last column is left for the caller's separator.
+    else ``d.ddde±XX``.  A zero is written ``0`` or ``-0`` directly.  Values
+    that the fast path does not round with certainty (decimal ties), inf and
+    nan are formatted by Python instead.  The last column is left for the
+    caller's separator.
     """
     n = len(values)
     finite = np.isfinite(values)
-    zero = values == 0.0
-    mag = np.abs(np.where(finite & ~zero, values, 1.0))
+    keep = np.flatnonzero(finite & (values != 0.0))
+    picked = values[keep]
+    mag = np.abs(picked)
     exp10 = np.floor(np.log10(mag)).astype(np.intp)
     whole, frac = _scaled(mag, exp10)
     # log10 can put X one off next to a power of ten; the floor shows which way
@@ -268,42 +274,29 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     rounds_up = digits == 10 ** 17
     digits[rounds_up] = 10 ** 16
     exp10[rounds_up] += 1
-    python = ~finite | (np.abs(frac - 0.5) < _TIE_MARGIN)
-    python |= (digits < 10 ** 16) | (digits >= 10 ** 17)
-    digits[zero] = 0
-    exp10[zero] = 0
+    python = (np.abs(frac - 0.5) < _TIE_MARGIN) | (digits < 10 ** 16) | (digits >= 10 ** 17)
 
     # each layout fills a contiguous run of the cells sorted by it: 0 to 20 are
     # fixed-point with X = layout - 4, 21 is scientific
-    fixed = (exp10 >= -4) & (exp10 < 17)
-    layout = np.where(fixed, exp10 + 4, 21).astype(np.int8)
+    layout = np.where((exp10 >= -4) & (exp10 < 17), exp10 + 4, 21).astype(np.int8)
     order = np.argsort(layout, kind="stable")
     starts = np.searchsorted(layout[order], np.arange(23))
-    digits, exp10, fixed = digits[order], exp10[order], fixed[order]
-    negative = np.signbit(values)[order]
+    digits, exp10 = digits[order], exp10[order]
+    negative = np.signbit(picked[order])
 
-    # the 17 digits as text in groups of four, 000d dddd dddd dddd dddd, and
-    # how many of them %g keeps: trailing zeros go, but not before the point
-    group_text, group_zeros, masks, exponents = _text_tables()
-    rest, groups = digits, []
+    # the 17 digits as text in groups of four, 000d dddd dddd dddd dddd, each
+    # from the stripped half of the table once the digits after it are all 0
+    group_text, exponents = _text_tables()
+    rest, text, stripped = digits, [], 10000
     for _ in range(4):
         quotient = rest // 10000
-        groups.insert(0, rest - 10000 * quotient)
+        group = rest - 10000 * quotient
+        text.insert(0, group_text[group + stripped])
+        stripped = stripped * (group == 0)
         rest = quotient
-    groups.insert(0, rest)
-    trailing = group_zeros[groups[4]]
-    more = np.flatnonzero(groups[4] == 0)
-    for group in groups[3:0:-1]:
-        trailing[more] += group_zeros[group[more]]
-        more = more[group[more] == 0]
-    significant = np.where(zero[order], 1, 17 - trailing)
-    kept = np.where(fixed, np.maximum(significant, exp10 + 1), significant)
-    text = np.stack([group_text[group] for group in groups], axis=1)
-    short = np.flatnonzero(kept < 17)
-    text[short] &= masks[kept[short]].view(np.uint32).reshape(-1, 5)
-    text = text.view(np.uint8)[:, 3:]
+    text = np.stack([group_text[rest], *text], axis=1).view(np.uint8)[:, 3:]
 
-    cells = np.zeros((n, _CELL_WIDTH), dtype=np.uint8)
+    cells = np.zeros((len(keep), _CELL_WIDTH), dtype=np.uint8)
     cells[:, 0] = negative * np.uint8(ord("-"))
     for key in range(22):
         run = slice(starts[key], starts[key + 1])
@@ -312,17 +305,24 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
         out, run_text = cells[run], text[run]
         if key >= 4:  # the first X + 1 digits (scientific: 1), "." if more follow
             point = 1 if key == 21 else key - 3
-            _copy(out[:, 1:1 + point], run_text[:, :point])
-            out[:, 1 + point] = (significant[run] > point) * np.uint8(ord("."))
+            # the integer part's own trailing zeros came NUL from the table
+            np.bitwise_or(run_text[:, :point], ord("0"), out=out[:, 1:1 + point])
+            if point < 17:  # at X = 16 no digit follows the point
+                out[:, 1 + point] = (run_text[:, point] != 0) * np.uint8(ord("."))
             _copy(out[:, 2 + point:19], run_text[:, point:])
         else:  # "0.", -X - 1 zeros, the digits
             _copy(out[:, 1:6 - key], np.frombuffer(b"0.000"[:5 - key], dtype=np.uint8))
             _copy(out[:, 6 - key:23 - key], run_text)
         if key == 21:
             _copy(out[:, 19:24], exponents[exp10[run] - _MIN_EXP10])
-    unsorted = np.empty_like(cells)
-    unsorted.view(f"V{_CELL_WIDTH}")[order] = cells.view(f"V{_CELL_WIDTH}")
-    for i in np.flatnonzero(python).tolist():
+    unsorted = np.zeros((n, _CELL_WIDTH), dtype=np.uint8)
+    unsorted.view(f"V{_CELL_WIDTH}")[keep[order]] = cells.view(f"V{_CELL_WIDTH}")
+    zero = np.flatnonzero(values == 0.0)
+    unsorted[zero, 0] = np.signbit(values[zero]) * np.uint8(ord("-"))
+    unsorted[zero, 1] = ord("0")
+    fallback = ~finite
+    fallback[keep] = python
+    for i in np.flatnonzero(fallback).tolist():
         line = _fallback(values[i])
         unsorted[i] = 0
         unsorted[i, :len(line)] = np.frombuffer(line, dtype=np.uint8)

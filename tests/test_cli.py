@@ -16,6 +16,7 @@ from nhscatter import (
     cli,
     gaussian_packet,
     matrix_to_json,
+    numerics,
     packet_experiment,
     propagate_rk4,
     prototype_system,
@@ -1124,8 +1125,16 @@ print(code, time.perf_counter() - start)
     assert not frames.exists() and not summary.exists()
 
 
+def _percent_frames(traj) -> str:
+    """The frames CSV of ``traj`` from the % writer of the same columns."""
+    n_frames, n_sites = traj.states.shape
+    psi = traj.states.ravel()
+    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
+               psi.real, psi.imag, np.abs(psi) ** 2]
+    return percent_csv(["t", "site", "re_psi", "im_psi", "abs2"], columns)
+
+
 def test_evolve_frames_equal_the_generic_table_writer(tmp_path):
-    # the frames against the % writer of the same columns
     frames = tmp_path / "f.csv"
     argv = ["--left-len", "60", "--right-len", "70", "--n0", "-30", "--sigma", "5",
             "--t-final", "30", "--frames", "7"]
@@ -1134,12 +1143,22 @@ def test_evolve_frames_equal_the_generic_table_writer(tmp_path):
     traj = packet_experiment(prototype_system("damped", 0.0, 0.3).daggered(), k=math.pi / 2,
                              n0=-30.0, sigma=5.0, left_len=60, right_len=70, t_final=30.0,
                              frames=7)
-    n_frames, n_sites = traj.states.shape
-    psi = traj.states.ravel()
-    columns = [np.repeat(traj.times, n_sites), np.tile(np.arange(n_sites), n_frames),
-               psi.real, psi.imag, np.abs(psi) ** 2]
-    reference = percent_csv(["t", "site", "re_psi", "im_psi", "abs2"], columns)
-    assert frames.read_bytes() == reference.encode()
+    assert frames.read_bytes() == _percent_frames(traj).encode()
+
+
+@pytest.mark.parametrize("center", [["damped"], ["damped", "--dagger"], ["undamped"]])
+def test_evolve_frames_at_the_defaults_equal_the_generic_table_writer(tmp_path, center):
+    # the bench shape: the lossy, gain and undamped dimers on a 602-site chain,
+    # 51 frames written in 19 chunks, with runs of exact zeros across them
+    frames = tmp_path / "f.csv"
+    assert run(["evolve", "--prototype", *center, "--gamma", "0.3333333333333333",
+                "--out-frames", str(frames), "--out-summary", str(tmp_path / "e.json")]) == 0
+    system = prototype_system(center[0], 0.0, 1 / 3)
+    traj = packet_experiment(system.daggered() if "--dagger" in center else system,
+                             k=math.pi / 2)
+    assert traj.states.shape == (51, 602)
+    assert math.ceil(traj.states.size / (numerics.CSV_CHUNK_CELLS // 5)) == 19
+    assert frames.read_bytes() == _percent_frames(traj).encode()
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")

@@ -279,7 +279,9 @@ def test_csv_cells_equal_percent_on_every_exponent():
 def test_csv_cells_equal_percent_on_pinned_cases():
     largest = np.finfo(np.float64).max
     pinned = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, largest, -largest,
-              1.0, 0.1, 1 / 3, 123456789012345678.0, 99999999999999999.0, 9.999999999999999e16]
+              1.0, 0.1, 1 / 3, 123456789012345678.0, 99999999999999999.0, 9.999999999999999e16,
+              # zeros inside or at the end of the integer part
+              1200.0, 1020.5, 100000.25, 10203040506070800.0, 7000000.0, 1e16, 3e15, 2.5e15]
     # the fixed/scientific edges and every power of ten, each with its neighbours
     for center in [1e-5, 1e-4, 1e16, 1e17] + [float(f"1e{p}") for p in range(-323, 309)]:
         pinned += [np.nextafter(center, -math.inf), center, np.nextafter(center, math.inf)]
@@ -317,6 +319,26 @@ def test_csv_table_equals_the_percent_writer(rows, cols, tail):
     header = [f"c{j}" for j in range(cols)] + (["convention"] if tail else [])
     text = ",".join(header) + "\n" + "".join(numerics.csv_text(table, tail))
     assert text == percent_csv(header, list(table.T), tail)
+
+
+@pytest.mark.parametrize("cols, zero_runs", [
+    (3, [(0, 3)]),
+    (4, [(0.9, 1.1), (1.99, 3.01), (4.5, 5)]),
+])
+def test_csv_zero_runs_equal_the_percent_writer(cols, zero_runs):
+    # signed zeros skip the digits: chunks of nothing else, and runs that
+    # start in one chunk and end in a later one (first and last in chunks)
+    chunk = numerics.CSV_CHUNK_CELLS // cols * cols
+    rows = 5 * (chunk // cols) + 5
+    rng = _rng(cols)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    cells = table.reshape(-1)
+    for first, last in zero_runs:
+        cells[int(first * chunk):int(last * chunk)] = 0.0
+    table *= np.where(rng.random(table.shape) < 0.5, -1.0, 1.0)
+    header = [f"c{j}" for j in range(cols)]
+    text = ",".join(header) + "\n" + "".join(numerics.csv_text(table))
+    assert text == percent_csv(header, list(table.T))
 
 
 @pytest.mark.parametrize("rows, layout, tail", [
