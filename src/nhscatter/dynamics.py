@@ -101,15 +101,8 @@ class ChainOperator:
     neighbouring sites, except on the rows ``rows``, which hold the dense
     block ``window`` over the columns ``cols`` and nothing else.
 
-    ``h @ x`` sums each row in column order, as a CSR matrix-vector product
-    does.  numpy may round a product of two complex numbers differently (by
-    a fused multiply-add), so the two agree bit for bit where each entry is
-    real or imaginary, as in the prototype dimers, and within rounding
-    elsewhere.  One sign differs: CSR starts each row's sum at +0, and this
-    sum starts at the row's first product, so a real or imaginary part whose
-    products are all -0 (a hopping ``-J`` times an exact zero) is -0 here and
-    +0 there.  The two compare equal, and adding the step to a state whose
-    zeros are +0, as the propagators do, gives +0 either way.
+    ``h @ x`` takes one state of ``size`` sites or a ``(size, m)`` block of
+    ``m`` states.
     """
 
     size: int
@@ -124,7 +117,7 @@ class ChainOperator:
         np.add(p[:-2], p[2:], out=y[1:-1])
         y[0] = p[1]
         y[-1] = p[-2]
-        y[self.rows] = np.add.accumulate(self.window * x[self.cols], axis=1)[:, -1]
+        y[self.rows] = self.window @ x[self.cols]
         return y
 
     def toarray(self) -> np.ndarray:

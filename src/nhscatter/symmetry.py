@@ -82,7 +82,7 @@ def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.nd
         start = max(top - (nullity - rank[top]), 0)
         # block c is null with its rows above c set to zero
         blocks = (np.arange(rows) >= np.arange(start, top)[:, None])[:, :, None] * null
-        rank[start:top] = np.count_nonzero(np.linalg.svd(blocks, compute_uv=False) > rtol, axis=1)
+        rank[start:top] = np.linalg.matrix_rank(blocks, tol=rtol)
         top = start
     free = top + np.flatnonzero(rank[top:-1] > rank[top + 1:])
     # one pivot per basis vector, unless the threshold is at the basis's own

@@ -899,20 +899,26 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []  # a failed run leaves no output file
 
 
+_RAGGED = ("bad.json", {"n": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]},
+           "'re' must be a list of 2 rows")
+
+
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, bad",
     [
-        (["cmt", "--prototype", "undamped", "--gamma", "0.3"], "--coupling-file"),
-        (["classify", "--prototype", "damped", "--gamma", "0.3"], "--parity-file"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3"], "--coupling-file", _RAGGED),
+        (["classify", "--prototype", "damped", "--gamma", "0.3"], "--parity-file", _RAGGED),
+        (["verify"], "--center-file", ("list.json", [[1.0]], "matrix JSON must be an object")),
     ],
-    ids=["cmt-coupling-file", "classify-parity-file"],
+    ids=["cmt-coupling-file", "classify-parity-file", "verify-center-file-list"],
 )
-def test_bad_matrix_file_error_names_its_flag(tmp_path, capsys, argv, flag):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}))
-    assert run(argv + [flag, str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {flag} {bad}: ") and err.count("\n") == 1
+def test_bad_matrix_file_error_names_its_flag(tmp_path, monkeypatch, capsys, argv, flag, bad):
+    name, payload, reason = bad
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(payload))
+    assert run(argv + [flag, name, "--out", "o"]) == 2
+    assert capsys.readouterr().err == f"config error: {flag} {name}: {reason}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_consecutive_runs_share_no_state(tmp_path):

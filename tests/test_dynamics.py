@@ -132,35 +132,17 @@ def test_chain_operator_matches_scipy_sparse(system, left_len, right_len):
     np.testing.assert_allclose(h.gershgorin, want, rtol=1e-15, atol=0.0)
     rng = np.random.default_rng(h.size)
     x = rng.normal(size=h.size) + 1j * rng.normal(size=h.size)
-    if n != 2:
-        want = ref @ x
-        assert np.abs(h @ x - want).max() <= 1e-15 * np.abs(want).max()
-        return
-    # bit for bit, signed zeros included, also on a state whose center and
-    # right lead are exact zeros, as a packet's are at launch
+    # also a state whose center and right lead are exact zeros, as a packet's
+    # are at launch, and a block of three states, whose product is not the
+    # same bits as its columns' one at a time
     empty_right = x.copy()
     empty_right[h.center_slice.start:] = 0.0
-    for state in (x, empty_right):
-        np.testing.assert_array_equal((h @ state).view(np.uint64),
-                                      _first_product_sums(ref, h, state).view(np.uint64))
+    block = rng.normal(size=(h.size, 3)) + 1j * rng.normal(size=(h.size, 3))
+    for state in (x, empty_right, block):
+        want = ref @ state
+        assert np.abs(h @ state - want).max() <= 1e-15 * np.abs(want).max()
     # past the window rows, the empty right lead's real parts are -0
     assert np.signbit((h @ empty_right).real[h.right_slice][1:]).all()
-
-
-def _first_product_sums(ref, h, x):
-    """``ref @ x`` with the zero sign of ``ChainOperator``'s sums, which start
-    at a row's first product, not at +0 as CSR's do: a real or imaginary part
-    is -0 where all the products of its row are -0.  A row's products are
-    those of its hopping neighbours, or of its whole window row."""
-    want = (ref @ x).view(np.float64).reshape(-1, 2).copy()
-    dense = h.toarray()
-    taken = dense != 0
-    taken[h.rows, h.cols] = True
-    products = (dense * x).view(np.float64).reshape(h.size, h.size, 2)
-    negative_zero = (products == 0) & np.signbit(products)
-    all_negative_zero = np.where(taken[:, :, None], negative_zero, True).all(axis=1)
-    want[all_negative_zero] = -0.0
-    return want.view(np.complex128).ravel()
 
 
 def test_build_chain_rejects_empty_leads():

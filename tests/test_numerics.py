@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -102,6 +103,17 @@ def test_stack_inverse_matches_each_matrix():
 def test_rejects_nonfinite_input():
     with pytest.raises(ValueError):
         invert(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("check, shape, message", [
+    (numerics.as_complex_matrix, (3,), "matrix must be 2-D"),
+    (functools.partial(numerics.as_complex_matrix, square=True), (2, 3), "matrix must be square"),
+    (invert, (2, 3), "A must be a square matrix or a stack"),
+    (invert, (3,), "A must be a square matrix or a stack"),
+], ids=["matrix-1d", "matrix-not-square", "invert-2x3", "invert-1d"])
+def test_rejects_wrong_shape(check, shape, message):
+    with pytest.raises(ValueError, match=message):
+        check(np.ones(shape))
 
 
 def test_determinant_matches_laplace_and_flags_singular():

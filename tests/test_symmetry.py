@@ -110,6 +110,11 @@ def test_metric_invertibility_of_a_stack_with_singular_members():
     assert [op.invertible for op in metric_space(np.zeros((2, 2)))] == [False, False, True, True]
 
 
+def test_metric_operator_must_be_hermitian():
+    with pytest.raises(ValueError, match="metric operator must be Hermitian"):
+        MetricOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), True, 0.0)
+
+
 def test_hermitian_center_metric_space_contains_identity():
     rng = np.random.default_rng(12)
     a = random_center(rng, 3)
