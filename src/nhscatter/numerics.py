@@ -346,12 +346,16 @@ def csv_text(columns: np.ndarray | list, tail: str = "") -> Iterator[str]:
     byte; a row ends with ``,tail`` when ``tail`` is given, then a newline.
     """
     blocks = [columns] if isinstance(columns, np.ndarray) else list(columns)
+    repeated = [block.values for block in blocks if isinstance(block, RepeatedColumn)]
+    if repeated:  # the distinct values of every repeated column, formatted in one call
+        cells = _g17_cells(np.concatenate(repeated, dtype=np.float64))
+        repeated_texts = iter(np.split(cells, np.cumsum([len(values) for values in repeated])[:-1]))
     # the pieces of a row: each run of plain blocks as a slice of the bytes of
     # their cells, each repeated column as the texts of its values and its rows
     parts, plain, width = [], [], 0
     for i, block in enumerate(blocks):
         if isinstance(block, RepeatedColumn):
-            texts = _g17_cells(np.asarray(block.values, dtype=np.float64))
+            texts = next(repeated_texts)
             texts[:, -1] = ord(",") if i < len(blocks) - 1 else 0
             # only the bytes that some text takes, then the separator
             used = np.flatnonzero(texts[:, :-1].any(axis=0)).max(initial=-1) + 1

@@ -153,7 +153,8 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     singular values are 1.  Element i is the solution whose i-th
     free parameter (as row reduction names them) is 1 and whose other free
     parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
-    only q = 0 solves.
+    only q = 0 solves; a center whose singular values all clear the threshold
+    returns it after the singular values alone, with no singular vectors.
     """
     h = as_complex_matrix(h, square=True, name="H")
     n = h.shape[0]
@@ -167,6 +168,12 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     commutators = (units @ hd - h @ units).reshape(n_params, n_params)
     coeff = np.concatenate([commutators.real.T, commutators.imag.T])
 
+    # No metric when every singular value clears the threshold.  The SVD with
+    # vectors below rounds them differently, by a few units of sv[0]; past a
+    # margin of len(coeff) such units no rank decision there can differ.
+    sv = np.linalg.svd(coeff, compute_uv=False)
+    if sv[-1] - tol * sv[0] > len(coeff) * np.finfo(float).eps * sv[0]:
+        return []
     thetas = _canonical_nullspace(coeff, tol)
     if not len(thetas):
         return []

@@ -944,11 +944,18 @@ def test_consecutive_runs_share_no_state(tmp_path):
         str(fresh_process), str(same_process))
 
 
-def test_exit_code_numerical_on_scattering_singularity(tmp_path):
-    assert run([
-        "verify", "--prototype", "undamped", "--gamma", "1.0",
-        "--k", str(math.pi / 2), "--out", str(tmp_path / "o.json"),
-    ]) == 3
+@pytest.mark.parametrize("center", [
+    ["--prototype", "undamped", "--gamma", "1.0"],
+    # verify solves H and H-dagger as one stack: here the second member is
+    # singular, and with --dagger the first
+    ["--prototype", "damped", "--gamma", "0.5"],
+    ["--prototype", "damped", "--gamma", "0.5", "--dagger"],
+], ids=["undamped", "damped", "damped-dagger"])
+def test_exit_code_numerical_on_scattering_singularity(center, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert run(["verify", *center, "--k", str(math.pi / 2), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical error: lead-dressed center is singular at k=1.5708\n"
+    assert not out.exists()
 
 
 def test_cmt_exit_code_names_the_singular_omega(tmp_path, capsys):

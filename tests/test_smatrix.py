@@ -327,6 +327,34 @@ def test_batched_singularity_names_first_singular_k():
         lead_smatrices(system.center, system.ports, [0.4, math.pi])
 
 
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), p=st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_pair_in_one_stack_equals_two_solves(seed, n, p):
+    # verify solves H and H-dagger as one stack at [k, k]: batched LAPACK
+    # treats each member on its own, so each is the one-matrix call bit for bit
+    rng = np.random.default_rng(seed)
+    drawn = random_system(rng, n=n, p=min(p, n))
+    system = ScatteringSystem(drawn.center, drawn.ports, float(rng.uniform(0.5, 2.0)))
+    k = random_k(rng)
+    conjugate = system.daggered()
+    s, s_bar = lead_smatrices(np.stack([system.center, conjugate.center]), system.ports, [k, k],
+                              system.coupling)
+    assert np.array_equal(s, scattering_matrix(system, k))
+    assert np.array_equal(s_bar, scattering_matrix(conjugate, k))
+
+
+def test_conjugate_pair_names_a_singular_second_member():
+    # the damped dimer at gamma = J/2: H is regular at k = pi/2, its conjugate lases
+    system = prototype_system("damped", 0.0, 0.5)
+    k = math.pi / 2.0
+    with pytest.raises(ScatteringSingularityError) as single:
+        scattering_matrix(system.daggered(), k)
+    with pytest.raises(ScatteringSingularityError) as stacked:
+        lead_smatrices(np.stack([system.center, system.daggered().center]), system.ports, [k, k])
+    assert stacked.value.index == 1
+    assert str(stacked.value) == str(single.value) == "lead-dressed center is singular at k=1.5708"
+
+
 _D = np.ones((2, 1))
 _BAD_GRIDS = {  # the shapes that the error names, and a call that passes them
     "ks ()": lambda: lead_smatrices(np.eye(2), (0, 1), 1.0),

@@ -222,6 +222,41 @@ def test_metric_space_rejects_tol_of_one_or_more(n, tol):
         metric_space(h, tol)
 
 
+def _refuse(*args):
+    raise AssertionError("the singular vectors were computed")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metric_space_of_a_generic_center_stops_at_its_singular_values(monkeypatch, n):
+    h = random_center(np.random.default_rng(n), n)
+    monkeypatch.setattr(symmetry, "_canonical_nullspace", _refuse)
+    assert metric_space(h) == []
+
+
+def test_metric_space_at_its_threshold_takes_the_full_path(monkeypatch):
+    # a tol within rounding of the smallest singular value over the largest
+    # leaves the rank to the SVD with vectors; a tol clearly below needs none
+    n = 3
+    h = random_center(np.random.default_rng(5), n)
+    units = symmetry._unit_hermitians(n)
+    commutators = (units @ h.conj().T - h @ units).reshape(n * n, n * n)
+    sv = np.linalg.svd(np.concatenate([commutators.real.T, commutators.imag.T]), compute_uv=False)
+    at_threshold = sv[-1] / sv[0]
+    near = [at_threshold * (1.0 + 4.0 * ulps * np.finfo(float).eps) for ulps in (-1, 0, 1)]
+    canonical, rtols = symmetry._canonical_nullspace, []
+
+    def spy(mat, rtol):
+        rtols.append(rtol)
+        return canonical(mat, rtol)
+
+    monkeypatch.setattr(symmetry, "_canonical_nullspace", spy)
+    for tol in near:
+        metric_space(h, tol)
+    assert rtols == near
+    monkeypatch.setattr(symmetry, "_canonical_nullspace", _refuse)
+    assert metric_space(h, at_threshold * (1.0 - 1e-6)) == []
+
+
 def test_every_basis_element_solves_the_metric_condition():
     rng = np.random.default_rng(77)
     for _ in range(5):
