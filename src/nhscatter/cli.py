@@ -370,7 +370,8 @@ def _cmd_classify(cfg: dict) -> int:
 def _cmd_verify(cfg: dict) -> int:
     system = _build_system(cfg)
     k = cfg["k"]
-    # S and S-bar from one solve of the stack [H, H-dagger]
+    # S and S-bar as one stack [H, H-dagger]: batched LAPACK solves each member
+    # on its own, so both keep the bits of two separate solves
     s, s_bar = lead_smatrices(np.stack([system.center, dagger(system.center)]), system.ports,
                               [k, k], system.coupling)
     report = verify_conservation_law(s, s_bar, cfg["tol"])
@@ -449,7 +450,7 @@ def _cmd_campaign(cfg: dict) -> int:
         for group in groups.values():
             sites, ks, h = map(np.array, zip(*group))
             h_t = np.swapaxes(h, -1, -2)
-            # the four centers H, H-dagger, H^T and conj(H) of every trial in one solve
+            # H, H-dagger, H^T and conj(H) of every trial as one stack, bit for bit as four
             centers = np.concatenate([h, h_t.conj(), h_t, h.conj()])
             s, s_bar, s_t, s_c = np.split(lead_smatrices(centers, np.tile(sites, (4, 1)), np.tile(ks, 4)), 4)
             s_tr = np.swapaxes(s, -1, -2)  # S(H)^T

@@ -343,6 +343,24 @@ def test_conjugate_pair_in_one_stack_equals_two_solves(seed, n, p):
     assert np.array_equal(s_bar, scattering_matrix(conjugate, k))
 
 
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), p=st.integers(2, 3), count=st.integers(1, 6))
+@settings(max_examples=25, deadline=None)
+def test_tiled_conjugate_stack_equals_four_solves(seed, n, p, count):
+    # campaign solves H, H-dagger, H^T and conj(H) of K trials as one (4K, N, N)
+    # stack with the (K, P) sites and K wave numbers tiled: each quarter is
+    # the separate call bit for bit
+    rng = np.random.default_rng(seed)
+    systems = [random_system(rng, n=n, p=min(p, n)) for _ in range(count)]
+    h = np.array([system.center for system in systems])
+    sites = np.array([system.ports for system in systems])
+    ks = rng.uniform(0.05, math.pi - 0.05, count)
+    h_t = np.swapaxes(h, -1, -2)
+    centers = [h, h_t.conj(), h_t, h.conj()]
+    stacked = lead_smatrices(np.concatenate(centers), np.tile(sites, (4, 1)), np.tile(ks, 4))
+    for center, s in zip(centers, np.split(stacked, 4)):
+        assert np.array_equal(s, lead_smatrices(center, sites, ks))
+
+
 def test_conjugate_pair_names_a_singular_second_member():
     # the damped dimer at gamma = J/2: H is regular at k = pi/2, its conjugate lases
     system = prototype_system("damped", 0.0, 0.5)
