@@ -122,7 +122,7 @@ class _Option:
     default: object = None
     type: Callable[[str], object] | None = None
     nargs: int | str | None = None
-    choices: tuple[str, ...] | None = None
+    choices: tuple | None = None
     help: str | None = None
 
     @property
@@ -247,6 +247,8 @@ def _grid_points(cfg: dict, name: str, lo: float, hi: float, n: int) -> np.ndarr
     # one point is the grid's minimum: the maximum is not read
     if count > 1 and not lo < hi:
         raise ConfigError(f"need {name}_min < {name}_max, got {name}_min={lo}, {name}_max={hi}")
+    if not math.isfinite(hi - lo if count > 1 else lo):
+        raise ConfigError(f"need a finite {name} range, got {name}_min={lo}, {name}_max={hi}")
     require_stack_fits(count, n, name)
     return np.linspace(lo, hi, count)
 
@@ -352,7 +354,7 @@ def _cmd_classify(cfg: dict) -> int:
     if cfg.get("prototype") is not None and cfg["v"] >= 0.0 and cfg["gamma"] >= 0.0:
         phase = phase_of(cfg["v"], cfg["gamma"]).value
 
-    anti_hermitian = bool(frob(center.conj().T + center) < tol * max(1.0, frob(center)))
+    anti_hermitian = bool(frob(center.conj().T + center) <= tol * frob(center))
     payload = {
         "dimension": len(basis),
         "metric_basis": basis_payload,
@@ -413,8 +415,6 @@ def _cmd_cmt(cfg: dict) -> int:
     omegas = _grid_points(cfg, "omega", lo, hi, center.shape[0])
 
     signs = cfg.get("port_signs")
-    if signs is not None and any(s not in (-1, 1) for s in signs):
-        raise ConfigError(f"--port-signs must be two values of +/-1, got {signs}")
     d = _load_coupling(cfg, center.shape[0])
     if signs is not None and d.shape[1] != 2:
         raise ConfigError("--port-signs applies to two-channel couplings")
@@ -526,7 +526,7 @@ _SUBCOMMANDS = {
         _Option("--omega-min", None, _finite),
         _Option("--omega-max", None, _finite),
         _Option("--omega-count", 61, int),
-        _Option("--port-signs", None, int, nargs=2),
+        _Option("--port-signs", None, int, nargs=2, choices=(-1, 1)),
         _Option("--out", "cmt.csv", _path),
     )),
     "campaign": _Subcommand("randomized conservation verification", _cmd_campaign, (

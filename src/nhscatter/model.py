@@ -38,10 +38,10 @@ def require_in_band(k: float) -> float:
 
 
 def require_coupling(j: float) -> float:
-    """The one check of a lead coupling J: finite and > 0, else ``ValueError``."""
+    """The one check of a lead coupling J: > 0 with a finite band edge 2J, else ``ValueError``."""
     j = float(j)
-    if not 0.0 < j < math.inf:
-        raise ValueError(f"lead coupling must be finite and positive, got {j}")
+    if not 0.0 < 2.0 * j < math.inf:
+        raise ValueError(f"lead coupling must be positive with a finite band edge 2J, got {j}")
     return j
 
 

@@ -57,14 +57,18 @@ class MetricOperator:
 
 def _nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the nullspace of a real matrix: the right
-    singular vectors whose singular value is at most ``rtol`` times the largest."""
-    # a wide matrix needs the full right factor
-    _, sv, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vt[np.count_nonzero(sv > rtol * sv[:1]):].T
+    singular vectors whose singular value is at most ``rtol`` times the largest.
+    The values alone count them, so a full rank computes no vectors."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    rank = np.count_nonzero(sv > rtol * sv[:1])
+    if rank == mat.shape[1]:
+        return np.empty((rank, 0))
+    # the vectors alone are read; a wide matrix needs the full right factor
+    return np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])[2][rank:].T
 
 
-def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
-    """The nullspace basis of a real matrix that row reduction gives, one vector per row.
+def _canonical_nullspace(null: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """The row-reduction basis of the nullspace that ``null`` spans, one vector per row.
 
     Column c is free when it lies in the span of the columns before it, that
     is when rank(null[c:]) > rank(null[c+1:]).  The ranks are taken from the
@@ -73,7 +77,6 @@ def _canonical_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.nd
     Entries at most ``rtol`` times the largest of their vector are rounding;
     they are set to exactly 0.
     """
-    null = _nullspace(mat, rtol)
     rows, nullity = null.shape
     rank = np.zeros(rows + 1, dtype=int)  # rank[c] of null[c:]; rank[rows] = 0
     top = rows
@@ -153,8 +156,7 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     singular values are 1.  Element i is the solution whose i-th
     free parameter (as row reduction names them) is 1 and whose other free
     parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
-    only q = 0 solves; a center whose singular values all clear the threshold
-    returns it after the singular values alone, with no singular vectors.
+    only q = 0 solves; it is known from the singular values alone.
     """
     h = as_complex_matrix(h, square=True, name="H")
     n = h.shape[0]
@@ -168,15 +170,10 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     commutators = (units @ hd - h @ units).reshape(n_params, n_params)
     coeff = np.concatenate([commutators.real.T, commutators.imag.T])
 
-    # No metric when every singular value clears the threshold.  The SVD with
-    # vectors below rounds them differently, by a few units of sv[0]; past a
-    # margin of len(coeff) such units no rank decision there can differ.
-    sv = np.linalg.svd(coeff, compute_uv=False)
-    if sv[-1] - tol * sv[0] > len(coeff) * np.finfo(float).eps * sv[0]:
+    null = _nullspace(coeff, tol)
+    if not null.shape[1]:
         return []
-    thetas = _canonical_nullspace(coeff, tol)
-    if not len(thetas):
-        return []
+    thetas = _canonical_nullspace(null, tol)
     qs = _canonicalize(_hermitian_from_params(thetas, n))
     residuals = frob(qs @ hd - h @ qs)
     invertible = _invertible(qs)
@@ -248,13 +245,13 @@ def port_metric(basis: list[MetricOperator], m: int, n: int,
 
 
 def is_anti_pt(h: np.ndarray, parity: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when P conj(H) P^{-1} = -H for the supplied invertible parity."""
+    """True when P conj(H) P^{-1} = -H to ``tol`` times frob(H), for an invertible parity."""
     h = as_complex_matrix(h, square=True, name="H")
     parity = as_complex_matrix(parity, square=True, name="parity")
     if parity.shape != h.shape:
         raise ValueError(f"parity shape {parity.shape} does not match H {h.shape}")
     transformed = parity @ h.conj() @ invert(parity)
-    return frob(transformed + h) < tol
+    return frob(transformed + h) <= tol * frob(h)
 
 
 def phase_of(v: float, gamma: float) -> PhaseClass:

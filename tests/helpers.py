@@ -18,7 +18,7 @@ from nhscatter import (
 )
 from nhscatter.dynamics import DEFAULT_FRAMES, EDGE_TOL
 from nhscatter.model import require_in_band
-from nhscatter.symmetry import NULLSPACE_RTOL, _nullspace
+from nhscatter.symmetry import NULLSPACE_RTOL
 
 # Hard cap for propagate_expm(); it is an oracle for small chains, not a workhorse.
 EXPM_MAX_DIM = 64
@@ -148,14 +148,14 @@ def port_metric_center(rng: np.random.Generator, n: int, sign: int) -> np.ndarra
 # every trailing rank of a nullspace basis (the oracle of the metric pivots)
 
 
-def trailing_rank_nullspace(mat: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
-    """The row-reduction nullspace basis of ``symmetry._canonical_nullspace``,
-    from the ranks of all trailing blocks rather than the bottom rows alone.
+def trailing_rank_nullspace(null: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+    """The row-reduction basis of ``symmetry._canonical_nullspace`` for the
+    orthonormal columns ``null``, from the ranks of all trailing blocks rather
+    than the bottom rows alone.
 
     Column c is free when rank(null[c:]) > rank(null[c+1:]); every block is
     ranked, each zero-padded to the full height.
     """
-    null = _nullspace(mat, rtol)
     cols = len(null)
     trailing = np.triu(np.ones((cols, cols)))[:, :, None] * null  # stack c: rows c, c+1, ...
     rank = np.count_nonzero(np.linalg.svd(trailing, compute_uv=False) > rtol, axis=1)

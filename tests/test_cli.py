@@ -288,6 +288,19 @@ def test_classify_undamped_with_detuning(tmp_path):
     assert payload["phase"] == "exact"
 
 
+def test_classify_verdicts_do_not_depend_on_the_scale(tmp_path):
+    # --tol is relative to the center's norm: at scale 1e-12 the anti-PT and
+    # anti-Hermitian residuals shrink with the center, and the verdicts stay
+    center, out = tmp_path / "center.json", tmp_path / "classify.json"
+    verdicts = []
+    for scale in (1.0, 1e-12):
+        center.write_text(json.dumps(matrix_to_json(scale * np.array([[1.0, 2.0], [3.0, 4.0j]]))))
+        assert run(["classify", "--center-file", str(center), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        verdicts.append((payload["anti_pt"], payload["anti_hermitian"]))
+    assert verdicts == [(False, False)] * 2
+
+
 def test_classify_damped(tmp_path):
     out = tmp_path / "classify.json"
     assert run([
@@ -816,6 +829,20 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
         # the 3x3 center as the parity of a dimer
         (["classify", "--prototype", "damped", "--gamma", "0.3", "--parity-file", "center.json"],
          "parity shape (3, 3) does not match H (2, 2)"),
+        # a finite J whose band edge 2J overflows, and omega ranges that overflow
+        (["verify", "--prototype", "damped", "--gamma", "0.3", "--coupling", "1e308"],
+         "lead coupling must be positive with a finite band edge 2J, got 1e+308"),
+        (["sweep", "--prototype", "damped", "--gamma", "0.3", "--coupling", "1e308"],
+         "lead coupling must be positive with a finite band edge 2J, got 1e+308"),
+        (["evolve", "--prototype", "damped", "--gamma", "0.3", "--coupling", "1e308"],
+         "lead coupling must be positive with a finite band edge 2J, got 1e+308"),
+        (["cmt", "--prototype", "undamped", "--gamma", "1e308", "--kappa", "0.7", "0.4"],
+         "need a finite omega range, got omega_min=-inf, omega_max=inf"),
+        (["cmt", "--prototype", "undamped", "--gamma", "1e308", "--kappa", "0.7", "0.4",
+          "--omega-count", "1"], "need a finite omega range"),
+        (["cmt", "--prototype", "undamped", "--gamma", "0.3", "--kappa", "0.7", "0.4",
+          "--omega-min=-1e308", "--omega-max", "1e308"],
+         "need a finite omega range, got omega_min=-1e+308, omega_max=1e+308"),
     ],
     ids=["classify-ports", "cmt-ports", "cmt-kappa", "evolve-sigma", "evolve-frames", "evolve-dt",
          "classify-ports-empty-metric-space", "cmt-ports-with-coupling-file", "sweep-coupling-inf",
@@ -830,7 +857,9 @@ def test_every_option_changes_the_result(tmp_path, monkeypatch):
          "sweep-k-count", "sweep-k-order", "sweep-one-port", "cmt-omega-count", "cmt-omega-order",
          "cmt-port-signs-values", "cmt-no-coupling", "cmt-two-couplings",
          "cmt-port-signs-three-channels", "cmt-kappa-three-ports", "classify-three-ports",
-         "campaign-negative-trials", "classify-parity-shape"],
+         "campaign-negative-trials", "classify-parity-shape", "verify-coupling-band-edge-inf",
+         "sweep-coupling-band-edge-inf", "evolve-coupling-band-edge-inf", "cmt-omega-range-inf",
+         "cmt-omega-one-point-inf", "cmt-omega-span-inf"],
 )
 def test_library_value_error_is_config_error(tmp_path, monkeypatch, capsys, argv, names):
     # a generic 3x3 center: no metric solves it, so only the port check can reject its ports
@@ -1262,7 +1291,7 @@ PARSER_CONTRACT = {
          (["--omega-min"], "omega_min", None, None),
          (["--omega-max"], "omega_max", None, None),
          (["--omega-count"], "omega_count", None, None),
-         (["--port-signs"], "port_signs", 2, None), (["--out"], "out", None, None)],
+         (["--port-signs"], "port_signs", 2, [-1, 1]), (["--out"], "out", None, None)],
         {"coupling_file": None, "kappa": None, "omega_min": None,
          "omega_max": None, "omega_count": 61, "port_signs": None, "out": "cmt.csv"},
     ),

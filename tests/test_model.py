@@ -134,7 +134,8 @@ def test_system_validation():
             lead_smatrices(center, sites, [1.0])
 
 
-@pytest.mark.parametrize("j", [0.0, -1.0, math.nan, math.inf])
+# 1e308 is finite, but its band edge 2J overflows
+@pytest.mark.parametrize("j", [0.0, -1.0, math.nan, math.inf, 1e308])
 def test_lead_coupling_has_one_check(j):
     with pytest.raises(ValueError) as owner:
         require_coupling(j)

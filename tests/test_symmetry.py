@@ -233,28 +233,42 @@ def test_metric_space_of_a_generic_center_stops_at_its_singular_values(monkeypat
     assert metric_space(h) == []
 
 
-def test_metric_space_at_its_threshold_takes_the_full_path(monkeypatch):
-    # a tol within rounding of the smallest singular value over the largest
-    # leaves the rank to the SVD with vectors; a tol clearly below needs none
+def test_metric_space_decides_at_its_singular_values_with_no_margin():
+    # the values-only singular values alone rank the condition: of two adjacent
+    # tols either side of sv[-1] / sv[0], the lower gives [] and the upper a basis
     n = 3
     h = random_center(np.random.default_rng(5), n)
     units = symmetry._unit_hermitians(n)
     commutators = (units @ h.conj().T - h @ units).reshape(n * n, n * n)
     sv = np.linalg.svd(np.concatenate([commutators.real.T, commutators.imag.T]), compute_uv=False)
-    at_threshold = sv[-1] / sv[0]
-    near = [at_threshold * (1.0 + 4.0 * ulps * np.finfo(float).eps) for ulps in (-1, 0, 1)]
-    canonical, rtols = symmetry._canonical_nullspace, []
+    at_threshold = above = sv[-1] / sv[0]
+    while sv[-1] > above * sv[0]:
+        above = np.nextafter(above, 1.0)
+    while not sv[-1] > np.nextafter(above, 0.0) * sv[0]:
+        above = np.nextafter(above, 0.0)
+    below = np.nextafter(above, 0.0)
+    assert abs(above - at_threshold) <= 4 * np.spacing(at_threshold)
+    assert metric_space(h, below) == []
+    assert len(metric_space(h, above)) == 1
 
-    def spy(mat, rtol):
-        rtols.append(rtol)
-        return canonical(mat, rtol)
 
-    monkeypatch.setattr(symmetry, "_canonical_nullspace", spy)
-    for tol in near:
-        metric_space(h, tol)
-    assert rtols == near
-    monkeypatch.setattr(symmetry, "_canonical_nullspace", _refuse)
-    assert metric_space(h, at_threshold * (1.0 - 1e-6)) == []
+def test_full_rank_systems_compute_no_singular_vectors(monkeypatch):
+    # the port system of a prototype's basis and a generic center's condition
+    # are of full rank, so their singular values alone decide
+    bases = [metric_space(make_prototype(kind, 0.0, GAMMA)) for kind in ("damped", "undamped")]
+    h = random_center(np.random.default_rng(3), 4)
+    svd, compute_uv = np.linalg.svd, []
+
+    def spy(mat, *args, **kwargs):
+        compute_uv.append(kwargs.get("compute_uv", True))
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for basis in bases:
+        assert basis
+        port_metric(basis, 0, 1)
+    assert metric_space(h) == []
+    assert compute_uv == [False] * 3
 
 
 def test_every_basis_element_solves_the_metric_condition():
@@ -369,6 +383,14 @@ def test_prototypes_are_anti_pt_under_sigma_x():
 
 def test_identity_is_not_anti_pt():
     assert not is_anti_pt(np.eye(2, dtype=complex), SIGMA_X)
+
+
+def test_anti_pt_tolerance_is_relative_to_the_center():
+    h = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    for scale in (1.0, 1e-12):
+        assert not is_anti_pt(scale * h, SIGMA_X)
+        assert is_anti_pt(scale * make_prototype("undamped", 0.2, GAMMA), SIGMA_X)
+    assert is_anti_pt(np.zeros((2, 2)), SIGMA_X)
 
 
 def test_damped_zero_detuning_is_anti_hermitian():
