@@ -34,7 +34,6 @@ from .errors import (
     GeometryTooSmallError,
     NotTwoPortError,
     PacketOutOfBoundsError,
-    PortConditionError,
     ScatterError,
     ScatteringSingularityError,
     SingularMatrixError,

@@ -38,7 +38,7 @@ from .dynamics import (
     block_intensities,
     packet_experiment,
 )
-from .errors import ConfigError, PortConditionError, ScatterError
+from .errors import ConfigError, ScatterError
 from .model import (
     DEFAULT_PORTS,
     PROTOTYPE_KINDS,
@@ -47,7 +47,8 @@ from .model import (
     make_prototype,
     require_ports,
 )
-from .numerics import RepeatedColumn, csv_text, frob, invert, matrix_from_json, matrix_to_json
+from .numerics import (RepeatedColumn, csv_text, frob, invert, matrix_from_json, matrix_to_json,
+                       unit_scaled)
 from .smatrix import Convention, dressed_smatrix, lead_smatrices, require_stack_fits
 from .smatrix import scattering_matrix  # noqa: F401  unused; bench/test_bench.py reads this binding
 from .symmetry import is_anti_pt, metric_space, phase_of, port_metric, port_signature
@@ -207,7 +208,7 @@ def _load_center_file(path, flag: str) -> np.ndarray:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return matrix_from_json(payload)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # an int past the float range overflows
         raise ConfigError(f"{flag} {path}: {exc}") from exc
 
 
@@ -216,6 +217,8 @@ def _build_center(cfg: dict) -> np.ndarray:
         center = make_prototype(cfg["prototype"], cfg["v"], cfg["gamma"])
     else:
         center = _load_center_file(cfg["center_file"], "--center-file")
+        if center.shape[0] != center.shape[1]:
+            raise ConfigError(f"center must be square, got shape {center.shape}")
     if cfg.get("dagger"):
         center = dagger(center)
     return center
@@ -327,14 +330,9 @@ def _cmd_classify(cfg: dict) -> int:
     tol = cfg["tol"]
 
     basis = metric_space(center, tol)
-    basis_payload = []
-    for op in basis:
-        try:
-            signature = list(port_signature(op, *ports, tol))
-        except PortConditionError:
-            signature = None
-        basis_payload.append({"matrix": matrix_to_json(op.matrix), "invertible": op.invertible,
-                              "residual": op.residual, "port_signature": signature})
+    basis_payload = [{"matrix": matrix_to_json(op.matrix), "invertible": op.invertible,
+                      "residual": op.residual, "port_signature": port_signature(op, *ports, tol)}
+                     for op in basis]
     witness = port_metric(basis, *ports, tol)
     port_metric_payload, flux_prediction = None, FluxClass.NEITHER
     if witness is not None:
@@ -354,7 +352,8 @@ def _cmd_classify(cfg: dict) -> int:
     if cfg.get("prototype") is not None and cfg["v"] >= 0.0 and cfg["gamma"] >= 0.0:
         phase = phase_of(cfg["v"], cfg["gamma"]).value
 
-    anti_hermitian = bool(frob(center.conj().T + center) <= tol * frob(center))
+    unit = unit_scaled(center)[0]  # frob(center) can overflow where this cannot
+    anti_hermitian = bool(frob(unit.conj().T + unit) <= tol * frob(unit))
     payload = {
         "dimension": len(basis),
         "metric_basis": basis_payload,

@@ -39,14 +39,6 @@ class NotTwoPortError(ScatterError, ValueError):
     error, so also a ``ValueError`` (the command line's configuration error)."""
 
 
-class PortConditionError(ScatterError):
-    """Metric fails the port condition.  ``index`` is the first offending entry."""
-
-    def __init__(self, message: str, index: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class GeometryTooSmallError(ScatterError):
     """Chain segment too short for the requested construction or experiment."""
 

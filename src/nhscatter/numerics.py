@@ -12,8 +12,8 @@ The shared on-disk matrix format is JSON::
     {"n": 2, "re": [[...], [...]], "im": [[...], [...]]}
 
 Non-square matrices (channel-coupling blocks) carry explicit ``rows`` and
-``cols`` keys instead of ``n``.  Parsers reject ragged rows and non-finite
-entries.
+``cols`` keys instead of ``n``.  Parsers reject ragged rows, entries that
+are not numbers, and non-finite entries.
 
 CSV text comes from :func:`csv_text`, which formats a float table in numpy
 with the same bytes as Python's ``'%.17g' % value`` for every cell: finite
@@ -76,6 +76,15 @@ def frob(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Complex ``a`` times the ``2**-e`` that puts its largest real or imaginary part
+    in [0.5, 1), and ``e`` (0 for a zero matrix).  The scaling is exact, so a relative
+    test on the result decides as on ``a`` wherever ``a``'s products do not overflow."""
+    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def invert(a: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix in a ``(K, N, N)`` stack.
 
@@ -122,7 +131,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the shared JSON matrix format, rejecting ragged or non-finite data."""
+    """Parse the shared JSON matrix format, rejecting ragged, non-numeric or non-finite data."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     if "n" in obj:
@@ -141,6 +150,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         for i, row in enumerate(block):
             if not isinstance(row, list) or len(row) != cols:
                 raise ValueError(f"'{key}' row {i} is ragged (expected {cols} entries)")
+            if not set(map(type, row)) <= {int, float}:  # a bool is not a JSON number
+                raise ValueError(f"'{key}' row {i} has an entry that is not a number")
         parts.append(np.asarray(block, dtype=np.float64))
     arr = parts[0] + 1j * parts[1]
     return as_complex_matrix(arr, name="matrix JSON")

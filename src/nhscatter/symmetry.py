@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionTooLargeError, PortConditionError
-from .numerics import RCOND_MIN, as_complex_matrix, frob, frozen_matrix, invert
+from .errors import DimensionTooLargeError
+from .numerics import RCOND_MIN, as_complex_matrix, frob, frozen_matrix, invert, unit_scaled
 from .numerics import determinant  # noqa: F401  unused; bench/test_bench.py reads this binding
 from .model import require_ports
 
@@ -156,12 +156,14 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     singular values are 1.  Element i is the solution whose i-th
     free parameter (as row reduction names them) is 1 and whose other free
     parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
-    only q = 0 solves; it is known from the singular values alone.
+    only q = 0 solves; it is known from the singular values alone.  The condition
+    is homogeneous in H: it is solved on :func:`unit_scaled` H, which cannot overflow.
     """
     h = as_complex_matrix(h, square=True, name="H")
     n = h.shape[0]
     if n > METRIC_MAX_DIM:
         raise DimensionTooLargeError(f"metric search capped at {METRIC_MAX_DIM}, got {n}")
+    h, exponent = unit_scaled(h)
     hd = h.conj().T
     n_params = n * n
     # column p holds the real and imaginary parts of the condition on the
@@ -175,7 +177,7 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
         return []
     thetas = _canonical_nullspace(null, tol)
     qs = _canonicalize(_hermitian_from_params(thetas, n))
-    residuals = frob(qs @ hd - h @ qs)
+    residuals = np.ldexp(frob(qs @ hd - h @ qs), exponent)
     invertible = _invertible(qs)
     return [
         MetricOperator(matrix=q, invertible=bool(inv), residual=float(res))
@@ -184,30 +186,17 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
 
 
 def port_signature(q: MetricOperator | np.ndarray, m: int, n: int,
-                   tol: float = 1e-9) -> tuple[int, int]:
-    """Signs (s_m, s_n) when q is +identity on row/column m and +/-identity on n.
-
-    Raises :class:`PortConditionError` with the first offending entry index
-    when the condition fails (site m first, then the sign entry (n, n), then
-    site n); s_m is forced to +1.
-    """
+                   tol: float = 1e-9) -> tuple[int, int] | None:
+    """Signs (1, s_n) when q is +1 times the identity on row and column m and
+    s_n = +/-1 times the identity on row and column n, each entry within ``tol``;
+    None otherwise."""
     mat = q.matrix if isinstance(q, MetricOperator) else as_complex_matrix(q, square=True, name="q")
-    require_ports(mat.shape[0], (m, n))
-    diag = complex(mat[n, n])
-    s_n = next((s for s in (1, -1) if abs(diag - s) <= tol), None)
-    for site, sign in ((m, 1), (n, s_n)):
-        if sign is None:
-            raise PortConditionError(f"metric entry ({n}, {n}) = {diag:.3e} is neither +1 nor -1",
-                                     index=(n, n))
-        entries = np.stack([mat[site], mat[:, site]], axis=1)  # row then column entry of each j
-        entries[site] -= sign
-        bad = np.flatnonzero(np.abs(entries) > tol)
-        if bad.size:
-            j, column = divmod(int(bad[0]), 2)
-            index = (j, site) if column else (site, j)
-            raise PortConditionError(f"metric entry {index} = {complex(mat[index]):.3e} breaks the "
-                                     f"port condition at site {site}", index=index)
-    return 1, s_n
+    sites = require_ports(mat.shape[0], (m, n))
+    s_n = 1 if abs(mat[n, n] - 1) <= tol else -1
+    target = np.eye(len(mat))[sites] * [[1], [s_n]]  # e_m and s_n e_n
+    if np.abs(np.stack([mat[sites], mat[:, sites].T]) - target).max() <= tol:
+        return 1, s_n
+    return None
 
 
 def port_metric(basis: list[MetricOperator], m: int, n: int,
@@ -235,21 +224,20 @@ def port_metric(basis: list[MetricOperator], m: int, n: int,
         target[0, 0, m], target[0, 1, n] = 1.0, s
         coef = np.linalg.lstsq(a, target.ravel(), rcond=None)[0] + homogeneous @ weights
         q = np.tensordot(coef, qs, axes=1)
-        try:
-            signature = port_signature(q, m, n, tol)
-        except PortConditionError:
-            continue
-        if _invertible(q):
+        signature = port_signature(q, m, n, tol)
+        if signature is not None and _invertible(q):
             return signature, q
     return None
 
 
 def is_anti_pt(h: np.ndarray, parity: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when P conj(H) P^{-1} = -H to ``tol`` times frob(H), for an invertible parity."""
+    """True when P conj(H) P^{-1} = -H to ``tol`` times frob(H), for an invertible
+    parity; both sides are linear in H, so they are compared on :func:`unit_scaled` H."""
     h = as_complex_matrix(h, square=True, name="H")
     parity = as_complex_matrix(parity, square=True, name="parity")
     if parity.shape != h.shape:
         raise ValueError(f"parity shape {parity.shape} does not match H {h.shape}")
+    h = unit_scaled(h)[0]
     transformed = parity @ h.conj() @ invert(parity)
     return frob(transformed + h) <= tol * frob(h)
 

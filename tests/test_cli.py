@@ -301,6 +301,25 @@ def test_classify_verdicts_do_not_depend_on_the_scale(tmp_path):
     assert verdicts == [(False, False)] * 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, gamma", [("undamped", "1e200"), ("undamped", "1e308"),
+                                         ("damped", "1e160")])
+def test_classify_verdicts_hold_where_the_norm_overflows(tmp_path, kind, gamma):
+    # frob(H) overflows past about 1e154 and the metric condition's products
+    # near 1e308; the verdicts are those at gamma 1, with finite residuals
+    def classify(g):
+        out = tmp_path / f"{g}.json"
+        assert run(["classify", "--prototype", kind, "--gamma", g, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        basis, witness = payload["metric_basis"], payload["port_metric"]
+        assert all(b["residual"] <= 1e-12 * float(g) for b in basis)
+        return ([(b["invertible"], b["port_signature"]) for b in basis],
+                witness and witness["signature"], payload["anti_pt"], payload["anti_hermitian"],
+                payload["predicted_flux_class"])
+
+    assert classify(gamma) == classify("1")
+
+
 def test_classify_damped(tmp_path):
     out = tmp_path / "classify.json"
     assert run([
@@ -930,16 +949,32 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command):
 
 _RAGGED = ("bad.json", {"n": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]},
            "'re' must be a list of 2 rows")
+# JSON strings and booleans are not numbers, though numpy would parse them as ones
+_STRING = ("string.json", {"n": 2, "re": [[1.0, "1e3"], [0.0, 1.0]], "im": [[0, 0], [0, 0]]},
+           "'re' row 0 has an entry that is not a number")
+_BOOL = ("bool.json", {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0, 0], [0, True]]},
+         "'im' row 1 has an entry that is not a number")
+_FILE_FLAGS = {
+    "--coupling-file": ["cmt", "--prototype", "undamped", "--gamma", "0.3"],
+    "--parity-file": ["classify", "--prototype", "damped", "--gamma", "0.3"],
+    "--center-file": ["verify"],
+}
 
 
 @pytest.mark.parametrize(
     "argv, flag, bad",
     [
-        (["cmt", "--prototype", "undamped", "--gamma", "0.3"], "--coupling-file", _RAGGED),
-        (["classify", "--prototype", "damped", "--gamma", "0.3"], "--parity-file", _RAGGED),
+        (_FILE_FLAGS["--coupling-file"], "--coupling-file", _RAGGED),
+        (_FILE_FLAGS["--parity-file"], "--parity-file", _RAGGED),
         (["verify"], "--center-file", ("list.json", [[1.0]], "matrix JSON must be an object")),
+        (["verify"], "--center-file", ("huge.json", {"n": 1, "re": [[10 ** 400]], "im": [[0]]},
+                                       "int too large to convert to float")),
+        *[(argv, flag, bad) for flag, argv in _FILE_FLAGS.items() for bad in (_STRING, _BOOL)],
     ],
-    ids=["cmt-coupling-file", "classify-parity-file", "verify-center-file-list"],
+    ids=["cmt-coupling-file", "classify-parity-file", "verify-center-file-list",
+         "verify-center-file-huge-int",
+         *[f"{argv[0]}{flag}-{kind}" for flag, argv in _FILE_FLAGS.items()
+           for kind in ("string", "bool")]],
 )
 def test_bad_matrix_file_error_names_its_flag(tmp_path, monkeypatch, capsys, argv, flag, bad):
     name, payload, reason = bad
@@ -948,6 +983,19 @@ def test_bad_matrix_file_error_names_its_flag(tmp_path, monkeypatch, capsys, arg
     assert run(argv + [flag, name, "--out", "o"]) == 2
     assert capsys.readouterr().err == f"config error: {flag} {name}: {reason}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dagger", [[], ["--dagger"]], ids=["plain", "dagger"])
+@pytest.mark.parametrize("argv", [["sweep"], ["verify"], ["evolve"], ["classify"],
+                                  ["cmt", "--kappa", "1", "1"]], ids=lambda argv: argv[0])
+def test_non_square_center_file_is_one_config_error(tmp_path, monkeypatch, capsys, argv, dagger):
+    # one check ahead of --dagger and of the coupling: a 2x3 center is not square
+    monkeypatch.chdir(tmp_path)
+    rect = {"rows": 2, "cols": 3, "re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "im": [[0.0] * 3] * 2}
+    (tmp_path / "rect.json").write_text(json.dumps(rect))
+    assert run(argv + ["--center-file", "rect.json", *dagger]) == 2
+    assert capsys.readouterr().err == "config error: center must be square, got shape (2, 3)\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "rect.json"]
 
 
 def test_consecutive_runs_share_no_state(tmp_path):

@@ -137,6 +137,18 @@ def test_invert_roundtrip_random_well_conditioned(seed, n):
     assert residual < 1e-10
 
 
+def test_unit_scaled_is_an_exact_power_of_two():
+    # a transposed view of a center whose largest part is the imaginary 1e300;
+    # each part, signed zeros too, comes back bit for bit
+    a = np.array([[3.0 - 0.0j, -0.0 + 1e300j], [1e-3, -0.25j]]).T
+    scaled, e = numerics.unit_scaled(a)
+    assert e == 997 and 0.5 <= np.abs(scaled.imag).max() < 1.0
+    for part, original in ((scaled.real, a.real), (scaled.imag, a.imag)):
+        assert np.ldexp(part, e).tobytes() == np.ascontiguousarray(original).tobytes()
+    zero, e = numerics.unit_scaled(np.zeros((2, 2), dtype=complex))
+    assert e == 0 and not zero.any()
+
+
 # ---------------------------------------------------------------------------
 # the matrix exponential behind the exact propagator exp(-i t H) psi0
 
