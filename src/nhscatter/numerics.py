@@ -4,8 +4,8 @@ Matrices throughout the package are plain ``numpy.ndarray`` objects with
 dtype ``complex128`` in row-major layout.  All problem sizes are tiny
 (centers are a handful of sites).  Inverses and determinants go to LAPACK
 through ``numpy.linalg`` and accept a single matrix or a ``(K, N, N)``
-stack, so a whole grid of points costs one call; a matrix whose reciprocal
-condition is at most ``RCOND_MIN`` counts as singular.
+stack, so a whole grid of points costs one call.  :func:`invertible` is the one
+singularity rule, which :func:`invert` applies to huge stacks scaled by powers of two.
 
 The shared on-disk matrix format is JSON::
 
@@ -39,6 +39,9 @@ from .errors import SingularMatrixError
 # At or below it invert() raises SingularMatrixError instead of returning an
 # inverse dominated by rounding error.
 RCOND_MIN = 1e-12
+# invert() scales a stack with a part this large.  Below it no 1-norm overflows,
+# nor an LU entry for N <= 500 (partial pivoting grows them by at most 2**(N-1)).
+SCALED_FROM = 2.0 ** 500
 
 
 def as_complex_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -61,8 +64,8 @@ def frozen_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.n
 
 
 def _as_square(a: Any) -> np.ndarray:
-    """Coerce ``a`` to a finite complex128 square matrix or ``(K, N, N)`` stack."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a finite C-contiguous complex128 square matrix or ``(K, N, N)`` stack."""
+    arr = np.ascontiguousarray(a, dtype=np.complex128)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise ValueError(f"A must be a square matrix or a stack of them, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -76,39 +79,52 @@ def frob(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, Any]:
     """Complex ``a`` times the ``2**-e`` that puts its largest real or imaginary part
-    in [0.5, 1), and ``e`` (0 for a zero matrix).  The scaling is exact, so a relative
-    test on the result decides as on ``a`` wherever ``a``'s products do not overflow."""
+    in [0.5, 1), and ``e`` (0 for a zero matrix), one per matrix of a stack.  The scaling
+    is exact, so a relative test on the result decides as on ``a`` where no product overflows."""
     parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
-    e = math.frexp(np.abs(parts).max())[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
+    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    return np.ldexp(parts, -e[..., None, None]).view(np.complex128), e
+
+
+def reciprocal_condition(a: np.ndarray):
+    """``1/(|A|_1 |A^-1|_1)`` of a matrix or each of a stack; 0 where ``np.linalg.cond`` gives inf."""
+    return 1.0 / np.linalg.cond(a, 1)
+
+
+def invertible(a: np.ndarray):
+    """The rule of :func:`invert`: the reciprocal condition is above ``RCOND_MIN``."""
+    return reciprocal_condition(a) > RCOND_MIN
 
 
 def invert(a: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix in a ``(K, N, N)`` stack.
 
-    One batched LAPACK call.  Raises :class:`SingularMatrixError` when a
-    matrix is exactly singular or its reciprocal condition
-    ``1/(|A|_1 |A^-1|_1)`` is at most ``RCOND_MIN``; for a stack the error's
-    ``index`` is the first offending matrix.
+    One batched LAPACK call.  Raises :class:`SingularMatrixError` when a matrix
+    fails :func:`invertible`; for a stack the error's ``index`` is the first
+    offending matrix.  A stack with a part at or above ``SCALED_FROM`` is decided
+    and inverted on its :func:`unit_scaled` members and each inverse scaled back;
+    a member below 1 stays unscaled, as its inverse scaled back up could overflow.
+    The scaling is exact, so no bit moves where nothing overflows.
     """
     a = _as_square(a)
+    e = 0
+    if np.abs(a.view(np.float64)).max(initial=0.0) >= SCALED_FROM:
+        e = np.maximum(unit_scaled(a)[1], 0)[..., None, None]
+        a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
     try:
         inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        # An exact zero pivot makes LAPACK's determinant exactly zero.
-        index = int(np.flatnonzero(np.linalg.det(a) == 0)[0]) if a.ndim == 3 else None
-        raise SingularMatrixError("matrix is exactly singular", index=index) from exc
-    rcond = 1.0 / (np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
+        with np.errstate(over="ignore"):  # as in np.linalg.cond: a product past the range is singular
+            rcond = 1.0 / (np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
+    except np.linalg.LinAlgError:
+        rcond = reciprocal_condition(a)
     singular = ~(rcond > RCOND_MIN)
     if np.any(singular):
         index = int(np.argmax(singular)) if a.ndim == 3 else None
         first = float(rcond if index is None else rcond[index])
-        raise SingularMatrixError(
-            f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index
-        )
-    return inv
+        raise SingularMatrixError(f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index)
+    return np.ldexp(inv.view(np.float64), -e).view(np.complex128) if np.any(e) else inv
 
 
 def determinant(a: np.ndarray):

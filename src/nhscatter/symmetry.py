@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionTooLargeError
-from .numerics import RCOND_MIN, as_complex_matrix, frob, frozen_matrix, invert, unit_scaled
+from .numerics import as_complex_matrix, frob, frozen_matrix, invert, invertible, unit_scaled
 from .numerics import determinant  # noqa: F401  unused; bench/test_bench.py reads this binding
 from .model import require_ports
 
@@ -40,8 +40,7 @@ class MetricOperator:
     """One Hermitian solution of q H† = H q, canonically scaled.
 
     ``residual`` is the Frobenius norm of q H† - H q against the source
-    center; ``invertible`` is the singularity rule of :func:`numerics.invert`:
-    the 1-norm reciprocal condition of q is above ``RCOND_MIN``.
+    center; ``invertible`` is :func:`numerics.invertible` of q, invert's singularity rule.
     """
 
     matrix: np.ndarray
@@ -140,26 +139,22 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None, None], -out, out)
 
 
-def _invertible(q: np.ndarray):
-    """The rule of :attr:`MetricOperator.invertible` for one matrix or a stack;
-    a singular matrix has condition ``inf``."""
-    return 1.0 / np.linalg.cond(q, 1) > RCOND_MIN
-
-
 def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOperator]:
     """Canonical basis of the Hermitian solutions of q H† = H q.
 
     The condition is a homogeneous real-linear system in the N^2 real
     parameters of q, solved by singular value decompositions; ``tol`` is the
-    relative singular-value threshold and must be below 1 by more than
-    rounding, since the ranks are taken of orthonormal columns, whose
-    singular values are 1.  Element i is the solution whose i-th
-    free parameter (as row reduction names them) is 1 and whose other free
-    parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
+    relative singular-value threshold, refused before any solve unless a normal
+    float in (0, 1): it must be below 1 by more than rounding, since the ranks are
+    taken of orthonormal columns, whose singular values are 1.  Element i is the
+    solution whose i-th free parameter (as row reduction names them) is 1 and whose
+    other free parameters are 0, scaled by :func:`_canonicalize`.  An empty list means
     only q = 0 solves; it is known from the singular values alone.  The condition
     is homogeneous in H: it is solved on :func:`unit_scaled` H, which cannot overflow.
     """
     h = as_complex_matrix(h, square=True, name="H")
+    if not np.finfo(np.float64).tiny <= tol < 1.0:  # a basis entry is up to 1/tol
+        raise ValueError(f"metric tol must be below 1 and a positive normal float, got {tol}")
     n = h.shape[0]
     if n > METRIC_MAX_DIM:
         raise DimensionTooLargeError(f"metric search capped at {METRIC_MAX_DIM}, got {n}")
@@ -178,10 +173,9 @@ def metric_space(h: np.ndarray, tol: float = NULLSPACE_RTOL) -> list[MetricOpera
     thetas = _canonical_nullspace(null, tol)
     qs = _canonicalize(_hermitian_from_params(thetas, n))
     residuals = np.ldexp(frob(qs @ hd - h @ qs), exponent)
-    invertible = _invertible(qs)
     return [
         MetricOperator(matrix=q, invertible=bool(inv), residual=float(res))
-        for q, inv, res in zip(qs, invertible, residuals)
+        for q, inv, res in zip(qs, invertible(qs), residuals)
     ]
 
 
@@ -225,7 +219,7 @@ def port_metric(basis: list[MetricOperator], m: int, n: int,
         coef = np.linalg.lstsq(a, target.ravel(), rcond=None)[0] + homogeneous @ weights
         q = np.tensordot(coef, qs, axes=1)
         signature = port_signature(q, m, n, tol)
-        if signature is not None and _invertible(q):
+        if signature is not None and invertible(q):
             return signature, q
     return None
 

@@ -1,14 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import shlex
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhscatter import (
     ScatteringSystem,
@@ -1096,6 +1102,90 @@ def test_sweep_grid_outside_the_band_is_a_band_edge(tmp_path, capsys, grid):
     assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert "outside the open band (0, pi)" in err
     assert not out.exists()
+
+
+# Each subcommand with small grids and leads, and the numeric flags that the
+# contract test draws from _EXTREMES: the ends of the float range, subnormals
+# and signed zeros, where an overflow or an invalid value would show.
+_CONTRACT_COMMANDS = {
+    "sweep": (["--k-count", "3"], ["--v", "--gamma", "--coupling", "--k-min", "--k-max"]),
+    "evolve": (["--left-len", "20", "--right-len", "20", "--n0", "-8", "--sigma", "2",
+                "--t-final", "4", "--frames", "2"],
+               ["--v", "--gamma", "--coupling", "--k", "--n0", "--sigma", "--dt", "--t-final"]),
+    "classify": ([], ["--v", "--gamma", "--tol"]),
+    "verify": ([], ["--v", "--gamma", "--coupling", "--k", "--tol"]),
+    "cmt": (["--kappa", "0.5", "0.5", "--omega-count", "3"],
+            ["--v", "--gamma", "--kappa", "--omega-min", "--omega-max"]),
+    "campaign": (["--trials", "8"], ["--radius", "--tol"]),
+}
+_EXTREMES = ["0", "-0", "5e-324", "1e-310", "1e20", "-1e20", "1e160", "1e-160",
+             "1e200", "1e-200", "1e308", "-1e308"]
+
+
+@st.composite
+def _extreme_argv(draw):
+    command = draw(st.sampled_from(sorted(_CONTRACT_COMMANDS)))
+    base, flags = _CONTRACT_COMMANDS[command]
+    argv = [command]
+    if command != "campaign":
+        argv += ["--prototype", draw(st.sampled_from(["damped", "undamped"])), "--gamma", "0.3"]
+    argv += base
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2, unique=True)):
+        argv += [flag, *draw(st.lists(st.sampled_from(_EXTREMES), min_size=1 + (flag == "--kappa"),
+                                      max_size=1 + (flag == "--kappa")))]
+    return argv
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"non-finite JSON value {constant}")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_extreme_argv())
+@example(argv=["verify", "--prototype", "damped", "--gamma", "1e308"])
+@example(argv=["sweep", "--prototype", "damped", "--gamma", "1e308", "--k-count", "3"])
+@example(argv=["campaign", "--radius", "1e308", "--trials", "8"])
+@example(argv=["classify", "--prototype", "damped", "--gamma", "3", "--tol", "1e308"])
+@example(argv=["cmt", "--prototype", "damped", "--gamma", "1e160", "--kappa", "1e-300", "1",
+               "--omega-count", "3"])
+@example(argv=["cmt", "--prototype", "damped", "--gamma", "-0", "--omega-count", "3",
+               "--kappa", "-0", "1e308"])
+@example(argv=["verify", "--prototype", "undamped", "--gamma", "1e-310", "--coupling", "1e-310",
+               "--k", "1.5"])
+@example(argv=["campaign", "--tol", "1e-20"])
+@example(argv=["classify", "--prototype", "damped", "--gamma", "0.3", "--v", "1e308",
+               "--tol", "5e-324"])
+@example(argv=["cmt", "--prototype", "undamped", "--gamma", "1e-310", "--kappa", "0", "0",
+               "--omega-min=-1e200", "--omega-max", "1e200", "--omega-count", "3"])
+def test_every_exit_keeps_the_command_line_contract(argv):
+    # exit 0, 2, 3 or 4 and no numpy RuntimeWarning; exits 2 and 3 print one
+    # line and exit 2 writes nothing; every JSON is strict and no CSV holds
+    # nan or inf, whatever the flags' values
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = Path(tmp)
+        if argv[0] == "evolve":
+            argv = argv + ["--out-frames", str(out / "f.csv"), "--out-summary", str(out / "s.json")]
+        else:
+            suffix = "csv" if argv[0] in ("sweep", "cmt") else "json"
+            argv = argv + ["--out", str(out / f"o.{suffix}")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+        texts = {path.name: path.read_text() for path in out.iterdir()}
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), argv
+    if code in (2, 3):
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+    if code == 2:
+        assert texts == {}, argv
+    for name, text in texts.items():
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_refuse_constant)
+        else:
+            assert "nan" not in text and "inf" not in text, (argv, name)
 
 
 def test_cli_entrypoint_via_module(tmp_path):

@@ -68,11 +68,15 @@ def test_invert_lead_dressed_dimer_against_adjugate():
     np.testing.assert_allclose(invert(mat), expected, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
+    # the norms' product 1e350 overflows: a condition past the float range
+    with pytest.raises(SingularMatrixError):
+        invert(np.diag([1e150, 1e-200]))
 
 
 def test_near_singular_below_pivot_threshold_raises():
@@ -81,6 +85,7 @@ def test_near_singular_below_pivot_threshold_raises():
         invert(a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_matrix_in_stack_reports_its_index():
     stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-14]]])
     with pytest.raises(SingularMatrixError) as info:
@@ -88,6 +93,15 @@ def test_singular_matrix_in_stack_reports_its_index():
     assert info.value.index == 1
     with pytest.raises(SingularMatrixError) as info:
         invert(stack[[0, 2]])
+    assert info.value.index == 1
+    # a determinant underflows to 0 at 1e-200 I: the reciprocal condition, 1 there, does not
+    with pytest.raises(SingularMatrixError) as info:
+        invert(np.stack([1e-200 * np.eye(2), np.zeros((2, 2)), np.eye(2)]))
+    assert info.value.index == 1
+    # a stack past SCALED_FROM is unit-scaled member by member, but a member
+    # below 1 keeps its scale: the inverse of 1e-310 I overflows, as unscaled
+    with pytest.raises(SingularMatrixError) as info:
+        invert(np.stack([1e200 * np.eye(2), 1e-310 * np.eye(2)]))
     assert info.value.index == 1
 
 
@@ -147,6 +161,12 @@ def test_unit_scaled_is_an_exact_power_of_two():
         assert np.ldexp(part, e).tobytes() == np.ascontiguousarray(original).tobytes()
     zero, e = numerics.unit_scaled(np.zeros((2, 2), dtype=complex))
     assert e == 0 and not zero.any()
+    # a stack: each matrix with its own exponent, as on its own
+    stack = np.stack([a, np.zeros((2, 2)), 1e-310 * np.eye(2)])
+    scaled, e = numerics.unit_scaled(stack)
+    assert e.tolist() == [997, 0, -1029]
+    for one, one_scaled in zip(stack, scaled):
+        assert numerics.unit_scaled(one)[0].tobytes() == one_scaled.tobytes()
 
 
 # ---------------------------------------------------------------------------

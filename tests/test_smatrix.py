@@ -327,6 +327,28 @@ def test_batched_singularity_names_first_singular_k():
         lead_smatrices(system.center, system.ports, [0.4, math.pi])
 
 
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 6), p=st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_power_of_two_scaling_moves_no_bit(seed, n, p):
+    # S is unchanged by (H, J) -> 2^e (H, J) and by (H, D, omega) -> (4^e H,
+    # 2^e D, 4^e omega); scaling by a power of two is exact, and so is every
+    # product and LU step it passes through, bit for bit.  At e = 600 invert
+    # decides and inverts on the unit-scaled members.
+    rng, p = np.random.default_rng(seed), min(p, n)
+    system = random_system(rng, n=n, p=p)
+    ks = rng.uniform(0.05, math.pi - 0.05, 6)
+    s = lead_smatrices(system.center, system.ports, ks).tobytes()
+    for e in (-600, -40, 7, 40, 600):
+        scale = math.ldexp(1.0, e)
+        assert lead_smatrices(scale * system.center, system.ports, ks, scale).tobytes() == s, e
+    d = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    omegas = rng.uniform(-3.0, 3.0, 6)
+    s = dressed_smatrix(system.center, d, omegas).tobytes()
+    for e in (-200, 20, 200):
+        scale = math.ldexp(1.0, e)
+        assert dressed_smatrix(scale ** 2 * system.center, scale * d, scale ** 2 * omegas).tobytes() == s, e
+
+
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 8), p=st.integers(2, 3))
 @settings(max_examples=40, deadline=None)
 def test_conjugate_pair_in_one_stack_equals_two_solves(seed, n, p):

@@ -207,13 +207,24 @@ def test_metric_space_matches_the_trailing_rank_oracle(monkeypatch, tol):
             assert got == fields(h)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 8])
-@pytest.mark.parametrize("tol", [1.0, 1.5, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [1.0, 1.5, math.inf, math.nan, 1e308])
 def test_metric_space_rejects_tol_of_one_or_more(n, tol):
-    # the singular values of an orthonormal basis are 1, so no rank passes
+    # the singular values of an orthonormal basis are 1, so no rank passes;
+    # refused before the rank rule, whose tol * sv overflows at 1e308
     h = make_prototype("undamped", 0.0, 0.3) if n == 2 else random_center(np.random.default_rng(8), n)
     with pytest.raises(ValueError, match="metric tol must be below 1"):
         metric_space(h, tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 5e-324, 1e-310])
+def test_metric_space_rejects_tol_that_is_not_a_positive_normal_float(tol):
+    # a basis entry is up to 1/tol, which overflows at a subnormal tol: the
+    # damped dimer at v = 1e308 gave an inf entry and a nan metric
+    with pytest.raises(ValueError, match="metric tol must be below 1 and a positive normal float"):
+        metric_space(make_prototype("damped", 1e308, 0.3), tol)
 
 
 def _refuse(*args):
