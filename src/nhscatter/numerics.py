@@ -5,7 +5,7 @@ dtype ``complex128`` in row-major layout.  All problem sizes are tiny
 (centers are a handful of sites).  Inverses and determinants go to LAPACK
 through ``numpy.linalg`` and accept a single matrix or a ``(K, N, N)``
 stack, so a whole grid of points costs one call.  :func:`invertible` is the one
-singularity rule, which :func:`invert` applies to huge stacks scaled by powers of two.
+singularity rule, which :func:`invert` applies to each member scaled by a power of two.
 
 The shared on-disk matrix format is JSON::
 
@@ -39,9 +39,6 @@ from .errors import SingularMatrixError
 # At or below it invert() raises SingularMatrixError instead of returning an
 # inverse dominated by rounding error.
 RCOND_MIN = 1e-12
-# invert() scales a stack with a part this large.  Below it no 1-norm overflows,
-# nor an LU entry for N <= 500 (partial pivoting grows them by at most 2**(N-1)).
-SCALED_FROM = 2.0 ** 500
 
 
 def as_complex_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -88,14 +85,10 @@ def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, Any]:
     return np.ldexp(parts, -e[..., None, None]).view(np.complex128), e
 
 
-def reciprocal_condition(a: np.ndarray):
-    """``1/(|A|_1 |A^-1|_1)`` of a matrix or each of a stack; 0 where ``np.linalg.cond`` gives inf."""
-    return 1.0 / np.linalg.cond(a, 1)
-
-
 def invertible(a: np.ndarray):
-    """The rule of :func:`invert`: the reciprocal condition is above ``RCOND_MIN``."""
-    return reciprocal_condition(a) > RCOND_MIN
+    """The rule of :func:`invert`: the reciprocal condition is above ``RCOND_MIN``
+    (``np.linalg.cond`` gives inf, so 0, for an exactly singular matrix)."""
+    return 1.0 / np.linalg.cond(a, 1) > RCOND_MIN
 
 
 def invert(a: np.ndarray) -> np.ndarray:
@@ -103,28 +96,26 @@ def invert(a: np.ndarray) -> np.ndarray:
 
     One batched LAPACK call.  Raises :class:`SingularMatrixError` when a matrix
     fails :func:`invertible`; for a stack the error's ``index`` is the first
-    offending matrix.  A stack with a part at or above ``SCALED_FROM`` is decided
-    and inverted on its :func:`unit_scaled` members and each inverse scaled back;
-    a member below 1 stays unscaled, as its inverse scaled back up could overflow.
-    The scaling is exact, so no bit moves where nothing overflows.
+    offending matrix.  Each member is decided and inverted as its :func:`unit_scaled`
+    copy, so no 1-norm or LU entry overflows, and its inverse scaled back; a member
+    below 1 stays unscaled, as its inverse scaled back up could overflow.  The
+    scaling is exact, so no bit moves where nothing overflows.
     """
     a = _as_square(a)
-    e = 0
-    if np.abs(a.view(np.float64)).max(initial=0.0) >= SCALED_FROM:
-        e = np.maximum(unit_scaled(a)[1], 0)[..., None, None]
-        a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    e = np.maximum(unit_scaled(a)[1], 0)[..., None, None]
+    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
     try:
         inv = np.linalg.inv(a)
         with np.errstate(over="ignore"):  # as in np.linalg.cond: a product past the range is singular
             rcond = 1.0 / (np.linalg.norm(a, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1)))
     except np.linalg.LinAlgError:
-        rcond = reciprocal_condition(a)
+        rcond = 1.0 / np.linalg.cond(a, 1)
     singular = ~(rcond > RCOND_MIN)
     if np.any(singular):
         index = int(np.argmax(singular)) if a.ndim == 3 else None
         first = float(rcond if index is None else rcond[index])
         raise SingularMatrixError(f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index)
-    return np.ldexp(inv.view(np.float64), -e).view(np.complex128) if np.any(e) else inv
+    return np.ldexp(inv.view(np.float64), -e).view(np.complex128)
 
 
 def determinant(a: np.ndarray):

@@ -98,8 +98,8 @@ def test_singular_matrix_in_stack_reports_its_index():
     with pytest.raises(SingularMatrixError) as info:
         invert(np.stack([1e-200 * np.eye(2), np.zeros((2, 2)), np.eye(2)]))
     assert info.value.index == 1
-    # a stack past SCALED_FROM is unit-scaled member by member, but a member
-    # below 1 keeps its scale: the inverse of 1e-310 I overflows, as unscaled
+    # each member is unit-scaled, but a member below 1 keeps its scale: the
+    # inverse of 1e-310 I overflows, so it is singular
     with pytest.raises(SingularMatrixError) as info:
         invert(np.stack([1e200 * np.eye(2), 1e-310 * np.eye(2)]))
     assert info.value.index == 1

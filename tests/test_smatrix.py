@@ -332,8 +332,8 @@ def test_batched_singularity_names_first_singular_k():
 def test_power_of_two_scaling_moves_no_bit(seed, n, p):
     # S is unchanged by (H, J) -> 2^e (H, J) and by (H, D, omega) -> (4^e H,
     # 2^e D, 4^e omega); scaling by a power of two is exact, and so is every
-    # product and LU step it passes through, bit for bit.  At e = 600 invert
-    # decides and inverts on the unit-scaled members.
+    # product and LU step it passes through, bit for bit.  invert decides and
+    # inverts each member at or above 1 on its unit-scaled copy.
     rng, p = np.random.default_rng(seed), min(p, n)
     system = random_system(rng, n=n, p=p)
     ks = rng.uniform(0.05, math.pi - 0.05, 6)

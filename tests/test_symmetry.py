@@ -219,6 +219,16 @@ def test_metric_space_rejects_tol_of_one_or_more(n, tol):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [4, 8])
+def test_metric_space_rejects_tol_within_rounding_of_one(n):
+    # the largest float below 1 passes the entry check, but the basis's own
+    # singular values, 1 to rounding, fall under it: the late check refuses it
+    h = random_center(np.random.default_rng(8), n)
+    with pytest.raises(ValueError, match="by more than rounding"):
+        metric_space(h, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 5e-324, 1e-310])
 def test_metric_space_rejects_tol_that_is_not_a_positive_normal_float(tol):
     # a basis entry is up to 1/tol, which overflows at a subnormal tol: the
