@@ -76,13 +76,25 @@ def frob(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _scaled_parts(parts: np.ndarray, e_min=None) -> tuple[np.ndarray, Any]:
+    """Float ``parts`` times ``2**-e`` per matrix, ``e`` the ``np.frexp`` exponent of its
+    largest magnitude (0 for a zero matrix) raised to ``e_min`` if given, and ``e``.
+    The magnitudes are taken into the array that then receives the scaled parts."""
+    scaled = np.abs(parts)
+    e = np.frexp(scaled.max(axis=(-2, -1)))[1]
+    if e_min is not None:
+        e = np.maximum(e, e_min)
+    np.ldexp(parts, -e[..., None, None], out=scaled)
+    return scaled, e
+
+
 def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, Any]:
     """Complex ``a`` times the ``2**-e`` that puts its largest real or imaginary part
     in [0.5, 1), and ``e`` (0 for a zero matrix), one per matrix of a stack.  The scaling
     is exact, so a relative test on the result decides as on ``a`` where no product overflows."""
-    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
-    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-    return np.ldexp(parts, -e[..., None, None]).view(np.complex128), e
+    # real and imaginary parts side by side
+    scaled, e = _scaled_parts(np.ascontiguousarray(a).view(np.float64))
+    return scaled.view(np.complex128), e
 
 
 def invertible(a: np.ndarray):
@@ -96,14 +108,14 @@ def invert(a: np.ndarray) -> np.ndarray:
 
     One batched LAPACK call.  Raises :class:`SingularMatrixError` when a matrix
     fails :func:`invertible`; for a stack the error's ``index`` is the first
-    offending matrix.  Each member is decided and inverted as its :func:`unit_scaled`
-    copy, so no 1-norm or LU entry overflows, and its inverse scaled back; a member
-    below 1 stays unscaled, as its inverse scaled back up could overflow.  The
-    scaling is exact, so no bit moves where nothing overflows.
+    offending matrix.  Each member is decided and inverted as a copy scaled as by
+    :func:`unit_scaled`, so no 1-norm or LU entry overflows, and its inverse is scaled
+    back in place; a member below 1 stays unscaled, as its inverse scaled back up
+    could overflow.  The scaling is exact, so no bit moves where nothing overflows.
     """
-    a = _as_square(a)
-    e = np.maximum(unit_scaled(a)[1], 0)[..., None, None]
-    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    a, e = _scaled_parts(_as_square(a).view(np.float64), 0)
+    a = a.view(np.complex128)  # the one working copy
+    e = e[..., None, None]
     try:
         inv = np.linalg.inv(a)
         with np.errstate(over="ignore"):  # as in np.linalg.cond: a product past the range is singular
@@ -115,7 +127,8 @@ def invert(a: np.ndarray) -> np.ndarray:
         index = int(np.argmax(singular)) if a.ndim == 3 else None
         first = float(rcond if index is None else rcond[index])
         raise SingularMatrixError(f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index)
-    return np.ldexp(inv.view(np.float64), -e).view(np.complex128)
+    np.ldexp(inv.view(np.float64), -e, out=inv.view(np.float64))
+    return inv
 
 
 def determinant(a: np.ndarray):
@@ -160,8 +173,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             if not set(map(type, row)) <= {int, float}:  # a bool is not a JSON number
                 raise ValueError(f"'{key}' row {i} has an entry that is not a number")
         parts.append(np.asarray(block, dtype=np.float64))
-    arr = parts[0] + 1j * parts[1]
-    return as_complex_matrix(arr, name="matrix JSON")
+    # before the complex build: 1j * inf is an invalid operation
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValueError("matrix JSON contains NaN or Inf entries")
+    return as_complex_matrix(parts[0] + 1j * parts[1], name="matrix JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +394,22 @@ def csv_text(columns: np.ndarray | list, tail: str = "") -> Iterator[str]:
             used = np.flatnonzero(texts[:, :-1].any(axis=0)).max(initial=-1) + 1
             parts.append((texts[:, [*range(used), -1]], np.asarray(block.rows)))
             continue
-        plain.append(block)
+        block = np.asarray(block)
+        plain.append(block[:, None] if block.ndim == 1 else block)
         if not parts or not isinstance(parts[-1], slice):  # a new run of plain blocks
             parts.append(slice(width * _CELL_WIDTH, None))
-        width += 1 if np.ndim(block) == 1 else np.shape(block)[1]
+        width += plain[-1].shape[1]
         parts[-1] = slice(parts[-1].start, width * _CELL_WIDTH)
-    table = np.column_stack(plain) if plain else np.empty((len(blocks[0].rows), 0))
+    rows = len(plain[0]) if plain else len(blocks[0].rows)
     end = np.frombuffer(f",{tail}\n".encode() if tail else b"\n", dtype=np.uint8)
     step = max(1, CSV_CHUNK_CELLS // (width + len(blocks) - len(plain)))
-    for start in range(0, len(table), step):
-        block = np.ascontiguousarray(table[start:start + step], dtype=np.float64)
-        n = len(block)
-        cells = _g17_cells(block.ravel()).reshape(n, width, _CELL_WIDTH)
+    # each chunk's plain cells, copied in row order into one buffer
+    table = np.empty((min(step, rows), width), dtype=np.float64)
+    for start in range(0, rows, step):
+        n = min(step, rows - start)
+        if plain:
+            np.concatenate([block[start:start + n] for block in plain], axis=1, out=table[:n])
+        cells = _g17_cells(table[:n].ravel()).reshape(n, width, _CELL_WIDTH)
         cells[:, :, -1] = ord(",")
         if not isinstance(blocks[-1], RepeatedColumn):
             cells[:, -1, -1] = 0  # the row's end follows its last cell

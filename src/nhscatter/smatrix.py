@@ -42,7 +42,8 @@ from .numerics import invert
 
 # A grid of K points is refused above this many bytes in one (K, N, N) complex
 # stack, before any is built.  The kernel holds a few such stacks at once and
-# a sweep its CSV columns too: a dimer's sweep peaks near 13 stacks' bytes.
+# a sweep its CSV columns too; tracemalloc reads a dimer's sweep at 5.9 stacks'
+# bytes, and a 6-site, 3-port sweep and a 6-site cmt at 3.9.
 # 2**25 bytes are 524,288 k of a dimer and 58,254 of a 6-site center.
 MAX_STACK_BYTES = 2 ** 25
 
@@ -97,7 +98,9 @@ def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float
     if n != h.shape[-1]:
         raise ValueError(f"coupling has {n} mode rows, center has {h.shape[-1]} modes")
     d_dag = np.swapaxes(d, -1, -2).conj()
-    dressed = omega[:, None, None] * np.eye(n) - h + 1j * (d @ d_dag)
+    dressed = omega[:, None, None] * np.eye(n, dtype=np.complex128)
+    dressed -= h
+    dressed += 1j * (d @ d_dag)
     try:
         g = invert(dressed)
     except SingularMatrixError as exc:
@@ -138,7 +141,8 @@ def lead_smatrices(
     sites = require_ports(n, sites)
     at_k = np.arange(len(ks))[:, None]
     energy = -2.0 * j * np.cos(ks)
-    dressed = energy[:, None, None] * np.eye(n) - np.asarray(center, dtype=np.complex128)
+    dressed = energy[:, None, None] * np.eye(n, dtype=np.complex128)
+    dressed -= center
     dressed[at_k, sites, sites] += j * np.exp(1j * ks)[:, None]
     try:
         g = invert(dressed)
@@ -147,7 +151,8 @@ def lead_smatrices(
             f"lead-dressed center is singular at k={ks[exc.index]:.6g}", index=exc.index
         ) from exc
     port_block = g[at_k[..., None], sites[..., :, None], sites[..., None, :]]
-    s = (2j * j * np.sin(ks))[:, None, None] * port_block - np.eye(sites.shape[-1])
+    s = (2j * j * np.sin(ks))[:, None, None] * port_block
+    s -= np.eye(sites.shape[-1])
     if convention is Convention.SHIFTED:
         s *= np.exp(-2j * ks)[:, None, None]
     return s

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +35,17 @@ def percent_csv(header: list[str], columns: list, tail: str = "") -> str:
     row = ",".join(["%.17g"] * table.shape[1] + ([tail] if tail else []))
     template = "\n".join([",".join(header)] + [row] * len(table)) + "\n"
     return template % tuple(table.ravel().tolist())
+
+
+def traced_peak(f) -> int:
+    """The most bytes allocated at once while ``f()`` runs, beyond what was held
+    before it, as ``tracemalloc`` counts them (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_center(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:

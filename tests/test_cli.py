@@ -32,7 +32,7 @@ from nhscatter.cli import _resolve, build_parser, run
 from nhscatter.dynamics import EDGE_TOL
 from nhscatter.errors import ScatteringSingularityError, WorkLimitError
 from nhscatter.smatrix import require_stack_fits
-from helpers import percent_csv, port_metric_center, random_center
+from helpers import percent_csv, port_metric_center, random_center, traced_peak
 
 
 def _read_csv(path):
@@ -127,6 +127,16 @@ def test_sweep_three_port_center_file(tmp_path):
     assert "flux_sum_dev" not in header  # flux laws are two-port only
     assert max(_col(header, rows, "law_residual")) < 1e-10
     _assert_percent_formatted(out)
+
+
+def test_sweep_peak_memory(tmp_path):
+    # a dimer's sweep over 100,000 k holds S, S-bar, the law's defect and their
+    # CSV columns, and writes its table one chunk at a time: 5.89 (K, N, N)
+    # stacks measured; the bound is 0.5 stacks above it
+    k_count = 100_000
+    argv = ["sweep", "--prototype", "damped", "--gamma", "0.3", "--k-count", str(k_count),
+            "--out", str(tmp_path / "sweep.csv")]
+    assert traced_peak(lambda: run(argv)) <= (5.89 + 0.5) * 16 * k_count * 2 ** 2
 
 
 def test_sweep_17_digit_roundtrip(tmp_path):
@@ -1158,12 +1168,41 @@ def _refuse_constant(constant):
 @example(argv=["cmt", "--prototype", "undamped", "--gamma", "1e-310", "--kappa", "0", "0",
                "--omega-min=-1e200", "--omega-max", "1e200", "--omega-count", "3"])
 def test_every_exit_keeps_the_command_line_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_contract(argv, Path(tmp))
+
+
+@st.composite
+def _extreme_center_file(draw):
+    # a 2-4-site center whose entries are -1, -1/2, 0, 1/2 or 1 times one
+    # _EXTREMES magnitude, as a matrix file's payload
+    n = draw(st.integers(2, 4))
+    scale = float(draw(st.sampled_from(_EXTREMES)))
+    entries = st.lists(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+    return {"n": n, "re": (np.array(draw(entries)) * scale).tolist(),
+            "im": (np.array(draw(entries)) * scale).tolist()}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["sweep", "verify", "classify", "cmt"]),
+       payload=_extreme_center_file())
+@example(command="verify", payload={"n": 2, "re": [[1, 0], [0, 1]], "im": [[math.inf, 0], [0, 0]]})
+def test_every_center_file_keeps_the_command_line_contract(command, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        center = Path(tmp) / "center.json"
+        center.write_text(json.dumps(payload))
+        out = Path(tmp) / "out"
+        out.mkdir()
+        _check_contract([command, "--center-file", str(center), *_CONTRACT_COMMANDS[command][0]], out)
+
+
+def _check_contract(argv, out: Path):
     # exit 0, 2, 3 or 4 and no numpy RuntimeWarning; exits 2 and 3 print one
     # line and exit 2 writes nothing; every JSON is strict and no CSV holds
     # nan or inf, whatever the flags' values
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = Path(tmp)
         if argv[0] == "evolve":
             argv = argv + ["--out-frames", str(out / "f.csv"), "--out-summary", str(out / "s.json")]
         else:

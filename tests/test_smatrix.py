@@ -25,7 +25,7 @@ from nhscatter import (
     verify_conservation_law,
 )
 from nhscatter.cli import run
-from helpers import closed_form_damped, closed_form_undamped, random_k, random_system
+from helpers import closed_form_damped, closed_form_undamped, random_k, random_system, traced_peak
 
 GAMMA = 1.0 / 3.0
 
@@ -347,6 +347,30 @@ def test_power_of_two_scaling_moves_no_bit(seed, n, p):
     for e in (-200, 20, 200):
         scale = math.ldexp(1.0, e)
         assert dressed_smatrix(scale ** 2 * system.center, scale * d, scale ** 2 * omegas).tobytes() == s, e
+
+
+# K = 8,192 points of a 6-site center with 3 ports: the dressed stack is built
+# and updated in place, so a kernel holds it, invert's working copy, the
+# inverse and the 1-norms' abs at once, with the port blocks and S
+_PEAK_K, _PEAK_N = 8192, 6
+_PEAK_STACK = 16 * _PEAK_K * _PEAK_N ** 2
+
+
+def test_lead_smatrices_peak_memory():
+    # 3.63 stacks measured; the bound is 0.15 stacks above it
+    system = random_system(np.random.default_rng(6), n=_PEAK_N, p=3)
+    ks = np.linspace(0.05, math.pi - 0.05, _PEAK_K)
+    peak = traced_peak(lambda: lead_smatrices(system.center, system.ports, ks))
+    assert peak <= (3.63 + 0.15) * _PEAK_STACK
+
+
+def test_dressed_smatrix_peak_memory():
+    # 3.62 stacks measured; the bound is 0.15 stacks above it
+    rng = np.random.default_rng(6)
+    system = random_system(rng, n=_PEAK_N, p=3)
+    d = 0.5 * (rng.standard_normal((_PEAK_N, 3)) + 1j * rng.standard_normal((_PEAK_N, 3)))
+    omegas = np.linspace(-3.0, 3.0, _PEAK_K)
+    assert traced_peak(lambda: dressed_smatrix(system.center, d, omegas)) <= (3.62 + 0.15) * _PEAK_STACK
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 8), p=st.integers(2, 3))

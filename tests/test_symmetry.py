@@ -298,6 +298,39 @@ def test_every_basis_element_solves_the_metric_condition():
             assert op.residual < 1e-10
 
 
+def _conjugate_pairs(h: np.ndarray) -> int:
+    """Ordered eigenvalue pairs (i, j) with lambda_i = conj(lambda_j), within
+    1e-8 max|H|: the metric space's real dimension for a diagonalizable H."""
+    lam = np.linalg.eigvals(h)
+    return int(np.sum(np.abs(lam[:, None] - lam.conj()) <= 1e-8 * np.abs(h).max()))
+
+
+@pytest.mark.parametrize("family", ["pseudo-hermitian", "complex", "real"])
+def test_metric_space_dimension_is_the_conjugate_pair_count(family):
+    # q = V X V^dagger with X_ij = 0 unless lambda_i = conj(lambda_j) (Mostafazadeh,
+    # J. Math. Phys. 43, 205 (2002)); 200 random diagonalizable centers of 2-8 sites
+    # per family: eta^-1 A with eta positive definite and A Hermitian, generic complex, real
+    rng = np.random.default_rng(["pseudo-hermitian", "complex", "real"].index(family))
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        if family == "pseudo-hermitian":
+            b, a = random_center(rng, n), random_center(rng, n)
+            h = np.linalg.solve(b @ b.conj().T + 0.1 * np.eye(n), a + a.conj().T)
+        elif family == "complex":
+            h = random_center(rng, n)
+        else:
+            h = rng.standard_normal((n, n)).astype(complex)
+        assert len(metric_space(h)) == _conjugate_pairs(h), (family, n)
+
+
+def test_conjugate_pair_count_overcounts_at_the_exceptional_point():
+    # the undamped prototype at v = gamma has one 2x2 Jordan block at 0: the
+    # count reads 4 while the metric space has dimension 2
+    h = make_prototype("undamped", 0.5, 0.5)
+    assert _conjugate_pairs(h) == 4
+    assert len(metric_space(h)) == 2
+
+
 # ---------------------------------------------------------------------------
 # port signature
 
