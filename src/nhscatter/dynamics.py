@@ -478,7 +478,10 @@ def _chebyshev_frames(h, psi0: np.ndarray, plan: _ChebyshevPlan) -> np.ndarray:
                     v[1] *= 0.5
                 else:
                     v[k] -= v[k - 2]
-            np.matmul(coefficients, v, out=frames)
+            if len(frames) == 1:  # BLAS's one-row gemv sums in an order set by its threads
+                np.einsum("k,kn->n", coefficients[0], v, out=frames[0])
+            else:
+                np.matmul(coefficients, v, out=frames)
             v[0] = frames[-1]
     return states
 

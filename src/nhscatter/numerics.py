@@ -5,7 +5,7 @@ dtype ``complex128`` in row-major layout.  All problem sizes are tiny
 (centers are a handful of sites).  Inverses and determinants go to LAPACK
 through ``numpy.linalg`` and accept a single matrix or a ``(K, N, N)``
 stack, so a whole grid of points costs one call.  :func:`invertible` is the one
-singularity rule, which :func:`invert` applies to each member scaled by a power of two.
+singularity rule, which :func:`invert` applies as is: callers scale by a power of two first.
 
 The shared on-disk matrix format is JSON::
 
@@ -61,8 +61,8 @@ def frozen_matrix(a: Any, *, square: bool = False, name: str = "matrix") -> np.n
 
 
 def _as_square(a: Any) -> np.ndarray:
-    """Coerce ``a`` to a finite C-contiguous complex128 square matrix or ``(K, N, N)`` stack."""
-    arr = np.ascontiguousarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a finite complex128 square matrix or ``(K, N, N)`` stack."""
+    arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise ValueError(f"A must be a square matrix or a stack of them, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -76,25 +76,22 @@ def frob(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def _scaled_parts(parts: np.ndarray, e_min=None) -> tuple[np.ndarray, Any]:
-    """Float ``parts`` times ``2**-e`` per matrix, ``e`` the ``np.frexp`` exponent of its
-    largest magnitude (0 for a zero matrix) raised to ``e_min`` if given, and ``e``.
-    The magnitudes are taken into the array that then receives the scaled parts."""
-    scaled = np.abs(parts)
-    e = np.frexp(scaled.max(axis=(-2, -1)))[1]
-    if e_min is not None:
-        e = np.maximum(e, e_min)
-    np.ldexp(parts, -e[..., None, None], out=scaled)
-    return scaled, e
+def peak(a: np.ndarray, axis=None):
+    """The largest real or imaginary part's magnitude, of all of ``a`` or over ``axis``: no overflow."""
+    return np.abs(np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)).max(axis)
+
+
+def ldexp(a: np.ndarray, e) -> np.ndarray:
+    """Complex ``a`` times ``2**e``, ``e`` broadcast against its parts: exact while parts stay normal."""
+    return np.ldexp(np.ascontiguousarray(a, dtype=np.complex128).view(np.float64), e).view(np.complex128)
 
 
 def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, Any]:
     """Complex ``a`` times the ``2**-e`` that puts its largest real or imaginary part
     in [0.5, 1), and ``e`` (0 for a zero matrix), one per matrix of a stack.  The scaling
     is exact, so a relative test on the result decides as on ``a`` where no product overflows."""
-    # real and imaginary parts side by side
-    scaled, e = _scaled_parts(np.ascontiguousarray(a).view(np.float64))
-    return scaled.view(np.complex128), e
+    e = np.frexp(peak(a, axis=(-2, -1)))[1]
+    return ldexp(a, -e[..., None, None]), e
 
 
 def invertible(a: np.ndarray):
@@ -108,14 +105,10 @@ def invert(a: np.ndarray) -> np.ndarray:
 
     One batched LAPACK call.  Raises :class:`SingularMatrixError` when a matrix
     fails :func:`invertible`; for a stack the error's ``index`` is the first
-    offending matrix.  Each member is decided and inverted as a copy scaled as by
-    :func:`unit_scaled`, so no 1-norm or LU entry overflows, and its inverse is scaled
-    back in place; a member below 1 stays unscaled, as its inverse scaled back up
-    could overflow.  The scaling is exact, so no bit moves where nothing overflows.
+    offending matrix, and a matrix whose 1-norms' product overflows fails it, as in
+    ``np.linalg.cond``: every caller in the package scales its operands by a power of two first.
     """
-    a, e = _scaled_parts(_as_square(a).view(np.float64), 0)
-    a = a.view(np.complex128)  # the one working copy
-    e = e[..., None, None]
+    a = _as_square(a)
     try:
         inv = np.linalg.inv(a)
         with np.errstate(over="ignore"):  # as in np.linalg.cond: a product past the range is singular
@@ -127,7 +120,6 @@ def invert(a: np.ndarray) -> np.ndarray:
         index = int(np.argmax(singular)) if a.ndim == 3 else None
         first = float(rcond if index is None else rcond[index])
         raise SingularMatrixError(f"reciprocal condition {first:.3e} at or below {RCOND_MIN:g}", index=index)
-    np.ldexp(inv.view(np.float64), -e, out=inv.view(np.float64))
     return inv
 
 

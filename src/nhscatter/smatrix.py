@@ -37,13 +37,13 @@ import numpy as np
 
 from .errors import ScatteringSingularityError, SingularMatrixError, WorkLimitError
 from .model import ScatteringSystem, require_coupling, require_in_band, require_ports
-from .numerics import invert
+from .numerics import invert, ldexp, peak
 
 
 # A grid of K points is refused above this many bytes in one (K, N, N) complex
 # stack, before any is built.  The kernel holds a few such stacks at once and
 # a sweep its CSV columns too; tracemalloc reads a dimer's sweep at 5.9 stacks'
-# bytes, and a 6-site, 3-port sweep and a 6-site cmt at 3.9.
+# bytes, a 6-site, 3-port sweep at 2.9 and a 6-site cmt at 2.7.
 # 2**25 bytes are 524,288 k of a dimer and 58,254 of a 6-site center.
 MAX_STACK_BYTES = 2 ** 25
 
@@ -73,6 +73,14 @@ def _grid(points, name: str, **inputs) -> np.ndarray:
     return grid
 
 
+def _inverse(dressed: np.ndarray, grid: np.ndarray, error: type, singular: str) -> np.ndarray:
+    """:func:`invert` of a dressed stack, else ``error`` naming the first singular grid point."""
+    try:
+        return invert(dressed)
+    except SingularMatrixError as exc:
+        raise error(f"{singular}={grid[exc.index]:.6g}", index=exc.index) from exc
+
+
 class Convention(str, Enum):
     """Global reference-plane phase choice for the scattering amplitudes."""
 
@@ -97,16 +105,14 @@ def dressed_smatrix(h: np.ndarray, d: np.ndarray, omega: np.ndarray | list[float
     n, p = d.shape[-2:]
     if n != h.shape[-1]:
         raise ValueError(f"coupling has {n} mode rows, center has {h.shape[-1]} modes")
+    # S is unchanged by (4**-e h, 2**-e d, 4**-e omega); the parts of h and d fall below 1, omega never rises
+    e = max(math.frexp(max(peak(d), math.sqrt(peak(h))))[1], 0)
+    h, d = ldexp(h, -2 * e), ldexp(d, -e)
     d_dag = np.swapaxes(d, -1, -2).conj()
-    dressed = omega[:, None, None] * np.eye(n, dtype=np.complex128)
+    dressed = np.ldexp(omega, -2 * e)[:, None, None] * np.eye(n, dtype=np.complex128)
     dressed -= h
     dressed += 1j * (d @ d_dag)
-    try:
-        g = invert(dressed)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"dressed resolvent is singular at omega={omega[exc.index]:.6g}", index=exc.index
-        ) from exc
+    g = _inverse(dressed, omega, SingularMatrixError, "dressed resolvent is singular at omega")
     return np.eye(p) - 2j * (d_dag @ g @ d)
 
 
@@ -139,17 +145,15 @@ def lead_smatrices(
     j = require_coupling(coupling)
     n = np.shape(center)[-1]
     sites = require_ports(n, sites)
+    # S is unchanged by 2**-e (H, J), which puts H's parts and 2J below 1, so no dressed entry exceeds 3
+    e = math.frexp(max(peak(center), 2.0 * j))[1]
+    center, j = ldexp(center, -e), math.ldexp(j, -e)
     at_k = np.arange(len(ks))[:, None]
     energy = -2.0 * j * np.cos(ks)
     dressed = energy[:, None, None] * np.eye(n, dtype=np.complex128)
     dressed -= center
     dressed[at_k, sites, sites] += j * np.exp(1j * ks)[:, None]
-    try:
-        g = invert(dressed)
-    except SingularMatrixError as exc:
-        raise ScatteringSingularityError(
-            f"lead-dressed center is singular at k={ks[exc.index]:.6g}", index=exc.index
-        ) from exc
+    g = _inverse(dressed, ks, ScatteringSingularityError, "lead-dressed center is singular at k")
     port_block = g[at_k[..., None], sites[..., :, None], sites[..., None, :]]
     s = (2j * j * np.sin(ks))[:, None, None] * port_block
     s -= np.eye(sites.shape[-1])

@@ -225,13 +225,13 @@ def port_metric(basis: list[MetricOperator], m: int, n: int,
 
 
 def is_anti_pt(h: np.ndarray, parity: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when P conj(H) P^{-1} = -H to ``tol`` times frob(H), for an invertible
-    parity; both sides are linear in H, so they are compared on :func:`unit_scaled` H."""
+    """True when P conj(H) P^{-1} = -H to ``tol`` times frob(H), for an invertible parity;
+    both sides are linear in H and free of P's scale: they are compared on :func:`unit_scaled` H and P."""
     h = as_complex_matrix(h, square=True, name="H")
     parity = as_complex_matrix(parity, square=True, name="parity")
     if parity.shape != h.shape:
         raise ValueError(f"parity shape {parity.shape} does not match H {h.shape}")
-    h = unit_scaled(h)[0]
+    h, parity = unit_scaled(h)[0], unit_scaled(parity)[0]
     transformed = parity @ h.conj() @ invert(parity)
     return frob(transformed + h) <= tol * frob(h)
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
 import signal
 import subprocess
@@ -179,6 +180,23 @@ def test_evolve_reproduces_packet_values(tmp_path):
     assert header == ["t", "site", "re_psi", "im_psi", "abs2"]
     total_sites = 150 + 2 + 150
     assert len(rows) == 51 * total_sites
+
+
+def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default gain run, whose last block is one frame, at one and at two
+    # BLAS threads, each in its own directory so that the summaries name the
+    # same paths
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "nhscatter", "evolve", "--prototype", "damped",
+                        "--gamma", "0.3333333333333333", "--dagger", "--out-frames", "f.csv",
+                        "--out-summary", "s.json"], cwd=cwd, env=env, check=True)
+        outputs.append([(cwd / name).read_bytes() for name in ("f.csv", "s.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_evolve_flags_packet_past_the_open_ends(tmp_path):
@@ -1119,7 +1137,7 @@ def test_sweep_grid_outside_the_band_is_a_band_edge(tmp_path, capsys, grid):
 # and signed zeros, where an overflow or an invalid value would show.
 _CONTRACT_COMMANDS = {
     "sweep": (["--k-count", "3"], ["--v", "--gamma", "--coupling", "--k-min", "--k-max"]),
-    "evolve": (["--left-len", "20", "--right-len", "20", "--n0", "-8", "--sigma", "2",
+    "evolve": (["--left-len", "50", "--right-len", "50", "--n0", "-25", "--sigma", "2",
                 "--t-final", "4", "--frames", "2"],
                ["--v", "--gamma", "--coupling", "--k", "--n0", "--sigma", "--dt", "--t-final"]),
     "classify": ([], ["--v", "--gamma", "--tol"]),
@@ -1167,21 +1185,33 @@ def _refuse_constant(constant):
                "--tol", "5e-324"])
 @example(argv=["cmt", "--prototype", "undamped", "--gamma", "1e-310", "--kappa", "0", "0",
                "--omega-min=-1e200", "--omega-max", "1e200", "--omega-count", "3"])
+@example(argv=["sweep", "--prototype", "undamped", "--v", "1e308", "--gamma", "0", "--coupling",
+               "8e307", "--k-count", "3"])
+@example(argv=["verify", "--prototype", "undamped", "--v", "1e308", "--gamma", "0", "--coupling",
+               "8e307", "--k", "3.0"])
+@example(argv=["cmt", "--prototype", "undamped", "--v", "1e308", "--gamma", "0", "--kappa", "1", "1",
+               "--omega-min=-1.7e308", "--omega-max=-1e308", "--omega-count", "3"])
 def test_every_exit_keeps_the_command_line_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         _check_contract(argv, Path(tmp))
 
 
+def _extreme_matrix(draw, rows: int, cols: int) -> dict:
+    # a matrix file's payload whose entries are -1, -1/2, 0, 1/2 or 1 times one
+    # _EXTREMES magnitude
+    scale = float(draw(st.sampled_from(_EXTREMES)))
+    entries = st.lists(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=cols,
+                                max_size=cols), min_size=rows, max_size=rows)
+    shape = {"n": rows} if rows == cols else {"rows": rows, "cols": cols}
+    return {**shape, "re": (np.array(draw(entries)) * scale).tolist(),
+            "im": (np.array(draw(entries)) * scale).tolist()}
+
+
 @st.composite
 def _extreme_center_file(draw):
-    # a 2-4-site center whose entries are -1, -1/2, 0, 1/2 or 1 times one
-    # _EXTREMES magnitude, as a matrix file's payload
+    # a 2-4-site center
     n = draw(st.integers(2, 4))
-    scale = float(draw(st.sampled_from(_EXTREMES)))
-    entries = st.lists(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=n, max_size=n),
-                       min_size=n, max_size=n)
-    return {"n": n, "re": (np.array(draw(entries)) * scale).tolist(),
-            "im": (np.array(draw(entries)) * scale).tolist()}
+    return _extreme_matrix(draw, n, n)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -1195,6 +1225,97 @@ def test_every_center_file_keeps_the_command_line_contract(command, payload):
         out = Path(tmp) / "out"
         out.mkdir()
         _check_contract([command, "--center-file", str(center), *_CONTRACT_COMMANDS[command][0]], out)
+
+
+@st.composite
+def _extreme_matrix_files(draw):
+    # a cmt coupling block of N x P with P from 1 to 3, a classify parity or an
+    # evolve center, as a payload in argv; cmt and classify take a prototype or
+    # a drawn center of N sites
+    command = draw(st.sampled_from(["cmt", "classify", "evolve"]))
+    if command == "evolve":
+        return ["evolve", "--center-file", draw(_extreme_center_file()), *_CONTRACT_COMMANDS["evolve"][0]]
+    center = draw(st.one_of(st.sampled_from(["damped", "undamped"]), _extreme_center_file()))
+    argv = [command, *(["--center-file", center] if isinstance(center, dict)
+                       else ["--prototype", center, "--gamma", "0.3"])]
+    n = center["n"] if isinstance(center, dict) else 2
+    if command == "cmt":
+        return argv + ["--coupling-file", _extreme_matrix(draw, n, draw(st.integers(1, 3))),
+                       "--omega-count", "3"]
+    return argv + ["--parity-file", _extreme_matrix(draw, n, n)]
+
+
+_UNIT_ANTI_PT = {"n": 2, "re": [[-0.99, 0.99], [0.99, 0.99]], "im": [[0, 0], [0, 0]]}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(argv=_extreme_matrix_files())
+@example(argv=["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file",
+               {"rows": 2, "cols": 2, "re": [[1e200, 0], [0, 1e200]], "im": [[0, 0], [0, 0]]}])
+@example(argv=["classify", "--center-file", _UNIT_ANTI_PT, "--parity-file",
+               {"n": 2, "re": [[1e308, 1e308], [1e308, -1e308]], "im": [[0, 0], [0, 0]]}])
+def test_every_matrix_file_keeps_the_command_line_contract(argv):
+    # each payload in argv is passed as the path of a file that holds it
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [Path(tmp) / f"matrix{i}.json" for i in range(len(argv))]
+        for path, arg in zip(files, argv):
+            if isinstance(arg, dict):
+                path.write_text(json.dumps(arg))
+        out = Path(tmp) / "out"
+        out.mkdir()
+        _check_contract([str(path) if isinstance(arg, dict) else arg for path, arg in zip(files, argv)],
+                        out)
+
+
+# Each kernel scales its operands by one power of two before it combines them,
+# so these inputs are solved as at unit scale; each overflowed in E I - H, in
+# D D† or in the inverse of a subnormal dressed center when it was not.
+
+_HUGE_HERMITIAN = ["--prototype", "undamped", "--v", "1e308", "--gamma", "0", "--coupling", "8e307"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_of_a_center_near_the_float_limit_conserves_energy(tmp_path):
+    # v = 1e308 and a band edge 2J = 1.6e308: a Hermitian center, so |r|^2 + |t|^2 = 1
+    out = tmp_path / "s.csv"
+    assert run(["sweep", *_HUGE_HERMITIAN, "--k-count", "5", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    values = np.array([[float(cell) for cell in row[:-1]] for row in rows])
+    assert np.isfinite(values).all()
+    assert max(_col(header, rows, "flux_sum_dev")) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_of_a_center_near_the_float_limit_conserves_energy(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["verify", *_HUGE_HERMITIAN, "--k", "3.0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert payload["flux_class"] == "energy"
+    assert payload["law_residual"] < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_of_a_subnormal_center_is_not_singular(tmp_path):
+    # gamma = J = 1e-310: the undamped dimer's flux law, as at any scale
+    out = tmp_path / "v.json"
+    assert run(["verify", "--prototype", "undamped", "--gamma", "1e-310", "--coupling", "1e-310",
+                "--k", "1.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(), parse_constant=_refuse_constant)["flux_class"] == "energy-difference"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cmt_with_a_coupling_near_the_float_limit_reflects(tmp_path):
+    # D = 1e200 I: D D† = 1e400 I dominates the resolvent, so S = -I to rounding
+    coupling = tmp_path / "d.json"
+    coupling.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[1e200, 0], [0, 1e200]],
+                                    "im": [[0, 0], [0, 0]]}))
+    out = tmp_path / "c.csv"
+    assert run(["cmt", "--prototype", "undamped", "--gamma", "0.3", "--coupling-file", str(coupling),
+                "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert len(rows) == 61
+    for name, value in (("re_s00", -1.0), ("re_s11", -1.0), ("re_s01", 0.0), ("im_s00", 0.0)):
+        assert np.abs(np.array(_col(header, rows, name)) - value).max() < 1e-12, name
 
 
 def _check_contract(argv, out: Path):

@@ -98,8 +98,8 @@ def test_singular_matrix_in_stack_reports_its_index():
     with pytest.raises(SingularMatrixError) as info:
         invert(np.stack([1e-200 * np.eye(2), np.zeros((2, 2)), np.eye(2)]))
     assert info.value.index == 1
-    # each member is unit-scaled, but a member below 1 keeps its scale: the
-    # inverse of 1e-310 I overflows, so it is singular
+    # invert takes each member at its own scale: the inverse of 1e-310 I
+    # overflows, so it is singular
     with pytest.raises(SingularMatrixError) as info:
         invert(np.stack([1e200 * np.eye(2), 1e-310 * np.eye(2)]))
     assert info.value.index == 1
@@ -152,8 +152,9 @@ def test_invert_roundtrip_random_well_conditioned(seed, n):
 
 
 def test_invert_peak_memory():
-    # at most the scaled working copy, the inverse and the 1-norms' abs at once:
-    # 2.60 stacks measured at K = 8,192, N = 6; the bound is 0.15 stacks above it
+    # at most the inverse and the 1-norms' abs at once: 1.60 stacks measured at
+    # K = 8,192, N = 6; the bound, 0.15 stacks above the 2.60 measured when
+    # invert also held a scaled working copy, is kept
     rng = _rng(8)
     a = random_center(rng, 6)[None] * rng.uniform(0.5, 4.0, (8192, 1, 1)) + 4.0 * np.eye(6)
     assert traced_peak(lambda: invert(a)) <= (2.60 + 0.15) * a.nbytes

@@ -463,6 +463,34 @@ def test_anti_pt_tolerance_is_relative_to_the_center():
     assert not is_anti_pt(1e200 * np.eye(2), np.eye(2))  # P H* P^-1 + H = 2H
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_anti_pt_verdict_does_not_change_with_the_parity_scale(seed, n):
+    # P conj(H) P^-1 is the same for every scale of P: the verdicts on 2^e P and
+    # on P agree, also with P's largest entry in the top binade [2^1023, 2^1024),
+    # where P conj(H) overflows unless P is scaled first
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    parity = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)  # a real reflection: P conj(P) = I
+    x = random_center(rng, n)
+    anti_pt = x - parity @ x.conj() @ parity  # P conj(H) P^-1 = -H
+    top = 1024 - np.frexp(np.abs(parity).max())[1]
+    for h, verdict in ((anti_pt, True), (anti_pt + 1e-3 * x, False)):
+        assert is_anti_pt(h, parity) is verdict
+        for e in (-600, 600, top):
+            assert is_anti_pt(h, np.ldexp(parity, e)) is verdict, e
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600, 1e308, 2.0 ** -1070])
+def test_anti_pt_verdict_with_a_parity_at_the_ends_of_the_float_range(scale):
+    h = 0.99 * np.array([[-1.0, 1.0], [1.0, 1.0]])
+    parity = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert is_anti_pt(h, parity)
+    assert is_anti_pt(h, scale * parity)
+
+
 def test_damped_zero_detuning_is_anti_hermitian():
     h = make_prototype("damped", 0.0, 0.9)
     assert np.abs(h.conj().T + h).max() < 1e-15
